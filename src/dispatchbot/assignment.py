@@ -77,20 +77,18 @@ def round_robin_assign(
     skipped unavailable ones), so returning engineers resume their fair
     share.
     """
-    order = roster.order
-    if not order:
+    entries = roster.entries
+    if not entries:
         raise EmptyPoolError(f"team {roster.team_id}: empty roster")
-    pool = set(available_pool(roster, at.date()))
-    if not pool:
-        raise EmptyPoolError(f"team {roster.team_id}: nobody available")
-    n = len(order)
+    day = at.date()
+    n = len(entries)
     start = cursor.position % n
     for k in range(n):
         i = (start + k) % n
-        if order[i] in pool:
+        if entries[i].available_on(day):
             decision = AssignmentDecision(
                 ticket_id=ticket.id,
-                engineer_id=order[i],
+                engineer_id=entries[i].engineer_id,
                 policy=POLICY_ROUND_ROBIN,
                 decided_at=at,
                 cursor_after=(i + 1) % n,

@@ -5,13 +5,18 @@ One BoardRuntime owns one board: its snapshot, event log, cursor, reminder
 ledger and outbox. Every mutation goes through `_commit`, which appends to
 the log and folds the same records into the live snapshot, so live state
 and replay can never diverge.
+
+A cycle's cost follows its new work, not the length of the log: it
+assigns from the unassigned-backlog index, resumes each reminder stream
+after its highest sent index and flushes only the pending-outbox index,
+all of which the fold maintains in the snapshot.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 from pathlib import Path
 
 from .assignment import (
@@ -95,6 +100,21 @@ _THRESHOLD_KEYS = {"stuck_hours", "sla_warning_fraction",
 _EXPERTISE_KEYS = {"skills", "labels"}
 
 
+def _optional_date(raw) -> date | None:
+    return parse_date(raw) if raw else None
+
+
+def _leave_intervals(raw) -> tuple[tuple[date, date], ...]:
+    return tuple((parse_date(a), parse_date(b)) for a, b in raw or ())
+
+
+#: Roster date fields and their parsers; both raise TypeError or
+#: ValueError on a bad value.
+_ROSTER_DATES = (("joined_at", _optional_date),
+                 ("separated_at", _optional_date),
+                 ("leaves", _leave_intervals))
+
+
 def load_team_config(path: str | Path) -> TeamConfig:
     """Load and validate one team's JSON configuration file.
 
@@ -133,15 +153,15 @@ def parse_team_config(raw: dict) -> TeamConfig:
         if "id" not in item:
             errors.append(f"roster[{i}]: missing id")
             continue
-        entries.append(RosterEntry(
-            engineer_id=item["id"],
-            joined_at=(parse_date(item["joined_at"])
-                       if item.get("joined_at") else None),
-            separated_at=(parse_date(item["separated_at"])
-                          if item.get("separated_at") else None),
-            leaves=tuple((parse_date(a), parse_date(b))
-                         for a, b in item.get("leaves", [])),
-        ))
+        dates = {}
+        for key, parse in _ROSTER_DATES:
+            try:
+                dates[key] = parse(item.get(key))
+            except (TypeError, ValueError) as exc:
+                errors.append(
+                    f"roster[{i}]: bad {key} {item.get(key)!r}: {exc}")
+        if len(dates) == len(_ROSTER_DATES):
+            entries.append(RosterEntry(engineer_id=item["id"], **dates))
     try:
         roster = EngineerRoster(raw["team_id"], entries)
     except ValueError as exc:
@@ -450,10 +470,8 @@ class BoardRuntime:
         return report
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
-        for msg_id in list(self.snapshot.outbox):
+        for msg_id in list(self.snapshot.pending_outbox):
             msg = self.snapshot.outbox[msg_id]
-            if msg.delivery_state == STATE_DELIVERED or msg.terminal:
-                continue
             sink = self.sinks.get(msg.channel)
             state, retries, terminal = STATE_DELIVERED, msg.retries, False
             try:

@@ -51,8 +51,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log = EventLog(out_dir / f"{config.board_id}.events.ndjson")
     try:
+        log = EventLog(out_dir / f"{config.board_id}.events.ndjson")
         runtime = BoardRuntime(config, log=log)
     except Exception as exc:
         return _fail(EXIT_RUNTIME, f"cannot rebuild board state: {exc}")

@@ -4,6 +4,11 @@ Each board persists as one newline-delimited JSON file; every record is
 {"seq", "ts", "board", "kind", ...kind fields}. Board state is a pure fold
 over the records, so any prefix of the log replays to a consistent
 snapshot and live state always equals replay of what was written.
+
+The fold also keeps derived indexes (open tickets, the unassigned backlog,
+the pending outbox) so that a cycle reads only what is new, never the
+whole history. They hold nothing the log does not: `replay` rebuilds them,
+and snapshot equality ignores them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from .notify import Channel, OutboundMessage
+from .notify import STATE_DELIVERED, Channel, OutboundMessage
 from .timeutil import parse_ts
 from .workflow import (
     Priority,
@@ -60,18 +65,20 @@ class BoardSnapshot:
     board_id: str
     tickets: dict[str, Ticket] = field(default_factory=dict)
     cursor_position: int = 0
-    #: (ticket id, reminder kind, escalation index) already sent
+    #: (ticket id, reminder kind, escalation index) already sent. Each
+    #: (ticket, kind) stream is prefix-closed: it holds indices 1..n.
     reminder_ledger: set = field(default_factory=set)
     outbox: dict[str, OutboundMessage] = field(default_factory=dict)
     assign_counts: dict[str, int] = field(default_factory=dict)
     msg_counter: int = 0
     watermark: int = 0
-    # Derived indexes, maintained by the fold; excluded from equality.
+    # Derived indexes: maintained by `fold_event`, rebuilt by `replay`,
+    # excluded from equality. The log stays the only source of truth.
     unassigned_backlog: set = field(default_factory=set, compare=False)
     open_tickets: set = field(default_factory=set, compare=False)
-
-    def next_msg_id(self) -> str:
-        return f"m{self.msg_counter + 1:06d}"
+    #: msg ids neither delivered nor terminal, in outbox order (values
+    #: unused); a failed message that will be retried keeps its place.
+    pending_outbox: dict = field(default_factory=dict, compare=False)
 
 
 def _reindex(snapshot: BoardSnapshot, ticket: Ticket) -> None:
@@ -116,11 +123,13 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
                                       event["actor"])
         _reindex(snapshot, ticket)
         # A state change resets the stuck clock, so the next spell's
-        # escalations restart at index 1.
-        snapshot.reminder_ledger = {
-            key for key in snapshot.reminder_ledger
-            if not (key[0] == ticket.id and key[1] == "StuckState")
-        }
+        # escalations restart at index 1. The stream is prefix-closed,
+        # so its keys are exactly 1..n.
+        ledger = snapshot.reminder_ledger
+        index = 1
+        while (key := (ticket.id, "StuckState", index)) in ledger:
+            ledger.discard(key)
+            index += 1
     elif kind == KIND_ASSIGNED:
         ticket = replace(snapshot.tickets[event["ticket"]],
                          assignee=event["engineer"])
@@ -141,6 +150,8 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
         msg.delivery_state = event["state"]
         msg.retries = event["retries"]
         msg.terminal = event["terminal"]
+        if msg.delivery_state == STATE_DELIVERED or msg.terminal:
+            snapshot.pending_outbox.pop(msg.msg_id, None)
     else:
         raise ValueError(f"unknown event kind: {kind}")
 
@@ -155,6 +166,7 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
             created_at=parse_ts(wire["ts"]),
         )
         snapshot.outbox[msg.msg_id] = msg
+        snapshot.pending_outbox[msg.msg_id] = None
         snapshot.msg_counter = max(snapshot.msg_counter,
                                    int(wire["msg_id"].lstrip("m")))
     snapshot.watermark = seq

@@ -141,22 +141,29 @@ def due_reminders(
     """Reminders triggered at `now` whose (ticket, kind, index) is not in
     the persisted ledger. Idempotent: with an updated ledger, a repeat
     call at the same instant emits nothing.
+
+    The ledger must be prefix-closed: for each (ticket, kind) it holds
+    indices 1..n for some n >= 0, as the fold of a board's log does. Each
+    stream is then resumed at n + 1, found by scanning down from the due
+    count, so a long-escalated stream costs only its new reminders.
     """
     period = policy.reminder_period
     out: list[Reminder] = []
 
     def emit(ticket: Ticket, kind: ReminderKind, count: int,
              recipients: tuple[str, ...]) -> None:
-        for index in range(1, count + 1):
-            key = (ticket.id, kind.value, index)
-            if key not in already_sent:
-                out.append(Reminder(
-                    ticket_id=ticket.id,
-                    kind=kind,
-                    recipients=recipients,
-                    escalation_index=index,
-                    generated_at=now,
-                ))
+        tid, kind_value = ticket.id, kind.value
+        sent = count
+        while sent > 0 and (tid, kind_value, sent) not in already_sent:
+            sent -= 1
+        for index in range(sent + 1, count + 1):
+            out.append(Reminder(
+                ticket_id=tid,
+                kind=kind,
+                recipients=recipients,
+                escalation_index=index,
+                generated_at=now,
+            ))
 
     for t in tickets:
         if t.state is WorkflowState.DONE:

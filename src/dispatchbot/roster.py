@@ -18,18 +18,30 @@ class RosterEntry:
     #: Closed [start, end] leave intervals (leaves, regional holidays).
     leaves: tuple[tuple[date, date], ...] = ()
 
+    def available_on(self, on: date) -> bool:
+        """Joined, not yet separated and not on leave on `on`; every
+        bound is inclusive."""
+        if self.joined_at is not None and on < self.joined_at:
+            return False
+        if self.separated_at is not None and on > self.separated_at:
+            return False
+        return not any(start <= on <= end for start, end in self.leaves)
+
 
 @dataclass
 class EngineerRoster:
     team_id: str
     entries: list[RosterEntry] = field(default_factory=list)
+    #: engineer id -> entry, built once: nothing appends to `entries`.
+    _by_id: dict[str, RosterEntry] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        self._by_id = {}
         for e in self.entries:
-            if e.engineer_id in seen:
+            if e.engineer_id in self._by_id:
                 raise ValueError(f"duplicate engineer id: {e.engineer_id}")
-            seen.add(e.engineer_id)
+            self._by_id[e.engineer_id] = e
             if (e.joined_at is not None and e.separated_at is not None
                     and e.separated_at < e.joined_at):
                 raise ValueError(
@@ -40,29 +52,16 @@ class EngineerRoster:
         return [e.engineer_id for e in self.entries]
 
     def __contains__(self, engineer_id: str) -> bool:
-        return any(e.engineer_id == engineer_id for e in self.entries)
+        return engineer_id in self._by_id
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def add_engineer(self, entry: RosterEntry) -> None:
-        """Append a new engineer at the end of roster order."""
-        if entry.engineer_id in self:
-            raise ValueError(f"duplicate engineer id: {entry.engineer_id}")
-        self.entries.append(entry)
-
     def is_available(self, engineer_id: str, on: date) -> bool:
-        for e in self.entries:
-            if e.engineer_id != engineer_id:
-                continue
-            if e.joined_at is not None and on < e.joined_at:
-                return False
-            if e.separated_at is not None and on > e.separated_at:
-                return False
-            return not any(start <= on <= end for start, end in e.leaves)
-        return False
+        entry = self._by_id.get(engineer_id)
+        return entry is not None and entry.available_on(on)
 
 
 def available_pool(roster: EngineerRoster, on: date) -> list[str]:
     """Engineers available on a date, in roster order. May be empty."""
-    return [e for e in roster.order if roster.is_available(e, on)]
+    return [e.engineer_id for e in roster.entries if e.available_on(on)]

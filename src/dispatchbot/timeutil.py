@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache
 
 UTC = timezone.utc
 SECOND = timedelta(seconds=1)
-HOUR = timedelta(hours=1)
 DAY = timedelta(days=1)
 
 
@@ -14,11 +14,18 @@ def utc_now() -> datetime:
     return datetime.now(tz=UTC).replace(microsecond=0)
 
 
+#: Distinct timestamps the codec remembers. All events of one cycle share
+#: a timestamp, and the fold parses the strings a commit has just made.
+_CODEC_CACHE = 1024
+
+
+@lru_cache(maxsize=_CODEC_CACHE)
 def iso(ts: datetime) -> str:
     """Render an aware timestamp as ISO-8601 UTC with a Z suffix."""
     return ts.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+@lru_cache(maxsize=_CODEC_CACHE)
 def parse_ts(raw: str) -> datetime:
     """Parse ISO-8601; naive input is taken as UTC. Truncates to seconds."""
     if raw.endswith("Z"):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dispatchbot.assignment import (
     AssignmentCursor,
@@ -147,6 +148,45 @@ class TestRoundRobin:
                                                    ticket(f"T-{i}"), at(0))
                     got.append(d.engineer_id)
                 assert got == reduced
+
+
+DAY0 = date(2025, 1, 1)
+days = st.integers(0, 30).map(lambda d: DAY0 + timedelta(days=d))
+
+
+@st.composite
+def roster_entries(draw):
+    size = draw(st.integers(0, 8))
+    entries = []
+    for i in range(size):
+        joined = draw(st.none() | days)
+        separated = draw(st.none() | days)
+        if joined and separated and separated < joined:
+            joined, separated = separated, joined
+        leaves = tuple(tuple(sorted(pair)) for pair in
+                       draw(st.lists(st.tuples(days, days), max_size=3)))
+        entries.append(RosterEntry(f"e{i}", joined, separated, leaves))
+    return entries
+
+
+class TestRoundRobinProperty:
+    @given(entries=roster_entries(), position=st.integers(-3, 20),
+           day=days)
+    def test_matches_pool_reference(self, entries, position, day):
+        # The reference is the brute-force scan over `available_pool`.
+        r = EngineerRoster("team1", entries)
+        cursor = AssignmentCursor("team1", position)
+        now = datetime(day.year, day.month, day.day, 9, tzinfo=timezone.utc)
+        pool = available_pool(r, day)
+        if not pool:
+            with pytest.raises(EmptyPoolError):
+                round_robin_assign(r, cursor, ticket(), now)
+            return
+        [expected] = rr_oracle(r.order, set(pool), position, 1)
+        decision, after = round_robin_assign(r, cursor, ticket(), now)
+        assert decision.engineer_id == expected
+        assert after.position == decision.cursor_after == \
+            (r.order.index(expected) + 1) % len(r)
 
 
 class TestExpertise:

@@ -12,7 +12,13 @@ from dispatchbot.board import (
     poll_new_unassigned,
 )
 from dispatchbot.eventlog import EventLog, replay
-from dispatchbot.notify import Channel, MemorySink
+from dispatchbot.notify import (
+    STATE_DELIVERED,
+    Channel,
+    MemorySink,
+    PayloadRejected,
+    SinkUnreachable,
+)
 from dispatchbot.reminders import ThresholdPolicy
 from dispatchbot.workflow import WorkflowState
 
@@ -70,6 +76,20 @@ class TestTeamConfig:
         with pytest.raises(ConfigError) as err:
             load_team_config(tmp_path / "absent.json")
         assert "absent.json" in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("joined_at", "not-a-date"),
+        ("separated_at", "2025-13-01"),
+        ("joined_at", 20250101),
+        ("leaves", [["2025-02-01", "soon"]]),
+        ("leaves", [["2025-02-01"]]),
+    ])
+    def test_bad_roster_date_is_field_error(self, key, value):
+        roster = [dict(CONFIG_DOC["roster"][0], **{key: value})]
+        with pytest.raises(ConfigError) as err:
+            parse_team_config(dict(CONFIG_DOC, roster=roster))
+        assert any(e.startswith(f"roster[0]: bad {key} ")
+                   for e in err.value.errors)
 
 
 class TestPoll:
@@ -206,3 +226,52 @@ class TestRunCycle:
             "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
         runtime.run_cycle(at(130))
         assert replay(runtime.log.events) == runtime.snapshot
+
+
+class FlakySink(MemorySink):
+    """Fails every third message once (retried later) and rejects every
+    fifth message for good."""
+
+    def __init__(self):
+        super().__init__()
+        self.attempts: dict[str, int] = {}
+
+    def deliver(self, message):
+        number = int(message.msg_id.lstrip("m"))
+        tries = self.attempts[message.msg_id] = \
+            self.attempts.get(message.msg_id, 0) + 1
+        if number % 5 == 0:
+            raise PayloadRejected("schema mismatch")
+        if number % 3 == 0 and tries == 1:
+            raise SinkUnreachable("connection reset")
+        super().deliver(message)
+
+
+class TestPendingOutbox:
+    def test_tracks_undelivered_messages_in_outbox_order(self,
+                                                         memory_runtime):
+        runtime = memory_runtime(team_config(
+            thresholds=ThresholdPolicy(team_id="team1",
+                                       reminder_period_hours=2)))
+        sink = FlakySink()
+        runtime.sinks = {c: sink for c in runtime.sinks}
+        pending_seen = 0
+        for hour in range(0, 240, 6):
+            runtime.inject_ticket(f"T1-{hour}", "r1", at(hour))
+            if hour % 24 == 6:
+                runtime.apply_external_transition(
+                    f"T1-{hour - 6}", WorkflowState.WORK_IN_PROGRESS,
+                    at(hour), "e1")
+            runtime.run_cycle(at(hour + 1))
+            snapshot = runtime.snapshot
+            expected = [m.msg_id for m in snapshot.outbox.values()
+                        if m.delivery_state != STATE_DELIVERED
+                        and not m.terminal]
+            assert list(snapshot.pending_outbox) == expected
+            assert list(replay(runtime.log.events).pending_outbox) == expected
+            pending_seen += len(expected)
+        assert pending_seen
+        outbox = runtime.snapshot.outbox.values()
+        assert any(m.terminal for m in outbox)
+        assert any(m.retries and m.delivery_state == STATE_DELIVERED
+                   for m in outbox)

@@ -70,6 +70,27 @@ class TestRun:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    def test_bad_roster_date_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "team.json"
+        roster = [{"id": "e1", "joined_at": "not-a-date"}]
+        bad.write_text(json.dumps(dict(TEAM_DOC, roster=roster)))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "roster[0]: bad joined_at" in capsys.readouterr().err
+
+    def test_torn_final_line_is_runtime_error(self, team_files, capsys):
+        config, board, out = team_files
+        args = ["run", "--config", str(config), "--board", str(board),
+                "--out", str(out), "--now", "2025-01-06T10:00:00Z"]
+        assert main(args) == EXIT_OK
+        log = out / "T1.events.ndjson"
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join(lines[:2]) + "\n" + lines[2][:20])
+        capsys.readouterr()
+        assert main(args) == EXIT_RUNTIME
+        assert "cannot rebuild board state: line 3:" in \
+            capsys.readouterr().err
+
 
 class TestReplay:
     def test_clean_log_replays_ok(self, tmp_path, capsys):

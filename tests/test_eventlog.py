@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from dispatchbot.eventlog import (
@@ -101,6 +103,27 @@ def test_stuck_ledger_resets_on_transition():
                 and e["ticket"] == tid and e["reminder_kind"] == kind
                 and e["index"] == index]
         assert sent, "ledger entry without a matching event"
+
+
+def test_reminder_ledger_streams_are_prefix_closed():
+    # Overload-shaped: a small desk, a backlog, short stuck thresholds and
+    # frequent escalations, so streams grow long and reset on transitions.
+    run = run_simulation(SimConfig(seed=4, horizon_days=4, arrival_rate=20,
+                                   roster_size=2, reminders_enabled=True,
+                                   stuck_threshold_hours=4,
+                                   reminder_period_hours=2,
+                                   cycle_period_hours=1))
+    streams: dict = {}
+    for tid, kind, index in run.snapshot.reminder_ledger:
+        streams.setdefault((tid, kind), set()).add(index)
+    assert any(len(indices) > 3 for indices in streams.values())
+    # some StuckState stream was reset by a transition and began again
+    restarts = Counter(e["ticket"] for e in run.events
+                       if e["kind"] == "ReminderSent" and e["index"] == 1
+                       and e["reminder_kind"] == "StuckState")
+    assert max(restarts.values()) > 1
+    for indices in streams.values():
+        assert indices == set(range(1, len(indices) + 1))
 
 
 def test_encode_is_stable():

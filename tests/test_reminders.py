@@ -3,6 +3,8 @@ from __future__ import annotations
 from dataclasses import replace
 from datetime import timedelta
 
+import pytest
+
 from dispatchbot.reminders import (
     ReminderKind,
     SlaStatus,
@@ -108,6 +110,18 @@ class TestDueReminders:
             stuck = [r for r in due_reminders([t], now, POLICY, set())
                      if r.kind is ReminderKind.STUCK_STATE]
             assert len(stuck) == n
+
+    @pytest.mark.parametrize("sent", [0, 1, 3, 6, 9])
+    def test_resumes_after_sent_prefix(self, sent):
+        # Stuck 6 periods past threshold with indices 1..k in the ledger:
+        # exactly k+1..6 come due, in ascending order.
+        t = blocked_ticket()
+        ledger = {(t.id, "StuckState", i) for i in range(1, sent + 1)}
+        stuck = [r.escalation_index
+                 for r in due_reminders([t], at(2 + 72 + 6 * 24), POLICY,
+                                        ledger)
+                 if r.kind is ReminderKind.STUCK_STATE]
+        assert stuck == list(range(sent + 1, 7))
 
     def test_monotone_in_now(self):
         t = blocked_ticket()
