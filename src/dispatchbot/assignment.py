@@ -119,11 +119,9 @@ def expertise_assign(
     if tag is not None:
         experts = [e for e in pool if tag in profile.skills.get(e, frozenset())]
         if experts:
-            chosen = min(
-                experts,
-                key=lambda e: (assigned_counts.get(e, 0),
-                               roster.order.index(e)),
-            )
+            # `min` keeps the first of equal keys, and the pool is in
+            # roster order: ties go to the earliest engineer.
+            chosen = min(experts, key=lambda e: assigned_counts.get(e, 0))
             decision = AssignmentDecision(
                 ticket_id=ticket.id,
                 engineer_id=chosen,
@@ -156,10 +154,8 @@ def least_open_assign(
     pool = available_pool(roster, at.date())
     if not pool:
         raise EmptyPoolError(f"team {roster.team_id}: nobody available")
-    chosen = min(
-        pool,
-        key=lambda e: (open_counts.get(e, 0), roster.order.index(e)),
-    )
+    # First of equal counts in roster order, as `available_pool` keeps it.
+    chosen = min(pool, key=lambda e: open_counts.get(e, 0))
     return AssignmentDecision(
         ticket_id=ticket.id,
         engineer_id=chosen,

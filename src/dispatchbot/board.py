@@ -6,14 +6,20 @@ ledger and outbox. Every mutation goes through `_commit`, which appends to
 the log and folds the same records into the live snapshot, so live state
 and replay can never diverge.
 
-A cycle's cost follows its new work, not the length of the log: it
-assigns from the unassigned-backlog index, resumes each reminder stream
-after its highest sent index and flushes only the pending-outbox index,
-all of which the fold maintains in the snapshot.
+A cycle's cost follows its new work, not the length of the log or the
+size of the open backlog: it assigns from the unassigned-backlog index,
+resumes each reminder stream after its highest sent index and flushes
+only the pending-outbox index, all of which the fold maintains in the
+snapshot. Reminders are evaluated only for the tickets that changed since
+their last evaluation or whose next reminder boundary has passed, found
+through a next-due min-heap. The reminder policy is configuration, not
+log state, so that schedule lives in the runtime rather than in the
+snapshot; a restart rebuilds it by evaluating every open ticket once.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -61,7 +67,12 @@ from .notify import (
     route_reminder,
     sink_for_endpoint,
 )
-from .reminders import ThresholdPolicy, due_reminders
+from .reminders import (
+    DEFAULT_STUCK_HOURS,
+    ThresholdPolicy,
+    due_reminders,
+    next_reminder_at,
+)
 from .roster import EngineerRoster, RosterEntry
 from .timeutil import iso, parse_date
 from .workflow import ReopenMode, Ticket, WorkflowState
@@ -131,7 +142,27 @@ def load_team_config(path: str | Path) -> TeamConfig:
     return parse_team_config(raw)
 
 
-def parse_team_config(raw: dict) -> TeamConfig:
+#: The JSON type of each required structured field, checked before use.
+_SHAPES = (("team_id", str, "a string"), ("board_id", str, "a string"),
+           ("roster", list, "a list"), ("channels", dict, "an object"))
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _count_field(raw: dict, key: str, default: int, least: int,
+                 errors: list[str]) -> int:
+    value = raw.get(key, default)
+    if type(value) is not int or value < least:
+        errors.append(f"{key}: must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def parse_team_config(raw) -> TeamConfig:
+    """Validate a decoded JSON document, collecting field-level messages
+    into one ConfigError: any JSON value, whatever it holds at any depth,
+    ends in a TeamConfig or a ConfigError."""
     errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be an object"])
@@ -142,16 +173,25 @@ def parse_team_config(raw: dict) -> TeamConfig:
                 "review_channel"):
         if key not in raw:
             errors.append(f"missing key: {key}")
+    for key, kind, name in _SHAPES:
+        if key in raw and not isinstance(raw[key], kind):
+            errors.append(f"{key}: must be {name}")
     if errors:
         raise ConfigError(errors)
 
     entries: list[RosterEntry] = []
     for i, item in enumerate(raw["roster"]):
+        if not isinstance(item, dict):
+            errors.append(f"roster[{i}]: must be an object")
+            continue
         for key in item:
             if key not in _ROSTER_KEYS:
                 errors.append(f"roster[{i}]: unknown key {key}")
         if "id" not in item:
             errors.append(f"roster[{i}]: missing id")
+            continue
+        if not isinstance(item["id"], str):
+            errors.append(f"roster[{i}]: id must be a string")
             continue
         dates = {}
         for key, parse in _ROSTER_DATES:
@@ -189,17 +229,20 @@ def parse_team_config(raw: dict) -> TeamConfig:
         errors.append(f"policy: unknown policy {policy}")
 
     thresholds = None
-    if "thresholds" in raw and raw["thresholds"] is not None:
-        t = raw["thresholds"]
+    t = raw.get("thresholds")
+    if t is not None and not isinstance(t, dict):
+        errors.append("thresholds: must be an object")
+    elif t is not None:
         for key in t:
             if key not in _THRESHOLD_KEYS:
                 errors.append(f"thresholds: unknown key {key}")
         try:
-            stuck = {WorkflowState(k): float(v)
-                     for k, v in t.get("stuck_hours", {}).items()}
-            from .reminders import DEFAULT_STUCK_HOURS
+            stuck_hours = t.get("stuck_hours", {})
+            if not isinstance(stuck_hours, dict):
+                raise ValueError("stuck_hours must be an object")
             merged = dict(DEFAULT_STUCK_HOURS)
-            merged.update(stuck)
+            merged.update({WorkflowState(k): float(v)
+                           for k, v in stuck_hours.items()})
             thresholds = ThresholdPolicy(
                 team_id=raw["team_id"],
                 stuck_hours=merged,
@@ -207,22 +250,39 @@ def parse_team_config(raw: dict) -> TeamConfig:
                 reminder_period_hours=float(
                     t.get("reminder_period_hours", 24.0)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             errors.append(f"thresholds: {exc}")
 
     expertise = None
-    if "expertise" in raw and raw["expertise"] is not None:
-        e = raw["expertise"]
+    e = raw.get("expertise")
+    if e is not None and not isinstance(e, dict):
+        errors.append("expertise: must be an object")
+    elif e is not None:
         for key in e:
             if key not in _EXPERTISE_KEYS:
                 errors.append(f"expertise: unknown key {key}")
-        skills = {eng: frozenset(tags)
-                  for eng, tags in e.get("skills", {}).items()}
+        skills = e.get("skills", {})
+        labels = e.get("labels", {})
+        if not (isinstance(skills, dict)
+                and all(_is_strings(tags) for tags in skills.values())):
+            errors.append("expertise: skills must map engineers to lists "
+                          "of tags")
+            skills = {}
+        if not (isinstance(labels, dict)
+                and all(isinstance(tag, str) for tag in labels.values())):
+            errors.append("expertise: labels must map labels to tags")
+            labels = {}
         for eng in skills:
             if eng not in roster:
                 errors.append(f"expertise: unknown engineer {eng}")
         expertise = ExpertiseProfile(
-            skills=skills, label_tags=dict(e.get("labels", {})))
+            skills={eng: frozenset(tags) for eng, tags in skills.items()},
+            label_tags=dict(labels))
+
+    cycle_period = _count_field(raw, "cycle_period_minutes",
+                                DEFAULT_CYCLE_PERIOD_MINUTES, 1, errors)
+    max_retries = _count_field(raw, "max_retries", DEFAULT_MAX_RETRIES, 0,
+                               errors)
 
     if errors:
         raise ConfigError(errors)
@@ -235,9 +295,8 @@ def parse_team_config(raw: dict) -> TeamConfig:
         policy=policy,
         thresholds=thresholds,
         expertise=expertise,
-        cycle_period_minutes=int(
-            raw.get("cycle_period_minutes", DEFAULT_CYCLE_PERIOD_MINUTES)),
-        max_retries=int(raw.get("max_retries", DEFAULT_MAX_RETRIES)),
+        cycle_period_minutes=cycle_period,
+        max_retries=max_retries,
     )
 
 
@@ -266,6 +325,12 @@ class CycleReport:
         return "\n".join(lines)
 
 
+#: Events that change a ticket's reminder triggers or recipients. A sent
+#: reminder changes neither: it only moves the ledger forward.
+_TICKET_CHANGES = frozenset({KIND_CREATED, KIND_TRANSITIONED, KIND_ASSIGNED,
+                             KIND_REASSIGNED})
+
+
 def poll_new_unassigned(snapshot: BoardSnapshot) -> list[Ticket]:
     """Backlog tickets with no assignee, ordered by created_at then id."""
     tickets = [snapshot.tickets[tid] for tid in snapshot.unassigned_backlog]
@@ -286,6 +351,15 @@ class BoardRuntime:
                      for channel, endpoint in config.binding.endpoints.items()}
         self.sinks = sinks
         self.manual_plan = manual_plan or {}
+        # The reminder schedule. An open ticket whose reminders may be due
+        # is either touched (changed since its last visit) or has a live
+        # entry in the min-heap of (next boundary, ticket id); `_next_due`
+        # holds each live entry's instant, and an entry that disagrees
+        # with it is stale. Derived from the log and the policy alone, so
+        # a restart rebuilds it by touching every open ticket.
+        self._touched: set[str] = set(self.snapshot.open_tickets)
+        self._due_heap: list[tuple[datetime, str]] = []
+        self._next_due: dict[str, datetime] = {}
 
     # -- event plumbing ----------------------------------------------------
 
@@ -299,6 +373,8 @@ class BoardRuntime:
         event.update(payload)
         self.log.append([event])
         fold_event(self.snapshot, event)
+        if kind in _TICKET_CHANGES:
+            self._touched.add(payload["ticket"])
         return event
 
     def _make_msg_id(self):
@@ -450,24 +526,52 @@ class BoardRuntime:
             assigned_now.add(ticket.id)
 
         if self.config.thresholds is not None:
-            open_now = sorted(self.snapshot.open_tickets - assigned_now)
-            tickets = [self.snapshot.tickets[tid] for tid in open_now]
-            for reminder in due_reminders(tickets, now,
-                                          self.config.thresholds,
-                                          self.snapshot.reminder_ledger):
-                messages = route_reminder(reminder, self.config.binding,
-                                          self._make_msg_id())
-                self._commit(KIND_REMINDER_SENT, now, {
-                    "ticket": reminder.ticket_id,
-                    "reminder_kind": reminder.kind.value,
-                    "index": reminder.escalation_index,
-                    "recipients": list(reminder.recipients),
-                    "messages": [m.wire() for m in messages],
-                })
-                report.reminders_sent += 1
+            self._remind(now, assigned_now, report)
+        else:
+            self._touched.clear()
 
         self._flush_outbox(now, report)
         return report
+
+    def _remind(self, now: datetime, assigned_now: set[str],
+                report: CycleReport) -> None:
+        """Evaluate reminders for the tickets that may have one due: those
+        touched since their last visit and those whose next boundary lies
+        strictly before `now`. Tickets assigned this cycle are skipped and
+        stay touched for the next one."""
+        policy = self.config.thresholds
+        heap, next_due = self._due_heap, self._next_due
+        visit = self._touched
+        while heap and heap[0][0] < now:
+            instant, tid = heapq.heappop(heap)
+            if next_due.get(tid) == instant:
+                del next_due[tid]
+                visit.add(tid)
+        self._touched = set(assigned_now)
+        visit -= assigned_now
+        open_tickets, tickets = self.snapshot.open_tickets, []
+        for tid in sorted(visit):
+            if tid in open_tickets:
+                tickets.append(self.snapshot.tickets[tid])
+            else:
+                next_due.pop(tid, None)
+        for reminder in due_reminders(tickets, now, policy,
+                                      self.snapshot.reminder_ledger):
+            messages = route_reminder(reminder, self.config.binding,
+                                      self._make_msg_id())
+            self._commit(KIND_REMINDER_SENT, now, {
+                "ticket": reminder.ticket_id,
+                "reminder_kind": reminder.kind.value,
+                "index": reminder.escalation_index,
+                "recipients": list(reminder.recipients),
+                "messages": [m.wire() for m in messages],
+            })
+            report.reminders_sent += 1
+        for ticket in tickets:
+            instant = next_reminder_at(ticket, now, policy)
+            if next_due.get(ticket.id) != instant:
+                next_due[ticket.id] = instant
+                heapq.heappush(heap, (instant, ticket.id))
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
         for msg_id in list(self.snapshot.pending_outbox):

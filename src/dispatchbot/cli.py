@@ -48,6 +48,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = load_team_config(args.config)
     except ConfigError as exc:
         return _fail(EXIT_VALIDATION, f"config error: {exc}")
+    now = None
+    if args.now:
+        try:
+            now = parse_ts(args.now)
+        except ValueError as exc:
+            return _fail(EXIT_VALIDATION, f"bad --now {args.now!r}: {exc}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -67,8 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         except (CorruptRecordError, ValueError) as exc:
             return _fail(EXIT_VALIDATION, f"board fixture: {exc}")
 
-    now = parse_ts(args.now) if args.now else utc_now()
-    report = runtime.run_cycle(now)
+    report = runtime.run_cycle(now or utc_now())
     print(report.render())
     if args.loop:
         try:

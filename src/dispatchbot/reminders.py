@@ -7,7 +7,6 @@ replays deterministically on a virtual clock.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
@@ -117,10 +116,49 @@ def _escalations_due(trigger: datetime, now: datetime,
     The boundary is strict on both ends: nothing fires at the trigger
     instant, and exactly n reminders are due n periods past it.
     """
-    elapsed = now - trigger
-    if elapsed <= timedelta(0):
+    if now <= trigger:
         return 0
-    return math.ceil(elapsed / period)
+    return -((trigger - now) // period)
+
+
+def _streams(ticket: Ticket, policy: ThresholdPolicy,
+             ) -> tuple[tuple[ReminderKind, datetime, datetime | None], ...]:
+    """The reminder streams of an open ticket as (kind, trigger, cap).
+
+    A stream's count at `now` is `_escalations_due(trigger, now, period)`,
+    with `now` held at `cap` when there is one: the imminent stream stops
+    at the deadline, where the breached stream takes over, so the
+    triggered set stays monotone in `now`.
+    """
+    deadline = ticket.sla_deadline
+    window = deadline - ticket.created_at
+    return (
+        (ReminderKind.STUCK_STATE,
+         (ticket.state_entered_at or ticket.created_at)
+         + policy.stuck_threshold(ticket.state, ticket.priority), None),
+        (ReminderKind.SLA_IMMINENT,
+         deadline - policy.sla_warning_fraction * window, deadline),
+        (ReminderKind.SLA_BREACHED, deadline, None),
+    )
+
+
+def next_reminder_at(ticket: Ticket, now: datetime,
+                     policy: ThresholdPolicy) -> datetime:
+    """The earliest instant b >= `now` after which one of an open
+    ticket's streams gains an escalation: its count at b equals its count
+    at `now`, and grows strictly after b.
+
+    A scheduler that re-evaluates the ticket at its first cycle strictly
+    after b misses no reminder, provided nothing about the ticket changes
+    in between.
+    """
+    period = policy.reminder_period
+    boundaries = []
+    for _, trigger, cap in _streams(ticket, policy):
+        boundary = trigger + _escalations_due(trigger, now, period) * period
+        if cap is None or boundary < cap:
+            boundaries.append(boundary)
+    return min(boundaries)
 
 
 def _recipients(ticket: Ticket, team_channel: str | None = None) -> tuple[str, ...]:
@@ -165,24 +203,16 @@ def due_reminders(
                 generated_at=now,
             ))
 
+    team_channel = f"team:{policy.team_id}"
     for t in tickets:
         if t.state is WorkflowState.DONE:
             continue
-        stuck_trigger = ((t.state_entered_at or t.created_at)
-                         + policy.stuck_threshold(t.state, t.priority))
-        emit(t, ReminderKind.STUCK_STATE,
-             _escalations_due(stuck_trigger, now, period), _recipients(t))
-
-        window = t.sla_deadline - t.created_at
-        warn_at = t.sla_deadline - policy.sla_warning_fraction * window
-        # The imminent stream is capped at the deadline, where the
-        # breached stream takes over; the triggered set stays monotone.
-        emit(t, ReminderKind.SLA_IMMINENT,
-             _escalations_due(warn_at, min(now, t.sla_deadline), period),
-             _recipients(t))
-        if sla_status(t, now, policy) is SlaStatus.BREACHED:
-            # Breach notifications additionally reach the team channel.
-            emit(t, ReminderKind.SLA_BREACHED,
-                 _escalations_due(t.sla_deadline, now, period),
-                 _recipients(t, team_channel=f"team:{policy.team_id}"))
+        for kind, trigger, cap in _streams(t, policy):
+            count = _escalations_due(
+                trigger, now if cap is None else min(now, cap), period)
+            if count:
+                # Breach notifications additionally reach the team channel.
+                emit(t, kind, count, _recipients(
+                    t, team_channel if kind is ReminderKind.SLA_BREACHED
+                    else None))
     return out

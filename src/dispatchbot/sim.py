@@ -243,9 +243,8 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
     medians = service_medians(config)
     gamers = gamer_engineers(config)
     proc_rng = random.Random(f"{config.seed}:proc")
-    busy_until = {e: SIM_EPOCH for e in engineer_ids(config)}
-    other = {e: [x for x in engineer_ids(config) if x != e]
-             for e in engineer_ids(config)}
+    engineers = engineer_ids(config)
+    busy_until = {e: SIM_EPOCH for e in engineers}
 
     end = horizon_end(config)
     period = timedelta(hours=config.cycle_period_hours)
@@ -283,8 +282,9 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
         for tid, engineer in report.assignments:
             if (config.reassign_prob > 0
                     and proc_rng.random() < config.reassign_prob
-                    and len(other[engineer]) > 0):
-                engineer = proc_rng.choice(other[engineer])
+                    and len(engineers) > 1):
+                engineer = proc_rng.choice(
+                    [e for e in engineers if e != engineer])
                 runtime.reassign_ticket(tid, engineer, now)
             median = medians[engineer]
             service_h = median * math.exp(

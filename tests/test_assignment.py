@@ -189,6 +189,40 @@ class TestRoundRobinProperty:
             (r.order.index(expected) + 1) % len(r)
 
 
+class TestTieBreakProperty:
+    @given(data=st.data())
+    def test_matches_roster_index_key(self, data):
+        # The reference breaks ties on each engineer's roster index.
+        entries = data.draw(st.permutations(data.draw(roster_entries())))
+        r = EngineerRoster("team1", list(entries))
+        day = data.draw(days)
+        now = datetime(day.year, day.month, day.day, 9, tzinfo=timezone.utc)
+        counts = {e: c for e in r.order
+                  if (c := data.draw(st.none() | st.integers(0, 2)))
+                  is not None}
+        experts = {e for e in r.order if data.draw(st.booleans())}
+        pool = available_pool(r, day)
+
+        def reference(candidates):
+            return min(candidates,
+                       key=lambda e: (counts.get(e, 0), r.order.index(e)))
+
+        if not pool:
+            with pytest.raises(EmptyPoolError):
+                least_open_assign(counts, r, ticket(), now)
+            return
+        assert least_open_assign(counts, r, ticket(), now).engineer_id == \
+            reference(pool)
+        available_experts = [e for e in pool if e in experts]
+        if available_experts:
+            profile = ExpertiseProfile(
+                skills={e: frozenset({"x"}) for e in experts},
+                label_tags={"lx": "x"})
+            d, _ = expertise_assign(profile, r, ticket(labels=["lx"]), now,
+                                    counts, AssignmentCursor("team1", 0))
+            assert d.engineer_id == reference(available_experts)
+
+
 class TestExpertise:
     profile = ExpertiseProfile(
         skills={"e1": frozenset({"network"}), "e3": frozenset({"network"})},

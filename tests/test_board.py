@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from dispatchbot import board
 from dispatchbot.board import (
     BoardRuntime,
     ConfigError,
+    TeamConfig,
     load_team_config,
     parse_team_config,
     poll_new_unassigned,
 )
-from dispatchbot.eventlog import EventLog, replay
+from dispatchbot.eventlog import EventLog, encode_event, replay
 from dispatchbot.notify import (
     STATE_DELIVERED,
     Channel,
@@ -19,8 +23,13 @@ from dispatchbot.notify import (
     PayloadRejected,
     SinkUnreachable,
 )
-from dispatchbot.reminders import ThresholdPolicy
-from dispatchbot.workflow import WorkflowState
+from dispatchbot.reminders import (
+    DEFAULT_STUCK_HOURS,
+    ThresholdPolicy,
+    due_reminders,
+)
+from dispatchbot.sim import SimConfig, run_simulation
+from dispatchbot.workflow import ReopenMode, WorkflowState
 
 from .conftest import at, team_config
 
@@ -90,6 +99,75 @@ class TestTeamConfig:
             parse_team_config(dict(CONFIG_DOC, roster=roster))
         assert any(e.startswith(f"roster[0]: bad {key} ")
                    for e in err.value.errors)
+
+
+    @pytest.mark.parametrize("doc, error", [
+        (dict(CONFIG_DOC, roster=5), "roster: must be a list"),
+        (dict(CONFIG_DOC, roster=[{"id": ["x"]}]),
+         "roster[0]: id must be a string"),
+        (dict(CONFIG_DOC, roster=["e1"]), "roster[0]: must be an object"),
+        (dict(CONFIG_DOC, channels=["ChatA"]), "channels: must be an object"),
+        (dict(CONFIG_DOC, cycle_period_minutes="30"),
+         "cycle_period_minutes: must be an integer >= 1, got '30'"),
+    ])
+    def test_malformed_shape_is_field_error(self, doc, error):
+        with pytest.raises(ConfigError) as err:
+            parse_team_config(doc)
+        assert error in err.value.errors
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 100)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+#: Every place in a team config that holds a value of its own.
+CONFIG_PATHS = [
+    (), ("team_id",), ("board_id",), ("roster",), ("roster", 0),
+    ("roster", 0, "id"), ("roster", 1, "leaves"), ("roster", 1, "leaves", 0),
+    ("roster", 2, "joined_at"), ("roster", 2, "separated_at"),
+    ("channels",), ("channels", "ChatA"), ("review_channel",), ("policy",),
+    ("thresholds",), ("thresholds", "stuck_hours"),
+    ("thresholds", "stuck_hours", "Blocked"),
+    ("thresholds", "sla_warning_fraction"),
+    ("thresholds", "reminder_period_hours"), ("expertise",),
+    ("expertise", "skills"), ("expertise", "skills", "e1"),
+    ("expertise", "labels"), ("expertise", "labels", "net"),
+    ("cycle_period_minutes",), ("max_retries",),
+]
+
+
+@st.composite
+def config_documents(draw):
+    """A valid team config with one to three values, at any depth,
+    replaced by arbitrary JSON."""
+    doc = copy.deepcopy(dict(
+        CONFIG_DOC, max_retries=3,
+        expertise={"skills": {"e1": ["net"]}, "labels": {"net": "net"}}))
+    for path in draw(st.lists(st.sampled_from(CONFIG_PATHS), min_size=1,
+                              max_size=3)):
+        value = draw(JSON)
+        if not path:
+            return value
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier replacement removed the parent
+    return doc
+
+
+@given(doc=JSON | config_documents())
+def test_any_json_parses_or_raises_config_error(doc):
+    try:
+        config = parse_team_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, TeamConfig)
 
 
 class TestPoll:
@@ -275,3 +353,147 @@ class TestPendingOutbox:
         assert any(m.terminal for m in outbox)
         assert any(m.retries and m.delivery_state == STATE_DELIVERED
                    for m in outbox)
+
+
+def assert_nothing_due(runtime, report):
+    """A full scan finds nothing the cycle's scheduled visits left due."""
+    snapshot = runtime.snapshot
+    assigned_now = {tid for tid, _ in report.assignments}
+    tickets = [snapshot.tickets[tid]
+               for tid in sorted(snapshot.open_tickets - assigned_now)]
+    assert due_reminders(tickets, report.now, runtime.config.thresholds,
+                         snapshot.reminder_ledger) == []
+
+
+#: The scripted board's next move for a ticket in each state.
+NEXT_STATE = {WorkflowState.BACKLOG: WorkflowState.WORK_IN_PROGRESS,
+              WorkflowState.WORK_IN_PROGRESS: WorkflowState.BLOCKED,
+              WorkflowState.BLOCKED: WorkflowState.DONE}
+
+
+def scripted_hours(runtime, hours):
+    """Drive a board hour by hour: a ticket arrives each hour (every
+    fourth High priority, deadlines 6-10 h out) and, by a fixed rule on
+    ticket number and hour, tickets move on, finish or are reopened.
+    Checks the schedule after every cycle."""
+    for hour in hours:
+        runtime.inject_ticket(
+            f"T1-{hour:03d}", "r1", at(hour),
+            priority="High" if hour % 4 == 0 else "Medium",
+            sla_deadline=at(hour + 6 + hour % 5))
+        for tid, ticket in sorted(runtime.snapshot.tickets.items()):
+            if (int(tid[3:]) + hour) % 7:
+                continue
+            if ticket.state is WorkflowState.DONE:
+                runtime.reopen_ticket(tid, ReopenMode.TO_BACKLOG,
+                                      at(hour, seconds=1))
+            elif ticket.assignee and ticket.state in NEXT_STATE:
+                runtime.apply_external_transition(
+                    tid, NEXT_STATE[ticket.state], at(hour, seconds=1),
+                    ticket.assignee)
+        assert_nothing_due(runtime, runtime.run_cycle(at(hour, seconds=2)))
+
+
+def scripted_config():
+    return team_config(thresholds=ThresholdPolicy(
+        team_id="team1",
+        stuck_hours={state: 3.0 for state in DEFAULT_STUCK_HOURS},
+        reminder_period_hours=2))
+
+
+class TestReminderSchedule:
+    def test_nothing_due_after_any_cycle_of_an_overload_run(self,
+                                                            monkeypatch):
+        inner = BoardRuntime.run_cycle
+        sent = []
+
+        def run_cycle(runtime, now):
+            report = inner(runtime, now)
+            assert_nothing_due(runtime, report)
+            sent.append(report.reminders_sent)
+            return report
+
+        monkeypatch.setattr(BoardRuntime, "run_cycle", run_cycle)
+        run_simulation(SimConfig(
+            seed=5, horizon_days=3, arrival_rate=16, roster_size=2,
+            service_median_hours=(5.0, 5.0), service_sigma=0.0,
+            reassign_prob=0.2, reminders_enabled=True,
+            stuck_threshold_hours=8, reminder_period_hours=2,
+            cycle_period_hours=1))
+        assert sum(sent) > 100
+
+    def test_nothing_due_after_any_cycle_of_a_flaky_sink_run(
+            self, memory_runtime):
+        runtime = memory_runtime(scripted_config())
+        runtime.sinks = {c: FlakySink() for c in runtime.sinks}
+        scripted_hours(runtime, range(60))
+        kinds = {e["reminder_kind"] for e in runtime.log.events
+                 if e["kind"] == "ReminderSent"}
+        assert kinds == {"StuckState", "SlaImminent", "SlaBreached"}
+        assert any(m.terminal for m in runtime.snapshot.outbox.values())
+
+    def test_restart_mid_run_writes_the_same_log(self, memory_runtime):
+        straight = memory_runtime(scripted_config())
+        scripted_hours(straight, range(60))
+
+        first = memory_runtime(scripted_config())
+        scripted_hours(first, range(30))
+        log = EventLog()
+        log.append(list(first.log.events))
+        revived = BoardRuntime(first.config, log=log, sinks=first.sinks)
+        scripted_hours(revived, range(30, 60))
+
+        assert [encode_event(e) for e in revived.log.events] == \
+            [encode_event(e) for e in straight.log.events]
+
+    def spy(self, monkeypatch):
+        """Record the ticket ids each cycle hands to `due_reminders`."""
+        scanned = []
+
+        def due(tickets, now, policy, ledger):
+            scanned.append([t.id for t in tickets])
+            return due_reminders(tickets, now, policy, ledger)
+
+        monkeypatch.setattr(board, "due_reminders", due)
+        return scanned
+
+    def test_visited_after_the_boundary_not_at_it(self, memory_runtime,
+                                                   monkeypatch):
+        runtime = memory_runtime(team_config(
+            thresholds=ThresholdPolicy(team_id="team1")))
+        scanned = self.spy(monkeypatch)
+        runtime.inject_ticket("T1-1", "r1", at(0), sla_deadline=at(1000))
+        runtime.run_cycle(at(1))  # assigned: skipped, visited next cycle
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.BLOCKED, at(3), "e1")
+        runtime.run_cycle(at(4))
+        # Blocked for 72 h: the stuck stream's boundary is at(3 + 72).
+        assert runtime.run_cycle(at(3 + 72)).reminders_sent == 0
+        assert runtime.run_cycle(at(3 + 72, seconds=1)).reminders_sent == 1
+        assert scanned == [[], ["T1-1"], [], ["T1-1"]]
+
+    def test_reopen_from_done_restarts_the_stuck_stream(self,
+                                                        memory_runtime,
+                                                        monkeypatch):
+        runtime = memory_runtime(team_config(
+            thresholds=ThresholdPolicy(team_id="team1")))
+        scanned = self.spy(monkeypatch)
+        runtime.inject_ticket("T1-1", "r1", at(0), sla_deadline=at(1000))
+        runtime.run_cycle(at(1))
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.DONE, at(3), "e1")
+        runtime.run_cycle(at(4))
+        assert runtime.run_cycle(at(500)).reminders_sent == 0
+        runtime.reopen_ticket("T1-1", ReopenMode.TO_SAME_ENGINEER, at(600))
+        runtime.run_cycle(at(601))
+        # Back in progress at(600): stuck past 120 h, SLA warning at(800).
+        assert runtime.run_cycle(at(720)).reminders_sent == 0
+        assert runtime.run_cycle(at(720, seconds=1)).reminders_sent == 1
+        assert scanned == [[], [], [], ["T1-1"], [], ["T1-1"]]
+        [sent] = [e for e in runtime.log.events
+                  if e["kind"] == "ReminderSent"]
+        assert (sent["reminder_kind"], sent["index"]) == ("StuckState", 1)

@@ -78,6 +78,14 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert "roster[0]: bad joined_at" in capsys.readouterr().err
 
+    def test_bad_now_is_validation_error(self, team_files, capsys):
+        config, board, out = team_files
+        code = main(["run", "--config", str(config), "--board", str(board),
+                     "--out", str(out), "--now", "yesterday"])
+        assert code == EXIT_VALIDATION
+        assert "bad --now 'yesterday'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_torn_final_line_is_runtime_error(self, team_files, capsys):
         config, board, out = team_files
         args = ["run", "--config", str(config), "--board", str(board),

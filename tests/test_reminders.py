@@ -4,12 +4,15 @@ from dataclasses import replace
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dispatchbot.reminders import (
+    DEFAULT_STUCK_HOURS,
     ReminderKind,
     SlaStatus,
     ThresholdPolicy,
     due_reminders,
+    next_reminder_at,
     sla_status,
     stuck_tickets,
 )
@@ -131,3 +134,52 @@ class TestDueReminders:
                    for r in due_reminders([t], at(h), POLICY, set())}
             assert seen <= due
             seen = due
+
+
+def due_keys(t, now, policy):
+    return {r.ledger_key() for r in due_reminders([t], now, policy, set())}
+
+
+class TestNextReminderAt:
+    def test_high_priority_halves_stuck_threshold(self):
+        t = replace(blocked_ticket(), sla_deadline=at(1000))
+        assert next_reminder_at(t, at(2), POLICY) == at(2 + 72)
+        high = replace(t, priority=Priority.HIGH)
+        assert next_reminder_at(high, at(2), POLICY) == at(2 + 36)
+        assert due_keys(high, at(2 + 36), POLICY) == set()
+        assert due_keys(high, at(2 + 36, seconds=1), POLICY) == \
+            {(t.id, "StuckState", 1)}
+
+    def test_imminent_stream_capped_at_deadline(self):
+        # Warning from at(80), one period of 24 h: the imminent stream's
+        # next boundary, at(104), lies past the deadline at(100), so only
+        # the breached stream (at(100 + 24)) is due next.
+        policy = ThresholdPolicy(
+            team_id="team1",
+            stuck_hours={s: 1000.0 for s in DEFAULT_STUCK_HOURS})
+        t = ticket(sla_deadline=at(100))
+        assert next_reminder_at(t, at(81), policy) == at(100)
+        assert next_reminder_at(t, at(101), policy) == at(124)
+
+    @given(state=st.sampled_from(sorted(DEFAULT_STUCK_HOURS)),
+           priority=st.sampled_from(Priority),
+           entered=st.integers(0, 200), deadline=st.integers(1, 300),
+           now=st.integers(0, 500 * 3600),
+           stuck=st.floats(0.5, 150), period=st.floats(0.25, 48),
+           fraction=st.floats(0.01, 1))
+    def test_boundary_is_exact(self, state, priority, entered, deadline,
+                               now, stuck, period, fraction):
+        # Nothing new is due from `now` up to the boundary, and something
+        # is due just after it.
+        policy = ThresholdPolicy(
+            team_id="team1",
+            stuck_hours={s: stuck for s in DEFAULT_STUCK_HOURS},
+            sla_warning_fraction=fraction, reminder_period_hours=period)
+        t = replace(ticket(sla_deadline=at(deadline)), state=state,
+                    priority=priority, state_entered_at=at(entered))
+        start = at(seconds=now)
+        boundary = next_reminder_at(t, start, policy)
+        assert boundary >= start
+        assert due_keys(t, boundary, policy) == due_keys(t, start, policy)
+        assert due_keys(t, boundary, policy) < \
+            due_keys(t, boundary + timedelta(microseconds=1), policy)
