@@ -2,13 +2,11 @@
 reminders, notifications and a desk-scale discrete-event simulator."""
 
 from .assignment import (
-    AssignmentCursor,
     AssignmentDecision,
     EmptyPoolError,
     ExpertiseProfile,
     expertise_assign,
     least_open_assign,
-    reassign,
     round_robin_assign,
 )
 from .board import BoardRuntime, CycleReport, TeamConfig, load_team_config

@@ -1,8 +1,9 @@
-"""Assignment policies: round-robin over the available pool, the two
-rejected baselines (expertise, least-open-count), and manual reassignment.
+"""Assignment policies: round-robin over the available pool and the two
+rejected baselines (expertise, least-open-count). Manual reassignment is
+`BoardRuntime.reassign_ticket`.
 
-All policies are pure given (roster, cursor, counts) and deterministic:
-ties break on stable roster order everywhere.
+All policies are pure given (roster, cursor position, counts) and
+deterministic: ties break on stable roster order everywhere.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 
 from .roster import EngineerRoster, available_pool
-from .workflow import Ticket, WorkflowState
+from .workflow import Ticket
 
 POLICY_ROUND_ROBIN = "RoundRobin"
 POLICY_EXPERTISE = "Expertise"
@@ -33,12 +34,6 @@ class UnknownEngineerError(Exception):
 
 class TicketAlreadyDoneError(Exception):
     pass
-
-
-@dataclass
-class AssignmentCursor:
-    team_id: str
-    position: int = 0
 
 
 @dataclass(frozen=True)
@@ -66,34 +61,33 @@ class ExpertiseProfile:
 
 def round_robin_assign(
     roster: EngineerRoster,
-    cursor: AssignmentCursor,
+    position: int,
     ticket: Ticket,
     at: datetime,
-) -> tuple[AssignmentDecision, AssignmentCursor]:
-    """Assign to the first available engineer at or after the cursor in
-    cyclic roster order.
+) -> AssignmentDecision:
+    """Assign to the first available engineer at or after the cursor
+    `position` in cyclic roster order.
 
-    The returned cursor points one past the chosen engineer (not past the
-    skipped unavailable ones), so returning engineers resume their fair
-    share.
+    The decision's `cursor_after` points one past the chosen engineer (not
+    past the skipped unavailable ones), so returning engineers resume their
+    fair share.
     """
     entries = roster.entries
     if not entries:
         raise EmptyPoolError(f"team {roster.team_id}: empty roster")
     day = at.date()
     n = len(entries)
-    start = cursor.position % n
+    start = position % n
     for k in range(n):
         i = (start + k) % n
         if entries[i].available_on(day):
-            decision = AssignmentDecision(
+            return AssignmentDecision(
                 ticket_id=ticket.id,
                 engineer_id=entries[i].engineer_id,
                 policy=POLICY_ROUND_ROBIN,
                 decided_at=at,
                 cursor_after=(i + 1) % n,
             )
-            return decision, AssignmentCursor(roster.team_id, (i + 1) % n)
     raise EmptyPoolError(f"team {roster.team_id}: nobody available")
 
 
@@ -103,8 +97,8 @@ def expertise_assign(
     ticket: Ticket,
     at: datetime,
     assigned_counts: dict[str, int],
-    cursor: AssignmentCursor,
-) -> tuple[AssignmentDecision, AssignmentCursor]:
+    position: int,
+) -> AssignmentDecision:
     """Prefer an available engineer whose skills cover the ticket's tag.
 
     Among several experts, pick the one with the least assigned-so-far
@@ -122,23 +116,15 @@ def expertise_assign(
             # `min` keeps the first of equal keys, and the pool is in
             # roster order: ties go to the earliest engineer.
             chosen = min(experts, key=lambda e: assigned_counts.get(e, 0))
-            decision = AssignmentDecision(
+            return AssignmentDecision(
                 ticket_id=ticket.id,
                 engineer_id=chosen,
                 policy=POLICY_EXPERTISE,
                 decided_at=at,
-                cursor_after=cursor.position,
+                cursor_after=position,
             )
-            return decision, cursor
-    rr_decision, new_cursor = round_robin_assign(roster, cursor, ticket, at)
-    decision = AssignmentDecision(
-        ticket_id=ticket.id,
-        engineer_id=rr_decision.engineer_id,
-        policy=POLICY_EXPERTISE,
-        decided_at=at,
-        cursor_after=rr_decision.cursor_after,
-    )
-    return decision, new_cursor
+    return replace(round_robin_assign(roster, position, ticket, at),
+                   policy=POLICY_EXPERTISE)
 
 
 def least_open_assign(
@@ -163,25 +149,3 @@ def least_open_assign(
         decided_at=at,
         cursor_after=None,
     )
-
-
-def reassign(
-    ticket: Ticket,
-    to: str,
-    at: datetime,
-    roster: EngineerRoster,
-) -> tuple[Ticket, AssignmentDecision]:
-    """Manual transfer between engineers; closed tickets are immutable."""
-    if ticket.state is WorkflowState.DONE:
-        raise TicketAlreadyDoneError(ticket.id)
-    if to not in roster:
-        raise UnknownEngineerError(to)
-    updated = replace(ticket, assignee=to)
-    decision = AssignmentDecision(
-        ticket_id=ticket.id,
-        engineer_id=to,
-        policy=POLICY_MANUAL,
-        decided_at=at,
-        cursor_after=None,
-    )
-    return updated, decision

@@ -31,7 +31,6 @@ from .assignment import (
     POLICY_MANUAL,
     POLICY_ROUND_ROBIN,
     POLICY_EXPERTISE,
-    AssignmentCursor,
     AssignmentDecision,
     EmptyPoolError,
     ExpertiseProfile,
@@ -56,14 +55,12 @@ from .eventlog import (
 from .notify import (
     DEFAULT_MAX_RETRIES,
     STATE_DELIVERED,
-    STATE_FAILED,
     Channel,
     ChannelBinding,
-    PayloadRejected,
     Sink,
-    SinkUnreachable,
     announce_assignment,
     announce_state_change,
+    attempt_delivery,
     route_reminder,
     sink_for_endpoint,
 )
@@ -137,7 +134,7 @@ def load_team_config(path: str | Path) -> TeamConfig:
         raise ConfigError([f"config file not found: {path}"])
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an oversized integer
         raise ConfigError([f"{path}: invalid JSON: {exc}"])
     return parse_team_config(raw)
 
@@ -250,7 +247,7 @@ def parse_team_config(raw) -> TeamConfig:
                 reminder_period_hours=float(
                     t.get("reminder_period_hours", 24.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"thresholds: {exc}")
 
     expertise = None
@@ -465,16 +462,13 @@ class BoardRuntime:
         """Pick an engineer under the configured policy; None defers the
         ticket (manual plan not due yet)."""
         cfg = self.config
-        cursor = AssignmentCursor(cfg.team_id, self.snapshot.cursor_position)
+        position = self.snapshot.cursor_position
         if cfg.policy == POLICY_ROUND_ROBIN:
-            decision, _ = round_robin_assign(cfg.roster, cursor, ticket, now)
-            return decision
+            return round_robin_assign(cfg.roster, position, ticket, now)
         if cfg.policy == POLICY_EXPERTISE:
             profile = cfg.expertise or ExpertiseProfile({}, {})
-            decision, _ = expertise_assign(profile, cfg.roster, ticket, now,
-                                           self.snapshot.assign_counts,
-                                           cursor)
-            return decision
+            return expertise_assign(profile, cfg.roster, ticket, now,
+                                    self.snapshot.assign_counts, position)
         if cfg.policy == POLICY_LEAST_OPEN:
             open_counts: dict[str, int] = {}
             for tid in self.snapshot.open_tickets:
@@ -576,17 +570,8 @@ class BoardRuntime:
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
         for msg_id in list(self.snapshot.pending_outbox):
             msg = self.snapshot.outbox[msg_id]
-            sink = self.sinks.get(msg.channel)
-            state, retries, terminal = STATE_DELIVERED, msg.retries, False
-            try:
-                if sink is None:
-                    raise SinkUnreachable(f"no sink for {msg.channel.value}")
-                sink.deliver(msg)
-            except PayloadRejected:
-                state, retries, terminal = STATE_FAILED, retries + 1, True
-            except SinkUnreachable:
-                state, retries = STATE_FAILED, retries + 1
-                terminal = retries >= self.config.max_retries
+            state, retries, terminal = attempt_delivery(
+                msg, self.sinks.get(msg.channel), self.config.max_retries)
             self._commit(KIND_MESSAGE_DELIVERED, now, {
                 "msg_id": msg_id,
                 "state": state,

@@ -26,8 +26,9 @@ from .metrics import (
     build_distribution_report,
     build_resolution_report,
     distribution_csv,
+    render_table,
     resolution_csv,
-    round2,
+    resolved_counts,
 )
 from .sim import SimConfig, default_experiment_configs, run_experiment
 from .timeutil import parse_ts, utc_now
@@ -167,12 +168,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     dists, resos = [], []
     for period in periods:
         subset = [t for t in tickets if period_of(t) == period]
-        per_engineer: dict[str, int] = {}
-        for t in subset:
-            if t.state is WorkflowState.DONE and t.assignee is not None:
-                per_engineer[t.assignee] = per_engineer.get(t.assignee, 0) + 1
-        if not per_engineer:
-            per_engineer = {"(none)": 0}
+        per_engineer = resolved_counts(subset) or {"(none)": 0}
         dists.append(build_distribution_report(team, period, per_engineer))
         resos.append(build_resolution_report(team, period, subset))
 
@@ -180,15 +176,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(distribution_csv(dists), end="")
         print(resolution_csv(resos), end="")
     else:
-        header = (f"{'period':8} {'#tickets':>8} {'#engg':>6} {'median':>8} "
-                  f"{'max':>6} {'avg':>8} {'std':>8} {'resolution':>11}")
-        print(f"team {team}")
-        print(header)
-        for d, r in zip(dists, resos):
-            print(f"{d.period:8} {d.tickets_total:>8} {d.engineers:>6} "
-                  f"{round2(d.median):>8.2f} {d.max:>6.0f} "
-                  f"{round2(d.avg):>8.2f} {round2(d.std):>8.2f} "
-                  f"{r.formatted:>11}")
+        print(render_table(team, zip(dists, resos)))
     return EXIT_OK
 
 

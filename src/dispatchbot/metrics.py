@@ -68,6 +68,17 @@ def parse_duration(raw: str) -> timedelta:
     return timedelta(days=int(days_part[:-1]), hours=int(hours_part[:-1]))
 
 
+def resolved_counts(tickets: Iterable[Ticket],
+                    engineers: Iterable[str] = ()) -> dict[str, int]:
+    """Resolved-ticket counts per final assignee, starting from a zero
+    count for each of `engineers` in their order."""
+    counts = dict.fromkeys(engineers, 0)
+    for t in tickets:
+        if t.state is WorkflowState.DONE and t.assignee is not None:
+            counts[t.assignee] = counts.get(t.assignee, 0) + 1
+    return counts
+
+
 def per_engineer_avg_time(tickets: Iterable[Ticket]) -> dict[str, timedelta]:
     """Mean resolution time grouped by final assignee; engineers without a
     resolved ticket are omitted."""
@@ -153,19 +164,28 @@ class ComparisonReport:
     resolution_reduced: bool
 
     def render(self) -> str:
-        header = (f"{'period':8} {'#tickets':>8} {'#engg':>6} {'median':>8} "
-                  f"{'max':>6} {'avg':>8} {'std':>8} {'resolution':>11}")
-        rows = []
-        for dist, res in ((self.pre_dist, self.pre_res),
-                          (self.post_dist, self.post_res)):
-            rows.append(
-                f"{dist.period:8} {dist.tickets_total:>8} "
-                f"{dist.engineers:>6} {round2(dist.median):>8.2f} "
-                f"{dist.max:>6.0f} {round2(dist.avg):>8.2f} "
-                f"{round2(dist.std):>8.2f} {res.formatted:>11}")
+        table = render_table(self.team_id, [(self.pre_dist, self.pre_res),
+                                            (self.post_dist, self.post_res)])
         flags = (f"std_reduced={str(self.std_reduced).lower()} "
                  f"resolution_reduced={str(self.resolution_reduced).lower()}")
-        return "\n".join([f"team {self.team_id}", header, *rows, flags])
+        return f"{table}\n{flags}"
+
+
+def render_table(team_id: str,
+                 rows: Iterable[tuple[DistributionReport, ResolutionReport]],
+                 ) -> str:
+    """One line per period: distribution statistics and average resolution
+    time under a fixed-width header."""
+    lines = [f"team {team_id}",
+             f"{'period':8} {'#tickets':>8} {'#engg':>6} {'median':>8} "
+             f"{'max':>6} {'avg':>8} {'std':>8} {'resolution':>11}"]
+    for dist, res in rows:
+        lines.append(
+            f"{dist.period:8} {dist.tickets_total:>8} "
+            f"{dist.engineers:>6} {round2(dist.median):>8.2f} "
+            f"{dist.max:>6.0f} {round2(dist.avg):>8.2f} "
+            f"{round2(dist.std):>8.2f} {res.formatted:>11}")
+    return "\n".join(lines)
 
 
 def compare_periods(pre_dist: DistributionReport, pre_res: ResolutionReport,

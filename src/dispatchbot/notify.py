@@ -4,19 +4,20 @@ Channels are abstract (ChatA / ChatB / Email); a binding maps each enabled
 channel to an endpoint descriptor, either a file path (append one JSON
 object per line) or an http(s) webhook URL (POST the same object).
 Delivery is at-least-once with idempotent message ids; dedup is the
-receiver's concern.
+receiver's concern. `attempt_delivery` is the one retry/terminal rule.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 from .assignment import AssignmentDecision
 from .reminders import Reminder
@@ -163,16 +164,6 @@ def announce_state_change(ticket_id: str, from_state: WorkflowState,
     )
 
 
-def route(item, binding: ChannelBinding, make_id) -> list[OutboundMessage]:
-    """Fan a reminder out to every enabled channel, or an assignment
-    announcement to the review channel only."""
-    if isinstance(item, Reminder):
-        return route_reminder(item, binding, make_id)
-    if isinstance(item, AssignmentDecision):
-        return [announce_assignment(item, binding, make_id)]
-    raise TypeError(f"cannot route {type(item).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Sinks
 # ---------------------------------------------------------------------------
@@ -196,32 +187,42 @@ class FileSink:
         self.directory = Path(directory)
 
     def deliver(self, message: OutboundMessage) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"{message.channel.value}.ndjson"
         line = json.dumps(message.wire(), sort_keys=True,
                           separators=(",", ":"))
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            raise SinkUnreachable(str(exc)) from exc
 
 
 class WebhookSink:
-    """POSTs the wire payload as JSON; any 2xx counts as delivered."""
+    """POSTs the wire payload as JSON: 2xx delivered, 4xx rejected."""
 
     def __init__(self, url: str, timeout: float = 10.0):
         self.url = url
         self.timeout = timeout
 
     def deliver(self, message: OutboundMessage) -> None:
+        body = json.dumps(message.wire()).encode("utf-8")
         try:
-            resp = requests.post(self.url, json=message.wire(),
-                                 timeout=self.timeout)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(
+                self.url, data=body, method="POST",
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status = resp.status
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+        # ValueError: a malformed URL; HTTPException: a broken response.
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise SinkUnreachable(str(exc)) from exc
-        if 200 <= resp.status_code < 300:
+        if 200 <= status < 300:
             return
-        if 400 <= resp.status_code < 500:
-            raise PayloadRejected(f"HTTP {resp.status_code}")
-        raise SinkUnreachable(f"HTTP {resp.status_code}")
+        if 400 <= status < 500:
+            raise PayloadRejected(f"HTTP {status}")
+        raise SinkUnreachable(f"HTTP {status}")
 
 
 class MemorySink:
@@ -240,26 +241,22 @@ def sink_for_endpoint(descriptor: str) -> Sink:
     return FileSink(descriptor)
 
 
-def deliver(message: OutboundMessage, sink: Sink,
-            max_retries: int = DEFAULT_MAX_RETRIES) -> OutboundMessage:
-    """Attempt delivery of a non-terminal message, in place.
+def attempt_delivery(message: OutboundMessage, sink: Sink | None,
+                     max_retries: int) -> tuple[str, int, bool]:
+    """Try to deliver a pending message once; return its new (state,
+    retries, terminal) and leave the message itself unchanged.
 
-    Transient failures increment the retry count and become terminal once
-    max_retries attempts have failed; rejections are terminal immediately.
+    A missing sink counts as unreachable. Transient failures increment the
+    retry count and become terminal once max_retries attempts have failed;
+    rejections are terminal immediately.
     """
-    if message.delivery_state == STATE_DELIVERED or message.terminal:
-        raise ValueError(f"{message.msg_id}: not pending")
     try:
+        if sink is None:
+            raise SinkUnreachable(f"no sink for {message.channel.value}")
         sink.deliver(message)
     except PayloadRejected:
-        message.delivery_state = STATE_FAILED
-        message.retries += 1
-        message.terminal = True
+        return STATE_FAILED, message.retries + 1, True
     except SinkUnreachable:
-        message.delivery_state = STATE_FAILED
-        message.retries += 1
-        if message.retries >= max_retries:
-            message.terminal = True
-    else:
-        message.delivery_state = STATE_DELIVERED
-    return message
+        retries = message.retries + 1
+        return STATE_FAILED, retries, retries >= max_retries
+    return STATE_DELIVERED, message.retries, False

@@ -21,12 +21,6 @@ class ReminderKind(str, Enum):
     SLA_BREACHED = "SlaBreached"
 
 
-class SlaStatus(str, Enum):
-    OK = "Ok"
-    IMMINENT = "Imminent"
-    BREACHED = "Breached"
-
-
 #: Fallback stuck thresholds (hours) when a team configures nothing.
 #: Blocked gets a tighter leash; Done never triggers.
 DEFAULT_STUCK_HOURS: dict[WorkflowState, float] = {
@@ -36,6 +30,16 @@ DEFAULT_STUCK_HOURS: dict[WorkflowState, float] = {
     WorkflowState.BLOCKED: 72.0,
     WorkflowState.READY_FOR_REVIEW: 120.0,
 }
+
+#: Largest stuck threshold or reminder period accepted: 100 years.
+MAX_HOURS = 876_600.0
+
+
+def _check_hours(name: str, hours: float) -> None:
+    # Written so that NaN fails too: it compares false to everything.
+    if not 0 < hours <= MAX_HOURS:
+        raise ValueError(f"{name} must be in (0, {MAX_HOURS:g}] hours, "
+                         f"got {hours!r}")
 
 
 @dataclass(frozen=True)
@@ -49,13 +53,11 @@ class ThresholdPolicy:
     def __post_init__(self) -> None:
         if not 0 < self.sla_warning_fraction <= 1:
             raise ValueError("sla_warning_fraction must be in (0, 1]")
-        if self.reminder_period_hours <= 0:
-            raise ValueError("reminder_period_hours must be > 0")
+        _check_hours("reminder_period_hours", self.reminder_period_hours)
         for state, hours in self.stuck_hours.items():
             if state is WorkflowState.DONE:
                 raise ValueError("Done has no stuck threshold")
-            if hours <= 0:
-                raise ValueError(f"threshold for {state.value} must be > 0")
+            _check_hours(f"threshold for {state.value}", hours)
 
     def stuck_threshold(self, state: WorkflowState,
                         priority: Priority) -> timedelta:
@@ -79,34 +81,6 @@ class Reminder:
 
     def ledger_key(self) -> tuple[str, str, int]:
         return (self.ticket_id, self.kind.value, self.escalation_index)
-
-
-def stuck_tickets(
-    tickets: Iterable[Ticket],
-    now: datetime,
-    policy: ThresholdPolicy,
-) -> list[tuple[Ticket, timedelta]]:
-    """Tickets sitting in one non-Done state strictly longer than the
-    threshold, with how long they have been stuck."""
-    out = []
-    for t in tickets:
-        if t.state is WorkflowState.DONE:
-            continue
-        elapsed = now - (t.state_entered_at or t.created_at)
-        if elapsed > policy.stuck_threshold(t.state, t.priority):
-            out.append((t, elapsed))
-    return out
-
-
-def sla_status(ticket: Ticket, now: datetime,
-               policy: ThresholdPolicy) -> SlaStatus:
-    if now > ticket.sla_deadline:
-        return SlaStatus.BREACHED
-    window = ticket.sla_deadline - ticket.created_at
-    remaining = ticket.sla_deadline - now
-    if remaining < policy.sla_warning_fraction * window:
-        return SlaStatus.IMMINENT
-    return SlaStatus.OK
 
 
 def _escalations_due(trigger: datetime, now: datetime,

@@ -32,16 +32,15 @@ class RosterEntry:
 class EngineerRoster:
     team_id: str
     entries: list[RosterEntry] = field(default_factory=list)
-    #: engineer id -> entry, built once: nothing appends to `entries`.
-    _by_id: dict[str, RosterEntry] = field(init=False, repr=False,
-                                           compare=False)
+    #: Engineer ids, built once: nothing appends to `entries`.
+    _ids: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_id = {}
+        self._ids = set()
         for e in self.entries:
-            if e.engineer_id in self._by_id:
+            if e.engineer_id in self._ids:
                 raise ValueError(f"duplicate engineer id: {e.engineer_id}")
-            self._by_id[e.engineer_id] = e
+            self._ids.add(e.engineer_id)
             if (e.joined_at is not None and e.separated_at is not None
                     and e.separated_at < e.joined_at):
                 raise ValueError(
@@ -52,14 +51,10 @@ class EngineerRoster:
         return [e.engineer_id for e in self.entries]
 
     def __contains__(self, engineer_id: str) -> bool:
-        return engineer_id in self._by_id
+        return engineer_id in self._ids
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def is_available(self, engineer_id: str, on: date) -> bool:
-        entry = self._by_id.get(engineer_id)
-        return entry is not None and entry.available_on(on)
 
 
 def available_pool(roster: EngineerRoster, on: date) -> list[str]:

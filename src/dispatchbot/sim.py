@@ -27,6 +27,7 @@ from .metrics import (
     build_distribution_report,
     build_resolution_report,
     compare_periods,
+    resolved_counts,
 )
 from .notify import Channel, ChannelBinding, FileSink, MemorySink
 from .reminders import DEFAULT_STUCK_HOURS, ThresholdPolicy
@@ -330,10 +331,7 @@ def build_reports(run: SimRun, label: str) -> tuple[DistributionReport,
     """Metrics over a run's event log: resolved-ticket counts per final
     assignee (zeros kept for the whole roster) and resolution times."""
     tickets = list(run.snapshot.tickets.values())
-    per_engineer = {e: 0 for e in engineer_ids(run.config)}
-    for t in tickets:
-        if t.state is WorkflowState.DONE and t.assignee is not None:
-            per_engineer[t.assignee] += 1
+    per_engineer = resolved_counts(tickets, engineer_ids(run.config))
     dist = build_distribution_report(run.config.team_id, label, per_engineer)
     res = build_resolution_report(run.config.team_id, label, tickets)
     return dist, res

@@ -18,7 +18,6 @@ from datetime import timedelta
 from dispatchbot.assignment import (
     POLICY_LEAST_OPEN,
     POLICY_MANUAL,
-    AssignmentCursor,
     round_robin_assign,
 )
 from dispatchbot.cli import EXIT_OK, main
@@ -135,11 +134,12 @@ def test_04_round_robin_fairness(capsys):
                 RosterEntry(e, leaves=(() if e in available else
                                        ((at(0).date(), at(0).date()),)))
                 for e in ids])
-            cursor = AssignmentCursor("team1", start)
+            cursor = start
             got = []
             t = ticket("T1-x")
             for _ in range(n_tickets):
-                d, cursor = round_robin_assign(roster, cursor, t, at(0))
+                d = round_robin_assign(roster, cursor, t, at(0))
+                cursor = d.cursor_after
                 got.append(d.engineer_id)
             assert got == expected
             counts = Counter(got)

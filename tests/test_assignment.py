@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispatchbot.assignment import (
-    AssignmentCursor,
     EmptyPoolError,
     ExpertiseProfile,
     TicketAlreadyDoneError,
     UnknownEngineerError,
     expertise_assign,
     least_open_assign,
-    reassign,
     round_robin_assign,
 )
 from dispatchbot.roster import EngineerRoster, RosterEntry, available_pool
-from dispatchbot.workflow import WorkflowState, apply_transition
+from dispatchbot.workflow import WorkflowState
 
 from .conftest import at, roster, ticket
 
@@ -74,38 +72,36 @@ class TestAvailablePool:
 class TestRoundRobin:
     def test_full_cycle_returns_cursor_to_start(self):
         r = roster("e1", "e2", "e3")
-        cursor = AssignmentCursor("team1", 0)
+        cursor = 0
         seen = []
         for i in range(3):
-            decision, cursor = round_robin_assign(r, cursor,
-                                                  ticket(f"T1-{i}"), at(i))
+            decision = round_robin_assign(r, cursor, ticket(f"T1-{i}"), at(i))
+            cursor = decision.cursor_after
             seen.append(decision.engineer_id)
         assert seen == ["e1", "e2", "e3"]
-        assert cursor.position == 0
+        assert cursor == 0
 
     def test_skips_unavailable_and_wraps(self):
         r = leave_roster(["e1", "e2", "e3"], on_leave={"e2"})
-        decision, cursor = round_robin_assign(
-            r, AssignmentCursor("team1", 1), ticket(), at(0))
+        decision = round_robin_assign(r, 1, ticket(), at(0))
         assert decision.engineer_id == "e3"
-        assert cursor.position == 0
+        assert decision.cursor_after == 0
 
     def test_empty_pool_raises(self):
         r = leave_roster(["e1"], on_leave={"e1"})
         with pytest.raises(EmptyPoolError):
-            round_robin_assign(r, AssignmentCursor("team1", 0), ticket(),
-                               at(0))
+            round_robin_assign(r, 0, ticket(), at(0))
 
     def test_table_fairness_466_over_12(self):
         # 466 tickets over 12 always-available engineers: every engineer
         # receives 38 or 39 and the mean is 38.83.
         ids = [f"e{i:02d}" for i in range(12)]
         r = roster(*ids)
-        cursor = AssignmentCursor("team1", 0)
+        cursor = 0
         counts = dict.fromkeys(ids, 0)
         for i in range(466):
-            decision, cursor = round_robin_assign(r, cursor,
-                                                  ticket(f"T1-{i}"), at(0))
+            decision = round_robin_assign(r, cursor, ticket(f"T1-{i}"), at(0))
+            cursor = decision.cursor_after
             counts[decision.engineer_id] += 1
         assert max(counts.values()) - min(counts.values()) <= 1
         assert set(counts.values()) <= {38, 39}
@@ -120,12 +116,12 @@ class TestRoundRobin:
                 r = leave_roster(ids, on_leave=set(ids) - available)
                 for start in range(size):
                     expected = rr_oracle(ids, available, start, 2 * size)
-                    cursor = AssignmentCursor("team1", start)
+                    cursor = start
                     got = []
                     for i in range(2 * size):
-                        d, cursor = round_robin_assign(r, cursor,
-                                                       ticket(f"T-{i}"),
-                                                       at(0))
+                        d = round_robin_assign(r, cursor, ticket(f"T-{i}"),
+                                               at(0))
+                        cursor = d.cursor_after
                         got.append(d.engineer_id)
                     assert got == expected
 
@@ -141,11 +137,11 @@ class TestRoundRobin:
                 assert reduced == [e for e in full_round if e != removed]
                 # and the implementation agrees with the oracle
                 r = leave_roster(ids, on_leave={removed})
-                cursor = AssignmentCursor("team1", start)
+                cursor = start
                 got = []
                 for i in range(4):
-                    d, cursor = round_robin_assign(r, cursor,
-                                                   ticket(f"T-{i}"), at(0))
+                    d = round_robin_assign(r, cursor, ticket(f"T-{i}"), at(0))
+                    cursor = d.cursor_after
                     got.append(d.engineer_id)
                 assert got == reduced
 
@@ -175,18 +171,16 @@ class TestRoundRobinProperty:
     def test_matches_pool_reference(self, entries, position, day):
         # The reference is the brute-force scan over `available_pool`.
         r = EngineerRoster("team1", entries)
-        cursor = AssignmentCursor("team1", position)
         now = datetime(day.year, day.month, day.day, 9, tzinfo=timezone.utc)
         pool = available_pool(r, day)
         if not pool:
             with pytest.raises(EmptyPoolError):
-                round_robin_assign(r, cursor, ticket(), now)
+                round_robin_assign(r, position, ticket(), now)
             return
         [expected] = rr_oracle(r.order, set(pool), position, 1)
-        decision, after = round_robin_assign(r, cursor, ticket(), now)
+        decision = round_robin_assign(r, position, ticket(), now)
         assert decision.engineer_id == expected
-        assert after.position == decision.cursor_after == \
-            (r.order.index(expected) + 1) % len(r)
+        assert decision.cursor_after == (r.order.index(expected) + 1) % len(r)
 
 
 class TestTieBreakProperty:
@@ -218,8 +212,8 @@ class TestTieBreakProperty:
             profile = ExpertiseProfile(
                 skills={e: frozenset({"x"}) for e in experts},
                 label_tags={"lx": "x"})
-            d, _ = expertise_assign(profile, r, ticket(labels=["lx"]), now,
-                                    counts, AssignmentCursor("team1", 0))
+            d = expertise_assign(profile, r, ticket(labels=["lx"]), now,
+                                 counts, 0)
             assert d.engineer_id == reference(available_experts)
 
 
@@ -232,25 +226,21 @@ class TestExpertise:
     def test_unique_expert_wins(self):
         profile = ExpertiseProfile(skills={"e2": frozenset({"network"})},
                                    label_tags={"net": "network"})
-        d, _ = expertise_assign(profile, roster(), ticket(labels=["net"]),
-                                at(0), {}, AssignmentCursor("team1", 0))
+        d = expertise_assign(profile, roster(), ticket(labels=["net"]),
+                             at(0), {}, 0)
         assert d.engineer_id == "e2"
 
     def test_least_loaded_expert_wins(self):
-        d, _ = expertise_assign(self.profile, roster(),
-                                ticket(labels=["net"]), at(0),
-                                {"e1": 5, "e3": 3},
-                                AssignmentCursor("team1", 0))
+        d = expertise_assign(self.profile, roster(), ticket(labels=["net"]),
+                             at(0), {"e1": 5, "e3": 3}, 0)
         assert d.engineer_id == "e3"
 
     def test_falls_back_to_round_robin(self):
         profile = ExpertiseProfile(skills={}, label_tags={"net": "network"})
-        cursor = AssignmentCursor("team1", 1)
-        d, cursor = expertise_assign(profile, roster(),
-                                     ticket(labels=["net"]), at(0), {},
-                                     cursor)
+        d = expertise_assign(profile, roster(), ticket(labels=["net"]),
+                             at(0), {}, 1)
         assert d.engineer_id == "e2"
-        assert cursor.position == 2
+        assert d.cursor_after == 2
 
     def test_exhaustive_argmin_oracle(self):
         rng = random.Random(11)
@@ -260,8 +250,8 @@ class TestExpertise:
             label_tags={"lx": "x"})
         for _ in range(200):
             counts = {e: rng.randrange(10) for e in r.order}
-            d, _ = expertise_assign(profile, r, ticket(labels=["lx"]), at(0),
-                                    counts, AssignmentCursor("team1", 0))
+            d = expertise_assign(profile, r, ticket(labels=["lx"]), at(0),
+                                 counts, 0)
             experts = ["e1", "e2", "e4"]
             best = min(experts,
                        key=lambda e: (counts[e], r.order.index(e)))
@@ -303,21 +293,37 @@ class TestLeastOpen:
 
 
 class TestReassign:
-    def test_manual_transfer(self):
-        t = ticket()
-        from dataclasses import replace
-        t = replace(t, assignee="e1")
-        t = apply_transition(t, WorkflowState.WORK_IN_PROGRESS, at(1), "e1")
-        updated, decision = reassign(t, "e2", at(2), roster())
-        assert updated.assignee == "e2"
+    """Manual transfer through `BoardRuntime.reassign_ticket`, the one
+    reassignment path."""
+
+    def assigned(self, memory_runtime):
+        runtime = memory_runtime()
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.run_cycle(at(1))  # round-robin: e1
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
+        return runtime
+
+    def test_manual_transfer(self, memory_runtime):
+        runtime = self.assigned(memory_runtime)
+        decision = runtime.reassign_ticket("T1-1", "e2", at(3))
+        assert runtime.snapshot.tickets["T1-1"].assignee == "e2"
         assert decision.policy == "Manual"
         assert decision.cursor_after is None
 
-    def test_done_ticket_immutable(self):
-        t = apply_transition(ticket(), WorkflowState.DONE, at(1), "e1")
+    def test_done_ticket_immutable(self, memory_runtime):
+        runtime = self.assigned(memory_runtime)
+        runtime.apply_external_transition("T1-1", WorkflowState.DONE, at(3),
+                                          "e1")
+        watermark = runtime.log.watermark
         with pytest.raises(TicketAlreadyDoneError):
-            reassign(t, "e2", at(2), roster())
+            runtime.reassign_ticket("T1-1", "e2", at(4))
+        assert runtime.log.watermark == watermark
 
-    def test_unknown_engineer(self):
+    def test_unknown_engineer(self, memory_runtime):
+        runtime = self.assigned(memory_runtime)
+        watermark = runtime.log.watermark
         with pytest.raises(UnknownEngineerError):
-            reassign(ticket(), "nobody", at(1), roster())
+            runtime.reassign_ticket("T1-1", "nobody", at(3))
+        assert runtime.log.watermark == watermark
+        assert runtime.snapshot.tickets["T1-1"].assignee == "e1"

@@ -115,6 +115,25 @@ class TestTeamConfig:
             parse_team_config(doc)
         assert error in err.value.errors
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1e300,
+                                       10 ** 400])
+    @pytest.mark.parametrize("key", ["stuck_hours", "reminder_period_hours"])
+    def test_unbounded_hours_are_field_errors(self, key, value):
+        thresholds = dict(CONFIG_DOC["thresholds"])
+        thresholds[key] = {"Blocked": value} if key == "stuck_hours" else value
+        with pytest.raises(ConfigError) as err:
+            parse_team_config(dict(CONFIG_DOC, thresholds=thresholds))
+        assert [e for e in err.value.errors if e.startswith("thresholds: ")]
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b'{"max_retries": 1' + b"0" * 5000 + b"}"])
+    def test_undecodable_file_is_config_error(self, tmp_path, content):
+        path = tmp_path / "team.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as err:
+            load_team_config(path)
+        assert "invalid JSON" in str(err.value)
+
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 100)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dispatchbot
 from dispatchbot.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from dispatchbot.eventlog import encode_event
 from dispatchbot.sim import SimConfig, run_simulation
@@ -77,6 +82,19 @@ class TestRun:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "roster[0]: bad joined_at" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hours", [float("inf"), float("nan"), 1e300])
+    def test_unbounded_hours_are_validation_errors(self, tmp_path, capsys,
+                                                   hours):
+        # `json` writes and reads the non-finite values as Infinity / NaN.
+        bad = tmp_path / "team.json"
+        thresholds = {"reminder_period_hours": hours,
+                      "stuck_hours": {"Blocked": hours}}
+        bad.write_text(json.dumps(dict(TEAM_DOC, thresholds=thresholds)))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path),
+                     "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert "config error: thresholds: " in capsys.readouterr().err
 
     def test_bad_now_is_validation_error(self, team_files, capsys):
         config, board, out = team_files
@@ -193,3 +211,27 @@ class TestSimulate:
                     "pre/SIM.events.ndjson", "post/SIM.events.ndjson"):
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
+
+
+#: Imports the package and replays a log with `requests` blocked and,
+#: under `python -S`, no site-packages on the path at all.
+STDLIB_ONLY = """
+import sys
+sys.modules["requests"] = None
+import dispatchbot
+from dispatchbot import cli
+sys.exit(cli.main(["replay", "--log", sys.argv[1], "--assert"]))
+"""
+
+
+def test_runs_on_the_standard_library_alone(tmp_path):
+    run_simulation(SimConfig(seed=3, horizon_days=2, arrival_rate=4,
+                             roster_size=2), tmp_path)
+    src = str(Path(dispatchbot.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY,
+         str(tmp_path / "SIM.events.ndjson")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "consistency ok" in done.stdout

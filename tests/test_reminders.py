@@ -8,13 +8,11 @@ from hypothesis import given, strategies as st
 
 from dispatchbot.reminders import (
     DEFAULT_STUCK_HOURS,
+    MAX_HOURS,
     ReminderKind,
-    SlaStatus,
     ThresholdPolicy,
     due_reminders,
     next_reminder_at,
-    sla_status,
-    stuck_tickets,
 )
 from dispatchbot.workflow import Priority, WorkflowState, apply_transition
 
@@ -29,31 +27,40 @@ def blocked_ticket(tid="T1-1"):
     return apply_transition(t, WorkflowState.BLOCKED, at(2), "e1")
 
 
+def due_kinds(t, now, policy=POLICY):
+    """The kinds of reminder due for `t` at `now`, from an empty ledger."""
+    return [r.kind for r in due_reminders([t], now, policy, set())]
+
+
 class TestStuckTickets:
     def test_blocked_past_threshold(self):
         t = blocked_ticket()  # blocked since at(2), threshold 72h
-        found = stuck_tickets([t], at(2 + 80), POLICY)
-        assert found == [(t, timedelta(hours=80))]
+        stuck = [r for r in due_reminders([t], at(2 + 80), POLICY, set())
+                 if r.kind is ReminderKind.STUCK_STATE]
+        assert [(r.ticket_id, r.escalation_index) for r in stuck] == \
+            [(t.id, 1)]
 
     def test_done_never_returned(self):
         t = apply_transition(ticket(), WorkflowState.DONE, at(1), "e1")
-        assert stuck_tickets([t], at(10_000), POLICY) == []
+        assert due_reminders([t], at(10_000), POLICY, set()) == []
 
     def test_boundary_is_strict(self):
         t = blocked_ticket()
-        assert stuck_tickets([t], at(2 + 72), POLICY) == []
-        assert stuck_tickets([t], at(2 + 72, seconds=1), POLICY) != []
+        assert ReminderKind.STUCK_STATE not in due_kinds(t, at(2 + 72))
+        assert ReminderKind.STUCK_STATE in due_kinds(t, at(2 + 72, seconds=1))
 
     def test_high_priority_halves_threshold(self):
         t = replace(blocked_ticket(), priority=Priority.HIGH)
-        assert stuck_tickets([t], at(2 + 40), POLICY) != []
+        assert ReminderKind.STUCK_STATE in due_kinds(t, at(2 + 40))
 
 
 class TestSlaStatus:
+    """The imminent and breached streams of `due_reminders`."""
+
     def test_breached_past_deadline(self):
         t = ticket()
-        assert sla_status(t, t.sla_deadline + timedelta(seconds=1),
-                          POLICY) is SlaStatus.BREACHED
+        assert ReminderKind.SLA_BREACHED in due_kinds(
+            t, t.sla_deadline + timedelta(seconds=1))
 
     def test_imminent_by_remaining_fraction(self):
         # 10% of the window remaining, warning fraction 0.2
@@ -61,12 +68,12 @@ class TestSlaStatus:
         remaining = timedelta(hours=10)
         assert (t.sla_deadline - (t.sla_deadline - remaining)) / \
             (t.sla_deadline - t.created_at) == 0.1
-        assert sla_status(t, t.sla_deadline - remaining,
-                          POLICY) is SlaStatus.IMMINENT
+        assert due_kinds(t, t.sla_deadline - remaining) == \
+            [ReminderKind.SLA_IMMINENT]
 
     def test_fresh_ticket_ok(self):
         t = ticket()
-        assert sla_status(t, t.created_at, POLICY) is SlaStatus.OK
+        assert due_kinds(t, t.created_at) == []
 
 
 class TestDueReminders:
@@ -183,3 +190,24 @@ class TestNextReminderAt:
         assert due_keys(t, boundary, policy) == due_keys(t, start, policy)
         assert due_keys(t, boundary, policy) < \
             due_keys(t, boundary + timedelta(microseconds=1), policy)
+
+
+class TestHourLimits:
+    @pytest.mark.parametrize("hours", [float("inf"), float("nan"), 1e300,
+                                       MAX_HOURS * 1.001, 0.0, -1.0])
+    def test_out_of_range_hours_rejected(self, hours):
+        with pytest.raises(ValueError):
+            ThresholdPolicy(reminder_period_hours=hours)
+        with pytest.raises(ValueError):
+            ThresholdPolicy(stuck_hours={WorkflowState.BLOCKED: hours})
+
+    def test_largest_hours_evaluate(self):
+        # A hundred-year threshold and period still fit `datetime`.
+        policy = ThresholdPolicy(
+            team_id="team1", reminder_period_hours=MAX_HOURS,
+            stuck_hours={s: MAX_HOURS for s in DEFAULT_STUCK_HOURS})
+        t = blocked_ticket()  # blocked since at(2)
+        late = at(2 + MAX_HOURS, seconds=1)
+        assert due_kinds(t, late, policy).count(ReminderKind.STUCK_STATE) == 1
+        assert late < next_reminder_at(t, late, policy) <= \
+            at(2 + 2 * MAX_HOURS)
