@@ -2,9 +2,11 @@
 scan-assign-remind cycle.
 
 One BoardRuntime owns one board: its snapshot, event log, cursor, reminder
-ledger and outbox. Every mutation goes through `_commit`, which appends to
-the log and folds the same records into the live snapshot, so live state
-and replay can never diverge.
+ledger and outbox. Every mutation goes through `_commit`, which folds a
+record into the live snapshot and then appends it to the log. The fold
+is all or nothing, so a rejected command leaves both untouched, and a
+failed append rebuilds the snapshot from the log: live state and replay
+never diverge.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
@@ -61,6 +63,7 @@ from .notify import (
     announce_assignment,
     announce_state_change,
     attempt_delivery,
+    check_endpoint,
     route_reminder,
     sink_for_endpoint,
 )
@@ -148,6 +151,14 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float. JSON true is a bool, which Python counts
+    as an int, and is refused with the strings."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _count_field(raw: dict, key: str, default: int, least: int,
                  errors: list[str]) -> int:
     value = raw.get(key, default)
@@ -208,9 +219,17 @@ def parse_team_config(raw) -> TeamConfig:
     endpoints: dict[Channel, str] = {}
     for name, endpoint in raw["channels"].items():
         try:
-            endpoints[Channel(name)] = str(endpoint)
+            channel = Channel(name)
         except ValueError:
             errors.append(f"channels: unknown channel {name}")
+            continue
+        endpoint = str(endpoint)
+        try:
+            check_endpoint(endpoint)
+        except ValueError as exc:
+            errors.append(f"channels: bad webhook URL {endpoint!r} for "
+                          f"{name}: {exc}")
+        endpoints[channel] = endpoint
     binding = None
     try:
         binding = ChannelBinding(
@@ -238,14 +257,17 @@ def parse_team_config(raw) -> TeamConfig:
             if not isinstance(stuck_hours, dict):
                 raise ValueError("stuck_hours must be an object")
             merged = dict(DEFAULT_STUCK_HOURS)
-            merged.update({WorkflowState(k): float(v)
+            merged.update({WorkflowState(k): _number(v, f"stuck_hours.{k}")
                            for k, v in stuck_hours.items()})
             thresholds = ThresholdPolicy(
                 team_id=raw["team_id"],
                 stuck_hours=merged,
-                sla_warning_fraction=float(t.get("sla_warning_fraction", 0.2)),
-                reminder_period_hours=float(
-                    t.get("reminder_period_hours", 24.0)),
+                sla_warning_fraction=_number(
+                    t.get("sla_warning_fraction", 0.2),
+                    "sla_warning_fraction"),
+                reminder_period_hours=_number(
+                    t.get("reminder_period_hours", 24.0),
+                    "reminder_period_hours"),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"thresholds: {exc}")
@@ -358,6 +380,18 @@ class BoardRuntime:
         self._due_heap: list[tuple[datetime, str]] = []
         self._next_due: dict[str, datetime] = {}
 
+    @property
+    def sinks(self) -> dict[Channel, Sink]:
+        return self._sinks
+
+    @sinks.setter
+    def sinks(self, sinks: dict[Channel, Sink]) -> None:
+        self._sinks = sinks
+        # Sinks that hold resources for one flush, each once; a board of
+        # memory or webhook sinks has none.
+        self._closers = list({id(sink): sink.close for sink in sinks.values()
+                              if hasattr(sink, "close")}.values())
+
     # -- event plumbing ----------------------------------------------------
 
     def _commit(self, kind: str, ts: datetime, payload: dict) -> dict:
@@ -368,8 +402,15 @@ class BoardRuntime:
             "kind": kind,
         }
         event.update(payload)
-        self.log.append([event])
+        # Fold first: a rejected event raises before it changes the
+        # snapshot or reaches the log.
         fold_event(self.snapshot, event)
+        try:
+            self.log.append([event])
+        except BaseException:
+            # Live state must not run ahead of the log.
+            self.snapshot = replay(self.log.events, self.config.board_id)
+            raise
         if kind in _TICKET_CHANGES:
             self._touched.add(payload["ticket"])
         return event
@@ -568,17 +609,25 @@ class BoardRuntime:
                 heapq.heappush(heap, (instant, ticket.id))
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
-        for msg_id in list(self.snapshot.pending_outbox):
-            msg = self.snapshot.outbox[msg_id]
-            state, retries, terminal = attempt_delivery(
-                msg, self.sinks.get(msg.channel), self.config.max_retries)
-            self._commit(KIND_MESSAGE_DELIVERED, now, {
-                "msg_id": msg_id,
-                "state": state,
-                "retries": retries,
-                "terminal": terminal,
-            })
-            if state == STATE_DELIVERED:
-                report.messages_delivered += 1
-            else:
-                report.messages_failed += 1
+        pending = self.snapshot.pending_outbox
+        if not pending:
+            return
+        try:
+            for msg_id in list(pending):
+                msg = self.snapshot.outbox[msg_id]
+                state, retries, terminal = attempt_delivery(
+                    msg, self._sinks.get(msg.channel),
+                    self.config.max_retries)
+                self._commit(KIND_MESSAGE_DELIVERED, now, {
+                    "msg_id": msg_id,
+                    "state": state,
+                    "retries": retries,
+                    "terminal": terminal,
+                })
+                if state == STATE_DELIVERED:
+                    report.messages_delivered += 1
+                else:
+                    report.messages_failed += 1
+        finally:
+            for close in self._closers:
+                close()

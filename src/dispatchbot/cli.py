@@ -17,6 +17,7 @@ from pathlib import Path
 from .board import BoardRuntime, ConfigError, load_team_config
 from .eventlog import (
     CorruptRecordError,
+    DuplicateTicketError,
     EventLog,
     SeqGapError,
     read_event_log,
@@ -32,7 +33,11 @@ from .metrics import (
 )
 from .sim import SimConfig, default_experiment_configs, run_experiment
 from .timeutil import parse_ts, utc_now
-from .workflow import WorkflowState
+from .workflow import TransitionError, WorkflowState
+
+#: A log that cannot be read, or records a history the fold rejects.
+REPLAY_ERRORS = (CorruptRecordError, SeqGapError, DuplicateTicketError,
+                 TransitionError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -152,7 +157,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         events = read_event_log(path)
         snapshot = replay(events)
-    except (CorruptRecordError, SeqGapError) as exc:
+    except REPLAY_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"{path}: {exc}")
 
     tickets = list(snapshot.tickets.values())
@@ -187,7 +192,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         events = read_event_log(path)
         snapshot = replay(events)
-    except (CorruptRecordError, SeqGapError) as exc:
+    except REPLAY_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"{path}: {exc}")
     print(f"replayed {len(events)} events, watermark {snapshot.watermark}, "
           f"{len(snapshot.tickets)} tickets")

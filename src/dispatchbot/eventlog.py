@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from .notify import STATE_DELIVERED, Channel, OutboundMessage
+from .notify import STATE_DELIVERED, Channel, OutboundMessage, compact_json
 from .timeutil import parse_ts
 from .workflow import (
     Priority,
@@ -48,14 +48,20 @@ class SeqGapError(Exception):
         super().__init__(f"expected seq {expected}, found {found}")
 
 
+class DuplicateTicketError(ValueError):
+    def __init__(self, ticket_id: str):
+        self.ticket_id = ticket_id
+        super().__init__(f"ticket {ticket_id} already exists")
+
+
 class CorruptRecordError(Exception):
     def __init__(self, line_no: int, detail: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {detail}")
 
 
-def encode_event(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+#: One event as its log line, without the newline.
+encode_event = compact_json
 
 
 @dataclass
@@ -93,15 +99,36 @@ def _reindex(snapshot: BoardSnapshot, ticket: Ticket) -> None:
         snapshot.unassigned_backlog.discard(ticket.id)
 
 
+def _message(wire: dict) -> OutboundMessage:
+    return OutboundMessage(
+        msg_id=wire["msg_id"],
+        team_id=wire["team"],
+        channel=Channel(wire["channel"]),
+        kind=wire["kind"],
+        ticket_id=wire["ticket"],
+        text=wire["text"],
+        created_at=parse_ts(wire["ts"]),
+    )
+
+
 def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
-    """Apply one event in place. Raises SeqGapError on discontinuity."""
+    """Apply one event in place, all or nothing: a seq gap, an illegal
+    transition, an unknown or duplicate ticket, an unknown message or a
+    malformed field raises before the snapshot changes."""
     seq = event["seq"]
     if seq != snapshot.watermark + 1:
         raise SeqGapError(snapshot.watermark + 1, seq)
     kind = event["kind"]
     ts = parse_ts(event["ts"])
+    wires = event.get("messages")
+    messages = [_message(wire) for wire in wires] if wires else ()
+    msg_counter = snapshot.msg_counter
+    for msg in messages:
+        msg_counter = max(msg_counter, int(msg.msg_id.lstrip("m")))
 
     if kind == KIND_CREATED:
+        if event["ticket"] in snapshot.tickets:
+            raise DuplicateTicketError(event["ticket"])
         ticket = new_ticket(
             ticket_id=event["ticket"],
             board_id=event["board"],
@@ -147,28 +174,18 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
             (event["ticket"], event["reminder_kind"], event["index"]))
     elif kind == KIND_MESSAGE_DELIVERED:
         msg = snapshot.outbox[event["msg_id"]]
-        msg.delivery_state = event["state"]
-        msg.retries = event["retries"]
-        msg.terminal = event["terminal"]
-        if msg.delivery_state == STATE_DELIVERED or msg.terminal:
+        state, retries, terminal = (event["state"], event["retries"],
+                                    event["terminal"])
+        msg.delivery_state, msg.retries, msg.terminal = state, retries, terminal
+        if state == STATE_DELIVERED or terminal:
             snapshot.pending_outbox.pop(msg.msg_id, None)
     else:
         raise ValueError(f"unknown event kind: {kind}")
 
-    for wire in event.get("messages", ()):
-        msg = OutboundMessage(
-            msg_id=wire["msg_id"],
-            team_id=wire["team"],
-            channel=Channel(wire["channel"]),
-            kind=wire["kind"],
-            ticket_id=wire["ticket"],
-            text=wire["text"],
-            created_at=parse_ts(wire["ts"]),
-        )
+    for msg in messages:
         snapshot.outbox[msg.msg_id] = msg
         snapshot.pending_outbox[msg.msg_id] = None
-        snapshot.msg_counter = max(snapshot.msg_counter,
-                                   int(wire["msg_id"].lstrip("m")))
+    snapshot.msg_counter = msg_counter
     snapshot.watermark = seq
 
 

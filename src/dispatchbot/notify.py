@@ -12,12 +12,13 @@ from __future__ import annotations
 import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, TextIO
 
 from .assignment import AssignmentDecision
 from .reminders import Reminder
@@ -29,6 +30,10 @@ DEFAULT_MAX_RETRIES = 3
 STATE_PENDING = "Pending"
 STATE_DELIVERED = "Delivered"
 STATE_FAILED = "Failed"
+
+#: Compact, key-sorted JSON: the bytes of an event-log line and of a
+#: channel-file line. One prebuilt encoder, not one per call.
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Channel(str, Enum):
@@ -181,21 +186,49 @@ class Sink(Protocol):
 
 
 class FileSink:
-    """Appends one JSON object per line to `<dir>/<channel>.ndjson`."""
+    """Appends one JSON object per line to `<dir>/<channel>.ndjson`.
+
+    A channel file is opened on the first delivery to it and stays open
+    until `close`, which the board calls at the end of every outbox flush,
+    so no handle outlives a flush. Each line is flushed to the OS before
+    `deliver` returns, that is, before its delivery is logged.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        self._files: dict[Channel, TextIO] = {}
 
     def deliver(self, message: OutboundMessage) -> None:
-        path = self.directory / f"{message.channel.value}.ndjson"
-        line = json.dumps(message.wire(), sort_keys=True,
-                          separators=(",", ":"))
+        line = compact_json(message.wire()) + "\n"
+        fh = self._files.get(message.channel)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if fh is None:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                path = self.directory / f"{message.channel.value}.ndjson"
+                fh = path.open("a", encoding="utf-8")
+                self._files[message.channel] = fh
+            fh.write(line)
+            fh.flush()
         except OSError as exc:
+            # The next attempt reopens the file through a fresh handle.
+            if fh is not None:
+                self._close(self._files.pop(message.channel))
             raise SinkUnreachable(str(exc)) from exc
+
+    def close(self) -> None:
+        """Close every open channel file."""
+        files, self._files = self._files, {}
+        for fh in files.values():
+            self._close(fh)
+
+    @staticmethod
+    def _close(fh: TextIO) -> None:
+        # Every delivered line is already flushed; a failing close loses
+        # nothing and must not abort the cycle.
+        try:
+            fh.close()
+        except OSError:
+            pass
 
 
 class WebhookSink:
@@ -235,8 +268,21 @@ class MemorySink:
         self.delivered.append(message.wire())
 
 
+_WEBHOOK_SCHEMES = ("http://", "https://")
+
+
+def check_endpoint(descriptor: str) -> None:
+    """Raise ValueError for an http(s) endpoint that does not parse or
+    names no host; any other descriptor is a file path and passes."""
+    if descriptor.startswith(_WEBHOOK_SCHEMES):
+        parts = urllib.parse.urlsplit(descriptor)
+        parts.port  # raises ValueError on a malformed port
+        if not parts.hostname:
+            raise ValueError("no host")
+
+
 def sink_for_endpoint(descriptor: str) -> Sink:
-    if descriptor.startswith("http://") or descriptor.startswith("https://"):
+    if descriptor.startswith(_WEBHOOK_SCHEMES):
         return WebhookSink(descriptor)
     return FileSink(descriptor)
 

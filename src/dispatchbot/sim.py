@@ -228,12 +228,11 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         log = EventLog(out_path / f"{config.board_id}.events.ndjson")
-        sinks = {c: FileSink(out_path / "channels")
-                 for c in team_cfg.binding.endpoints}
+        shared = FileSink(out_path / "channels")
     else:
         log = EventLog()
         shared = MemorySink()
-        sinks = {c: shared for c in team_cfg.binding.endpoints}
+    sinks = {c: shared for c in team_cfg.binding.endpoints}
 
     stream = generate_ticket_stream(config)
     manual_plan = (manual_assignment_model(stream, config)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import json
 
 import pytest
@@ -15,7 +16,13 @@ from dispatchbot.board import (
     parse_team_config,
     poll_new_unassigned,
 )
-from dispatchbot.eventlog import EventLog, encode_event, replay
+from dispatchbot.eventlog import (
+    DuplicateTicketError,
+    EventLog,
+    encode_event,
+    read_event_log,
+    replay,
+)
 from dispatchbot.notify import (
     STATE_DELIVERED,
     Channel,
@@ -29,7 +36,7 @@ from dispatchbot.reminders import (
     due_reminders,
 )
 from dispatchbot.sim import SimConfig, run_simulation
-from dispatchbot.workflow import ReopenMode, WorkflowState
+from dispatchbot.workflow import ReopenMode, TransitionError, WorkflowState
 
 from .conftest import at, team_config
 
@@ -124,6 +131,43 @@ class TestTeamConfig:
         with pytest.raises(ConfigError) as err:
             parse_team_config(dict(CONFIG_DOC, thresholds=thresholds))
         assert [e for e in err.value.errors if e.startswith("thresholds: ")]
+
+    @pytest.mark.parametrize("thresholds, error", [
+        ({"reminder_period_hours": True},
+         "thresholds: reminder_period_hours must be a number, got True"),
+        ({"sla_warning_fraction": True},
+         "thresholds: sla_warning_fraction must be a number, got True"),
+        ({"stuck_hours": {"Blocked": "5"}},
+         "thresholds: stuck_hours.Blocked must be a number, got '5'"),
+        ({"stuck_hours": {"Blocked": False}},
+         "thresholds: stuck_hours.Blocked must be a number, got False"),
+        ({"reminder_period_hours": "24"},
+         "thresholds: reminder_period_hours must be a number, got '24'"),
+    ])
+    def test_hours_must_be_json_numbers(self, thresholds, error):
+        with pytest.raises(ConfigError) as err:
+            parse_team_config(dict(CONFIG_DOC, thresholds=thresholds))
+        assert err.value.errors == [error]
+
+    @pytest.mark.parametrize("url, reason", [
+        ("http://[::1/hook", "Invalid IPv6 URL"),
+        ("https:///hook", "no host"),
+        ("http://:8080/hook", "no host"),
+        ("http://hooks.example:port/x", "Port could not be cast"),
+    ])
+    def test_bad_webhook_url_is_field_error(self, url, reason):
+        doc = dict(CONFIG_DOC, channels={"ChatA": url, "Email": "out"})
+        with pytest.raises(ConfigError) as err:
+            parse_team_config(doc)
+        [error] = err.value.errors
+        assert error.startswith(f"channels: bad webhook URL {url!r} for "
+                                f"ChatA: {reason}")
+
+    def test_webhook_urls_with_a_host_load(self):
+        channels = {"ChatA": "https://hooks.example/a",
+                    "ChatB": "http://127.0.0.1:8080/b", "Email": "out/mail"}
+        cfg = parse_team_config(dict(CONFIG_DOC, channels=channels))
+        assert cfg.binding.endpoints[Channel.CHAT_B] == channels["ChatB"]
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}", b'{"max_retries": 1' + b"0" * 5000 + b"}"])
@@ -516,3 +560,87 @@ class TestReminderSchedule:
         [sent] = [e for e in runtime.log.events
                   if e["kind"] == "ReminderSent"]
         assert (sent["reminder_kind"], sent["index"]) == ("StuckState", 1)
+
+
+def file_log_runtime(path):
+    """A board whose log is the file at `path`, with a memory sink."""
+    sink = MemorySink()
+    config = team_config()
+    return BoardRuntime(config, log=EventLog(path),
+                        sinks={c: sink for c in config.binding.endpoints})
+
+
+def log_bytes(runtime) -> bytes:
+    runtime.log.close()  # flush; the next append reopens the file
+    return runtime.log.path.read_bytes()
+
+
+class TestAtomicCommit:
+    """A rejected command leaves the log, its file and the snapshot as
+    they were, and the board keeps running."""
+
+    @pytest.mark.parametrize("command, error", [
+        (lambda runtime: runtime.apply_external_transition(
+            "T1-1", WorkflowState.BLOCKED, at(2), "e1"), TransitionError),
+        (lambda runtime: runtime.inject_ticket("T1-1", "r2", at(2)),
+         DuplicateTicketError),
+    ])
+    def test_rejected_command_touches_nothing(self, tmp_path, command,
+                                              error):
+        runtime = file_log_runtime(tmp_path / "T1.events.ndjson")
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.inject_ticket("T1-2", "r1", at(0, seconds=1))
+        runtime.run_cycle(at(1))
+        runtime.reassign_ticket("T1-2", "e3", at(1, seconds=1))
+        before, watermark = log_bytes(runtime), runtime.log.watermark
+        ticket = runtime.snapshot.tickets["T1-1"]
+        with pytest.raises(error):
+            command(runtime)
+        assert log_bytes(runtime) == before
+        assert runtime.log.watermark == watermark
+        assert runtime.snapshot.tickets["T1-1"] == ticket
+        assert (ticket.assignee, ticket.reporter) == ("e1", "r1")
+        assert replay(runtime.log.events) == runtime.snapshot
+
+        runtime.inject_ticket("T1-3", "r1", at(3))
+        report = runtime.run_cycle(at(4))
+        assert report.assignments == [("T1-3", "e3")]
+        # The rejected command's announcement took no message id.
+        assert list(runtime.snapshot.outbox) == [
+            f"m{i:06d}" for i in range(1, 5)]
+        runtime.log.close()
+        assert replay(read_event_log(runtime.log.path)) == runtime.snapshot
+        assert replay(runtime.log.events) == runtime.snapshot
+
+    def test_failed_append_leaves_live_state_with_the_log(self):
+        class FailingLog(EventLog):
+            fail = False
+
+            def append(self, events):
+                if self.fail:
+                    self.fail = False
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().append(events)
+
+        sink, config, log = MemorySink(), team_config(), FailingLog()
+        runtime = BoardRuntime(
+            config, log=log, sinks={c: sink for c in config.binding.endpoints})
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.run_cycle(at(1))
+        log.fail = True
+        with pytest.raises(OSError):
+            runtime.inject_ticket("T1-2", "r1", at(2))
+        assert "T1-2" not in runtime.snapshot.tickets
+        assert replay(log.events) == runtime.snapshot
+        assert not runtime.snapshot.unassigned_backlog
+
+        log.fail = True
+        with pytest.raises(OSError):
+            runtime.apply_external_transition(
+                "T1-1", WorkflowState.WORK_IN_PROGRESS, at(3), "e1")
+        assert runtime.snapshot.tickets["T1-1"].state is WorkflowState.BACKLOG
+        assert replay(log.events) == runtime.snapshot
+
+        runtime.inject_ticket("T1-2", "r1", at(4))
+        assert runtime.run_cycle(at(5)).assignments == [("T1-2", "e2")]
+        assert replay(log.events) == runtime.snapshot

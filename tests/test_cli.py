@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -96,6 +97,29 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert "config error: thresholds: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("thresholds", [
+        {"reminder_period_hours": True}, {"sla_warning_fraction": True},
+        {"stuck_hours": {"Blocked": "5"}}])
+    def test_non_numeric_hours_are_validation_errors(self, tmp_path, capsys,
+                                                     thresholds):
+        bad = tmp_path / "team.json"
+        bad.write_text(json.dumps(dict(TEAM_DOC, thresholds=thresholds)))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path),
+                     "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert "must be a number" in capsys.readouterr().err
+
+    def test_bad_webhook_url_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "team.json"
+        channels = {"ChatA": "http://[::1/hook", "Email": "out"}
+        bad.write_text(json.dumps(dict(TEAM_DOC, channels=channels)))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path),
+                     "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert "config error: channels: bad webhook URL 'http://[::1/hook'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "T1.events.ndjson").exists()
+
     def test_bad_now_is_validation_error(self, team_files, capsys):
         config, board, out = team_files
         code = main(["run", "--config", str(config), "--board", str(board),
@@ -138,6 +162,14 @@ class TestReplay:
         lines = log.read_text().splitlines()
         log.write_text("\n".join([lines[0]] + lines[2:]) + "\n")
         assert main(["replay", "--log", str(log)]) == EXIT_RUNTIME
+
+    def test_duplicate_created_is_runtime_error(self, team_files, capsys):
+        _, board, _ = team_files
+        lines = board.read_text().splitlines()
+        board.write_text("\n".join(
+            lines + [lines[0].replace('"seq":1', '"seq":4')]) + "\n")
+        assert main(["replay", "--log", str(board)]) == EXIT_RUNTIME
+        assert "ticket T1-1 already exists" in capsys.readouterr().err
 
     def test_missing_log_is_validation_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "no.ndjson")]) == \
@@ -188,6 +220,20 @@ class TestSimulate:
         printed = capsys.readouterr().out
         assert printed.strip() == \
             (out / "comparison.txt").read_text().strip()
+
+    def test_stock_experiment_output_is_pinned(self, tmp_path, capsys):
+        # The sha256 of `sha256sum` over the sorted output files, as
+        # `find . -type f | sort | xargs sha256sum | sha256sum` prints it
+        # from inside the output directory.
+        out = tmp_path / "stock"
+        assert main(["simulate", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        listing = "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+            f"./{path.relative_to(out).as_posix()}\n"
+            for path in sorted(out.rglob("*"), key=lambda p: p.as_posix())
+            if path.is_file())
+        assert hashlib.sha256(listing.encode()).hexdigest() == \
+            "86600c06176bc1efd08b9cb0f024109a9489cbdc09e5f88d18e26ee4b5509427"
 
     def test_bad_experiment_config_is_validation_error(self, tmp_path):
         experiment = tmp_path / "exp.json"

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
 
 from dispatchbot.eventlog import (
     CorruptRecordError,
+    DuplicateTicketError,
     EventLog,
     SeqGapError,
     encode_event,
+    fold_event,
     read_event_log,
     replay,
 )
 from dispatchbot.sim import SimConfig, run_simulation
+from dispatchbot.workflow import TransitionError
 
 
 def test_replay_of_empty_log_is_empty():
@@ -129,3 +133,47 @@ def test_reminder_ledger_streams_are_prefix_closed():
 def test_encode_is_stable():
     event = {"seq": 1, "kind": "Created", "b": 2, "a": 1}
     assert encode_event(event) == '{"a":1,"b":2,"kind":"Created","seq":1}'
+
+
+def _bad_events(events, snapshot):
+    """Events that must be rejected after `events`, each with its error."""
+    last = events[-1]
+    seq, ts = last["seq"] + 1, "2025-03-01T09:00:00Z"
+    created = next(e for e in events if e["kind"] == "Created")
+    assigned = next(e for e in events if e["kind"] == "Assigned")
+    ticket = snapshot.tickets[created["ticket"]]
+    base = {"seq": seq, "ts": ts, "board": last["board"]}
+    message = dict(assigned["messages"][0], msg_id="m999999")
+    return [
+        (dict(created, seq=seq, ts=ts, reporter="someone else"),
+         DuplicateTicketError),
+        (dict(base, kind="Transitioned", ticket=ticket.id, to="Bogus",
+              actor="e1"), ValueError),
+        # A move to the state it is in is never an edge.
+        (dict(base, kind="Transitioned", ticket=ticket.id,
+              to=ticket.state.value, actor="e1", messages=[message]),
+         TransitionError),
+        (dict(base, kind="Assigned", ticket="nope", engineer="e1",
+              messages=[message]), KeyError),
+        # A valid move whose message is malformed: nothing of it lands.
+        (dict(base, kind="Assigned", ticket=ticket.id, engineer="e1",
+              messages=[dict(message, channel="Pager")]), ValueError),
+        (dict(base, kind="MessageDelivered", msg_id="m999999",
+              state="Delivered", retries=0, terminal=False), KeyError),
+        (dict(base, kind="MessageDelivered", msg_id="m000001",
+              state="Failed", retries=7), KeyError),
+        (dict(base, kind="Exploded"), ValueError),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_a_rejected_event_changes_nothing(case):
+    run = run_simulation(SimConfig(seed=4, horizon_days=3, arrival_rate=6,
+                                   roster_size=3))
+    snapshot = replay(run.events)
+    event, error = _bad_events(run.events, snapshot)[case]
+    before = copy.deepcopy(snapshot)
+    with pytest.raises(error):
+        fold_event(snapshot, event)
+    # Derived indexes too: vars() compares every field.
+    assert vars(snapshot) == vars(before)

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import errno
+import gc
 import json
+import pathlib
 import socket
+import sys
 import threading
+import warnings
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from dispatchbot.assignment import AssignmentDecision
-from dispatchbot.eventlog import replay
+from dispatchbot.board import BoardRuntime
+from dispatchbot.eventlog import EventLog, replay
 from dispatchbot.notify import (
     BindingError,
     Channel,
@@ -26,7 +32,7 @@ from dispatchbot.notify import (
     route_reminder,
     state_change_text,
 )
-from dispatchbot.reminders import Reminder, ReminderKind
+from dispatchbot.reminders import Reminder, ReminderKind, ThresholdPolicy
 from dispatchbot.workflow import WorkflowState
 
 from .conftest import at, binding, team_config
@@ -138,8 +144,9 @@ def flush(memory_runtime):
 class TestDelivery:
     def test_file_sink_appends_wire_line(self, tmp_path):
         msg = message()
-        assert attempt_delivery(msg, FileSink(tmp_path), 3) == \
-            ("Delivered", 0, False)
+        sink = FileSink(tmp_path)
+        assert attempt_delivery(msg, sink, 3) == ("Delivered", 0, False)
+        sink.close()
         line = (tmp_path / "ChatA.ndjson").read_text().strip()
         assert json.loads(line) == msg.wire()
         assert json.loads(line)["ts"] == "2025-01-06T09:00:00Z"
@@ -243,3 +250,156 @@ class TestWebhookSink:
     def test_malformed_url_is_retried(self):
         sink = WebhookSink("http://[::1/hook", timeout=5)
         assert attempt_delivery(message(), sink, 3) == ("Failed", 1, False)
+
+
+def channel_lines(directory) -> dict[str, list[str]]:
+    """The msg ids in each channel file, in file order."""
+    return {path.stem: [json.loads(line)["msg_id"]
+                        for line in path.read_text().splitlines()]
+            for path in sorted(directory.glob("*.ndjson"))}
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Record every file `Path.open` hands out, by file name."""
+    inner = pathlib.Path.open
+    handles: list[tuple[str, object]] = []
+
+    def spy(path, *args, **kwargs):
+        fh = inner(path, *args, **kwargs)
+        handles.append((path.name, fh))
+        return fh
+
+    monkeypatch.setattr(pathlib.Path, "open", spy)
+    return handles
+
+
+def file_runtime(directory, log=None):
+    """A board whose three channels are files under `directory`, with
+    sinks built from the endpoints as `dispatchbot run` builds them and
+    a stuck reminder every hour after 1 h in a state."""
+    endpoints = {c: str(directory) for c in Channel}
+    config = replace(
+        team_config(thresholds=ThresholdPolicy(
+            team_id="team1", reminder_period_hours=1,
+            stuck_hours={state: 1.0 for state in WorkflowState
+                         if state is not WorkflowState.DONE})),
+        binding=ChannelBinding("team1", endpoints, Channel.CHAT_A))
+    return BoardRuntime(config, log=log if log is not None else EventLog())
+
+
+class TestFileSinkFlush:
+    """The file sink opens a channel file once per outbox flush and puts
+    each line on disk before its delivery is logged."""
+
+    def test_each_channel_file_opened_at_most_once_per_cycle(self, tmp_path,
+                                                             opened):
+        runtime = file_runtime(tmp_path)
+        for i in range(3):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0))
+        for hour in (1, 1.5):
+            del opened[:]
+            report = runtime.run_cycle(at(hour))
+            names = [name for name, _ in opened]
+            assert sorted(names) == sorted(set(names))
+        # The second cycle sent stuck reminders to every channel.
+        assert report.reminders_sent == 3
+        assert report.messages_delivered == 9
+        assert sorted(names) == ["ChatA.ndjson", "ChatB.ndjson",
+                                 "Email.ndjson"]
+        lines = channel_lines(tmp_path)
+        assert [len(ids) for ids in lines.values()] == [6, 3, 3]
+        delivered = [m.msg_id for m in runtime.snapshot.outbox.values()]
+        assert sorted(sum(lines.values(), [])) == delivered
+
+    def test_line_on_disk_before_its_delivery_is_logged(self, tmp_path):
+        seen = []
+
+        class CheckingLog(EventLog):
+            def append(self, events):
+                for event in events:
+                    if event["kind"] == "MessageDelivered":
+                        on_disk = sum(channel_lines(tmp_path).values(), [])
+                        assert event["msg_id"] in on_disk
+                        seen.append(event["msg_id"])
+                return super().append(events)
+
+        runtime = file_runtime(tmp_path, log=CheckingLog())
+        for i in range(3):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0))
+        runtime.run_cycle(at(1))
+        runtime.run_cycle(at(1.5))
+        assert len(seen) == 12
+
+    def test_no_handle_outlives_a_cycle(self, tmp_path, opened,
+                                        monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            runtime = file_runtime(tmp_path)
+            runtime.inject_ticket("T1-1", "r1", at(0))
+            runtime.run_cycle(at(1))
+            runtime.run_cycle(at(1.5))
+            assert opened and all(fh.closed for _, fh in opened)
+            del runtime, opened[:]
+            gc.collect()
+        assert unraisable == []
+
+    def test_channel_file_deleted_between_cycles_is_recreated(self,
+                                                              tmp_path):
+        channels = tmp_path / "channels"
+        runtime = file_runtime(channels)
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.run_cycle(at(0, seconds=10))
+        assert channel_lines(channels) == {"ChatA": ["m000001"]}
+        (channels / "ChatA.ndjson").unlink()
+        channels.rmdir()
+        runtime.inject_ticket("T1-2", "r1", at(0, seconds=20))
+        runtime.run_cycle(at(0, seconds=30))
+        assert channel_lines(channels) == {"ChatA": ["m000002"]}
+
+    def test_write_failure_retried_through_a_fresh_handle(self, tmp_path,
+                                                          monkeypatch):
+        inner = pathlib.Path.open
+        handles = []
+        #: One entry per write, across handles: True fails that write.
+        script = [False, True, False]
+
+        class FaultyFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                if script and script.pop(0):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(text)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        def faulty_open(path, mode="r", *args, **kwargs):
+            fh = inner(path, mode, *args, **kwargs)
+            if mode != "a":
+                return fh
+            handles.append(FaultyFile(fh))
+            return handles[-1]
+
+        monkeypatch.setattr(pathlib.Path, "open", faulty_open)
+        runtime = file_runtime(tmp_path)
+        for i in range(1, 4):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
+        report = runtime.run_cycle(at(0, seconds=10))
+        assert (report.messages_delivered, report.messages_failed) == (2, 1)
+        failed = runtime.snapshot.outbox["m000002"]
+        assert (failed.delivery_state, failed.retries) == ("Failed", 1)
+        # The failed handle was dropped: m000003 went through a new one.
+        assert len(handles) == 2 and all(fh.closed for fh in handles)
+        assert channel_lines(tmp_path) == {"ChatA": ["m000001", "m000003"]}
+
+        report = runtime.run_cycle(at(0, seconds=20))
+        assert (report.messages_delivered, report.messages_failed) == (1, 0)
+        assert len(handles) == 3 and all(fh.closed for fh in handles)
+        assert channel_lines(tmp_path) == {
+            "ChatA": ["m000001", "m000003", "m000002"]}
+        assert replay(runtime.log.events) == runtime.snapshot
