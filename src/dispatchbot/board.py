@@ -223,7 +223,10 @@ def parse_team_config(raw) -> TeamConfig:
         except ValueError:
             errors.append(f"channels: unknown channel {name}")
             continue
-        endpoint = str(endpoint)
+        if not isinstance(endpoint, str):
+            errors.append(f"channels: endpoint for {name} must be a string, "
+                          f"got {endpoint!r}")
+            continue
         try:
             check_endpoint(endpoint)
         except ValueError as exc:

@@ -19,6 +19,7 @@ from .eventlog import (
     CorruptRecordError,
     DuplicateTicketError,
     EventLog,
+    MalformedRecordError,
     SeqGapError,
     read_event_log,
     replay,
@@ -37,7 +38,7 @@ from .workflow import TransitionError, WorkflowState
 
 #: A log that cannot be read, or records a history the fold rejects.
 REPLAY_ERRORS = (CorruptRecordError, SeqGapError, DuplicateTicketError,
-                 TransitionError)
+                 MalformedRecordError, TransitionError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

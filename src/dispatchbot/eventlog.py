@@ -9,16 +9,26 @@ The fold also keeps derived indexes (open tickets, the unassigned backlog,
 the pending outbox) so that a cycle reads only what is new, never the
 whole history. They hold nothing the log does not: `replay` rebuilds them,
 and snapshot equality ignores them.
+
+Each record is parsed once and folded once. A message lives in the
+outbox as the wire dict its event carries, shared with the event and
+sent by the sinks as it is (see `notify`), so it is never rebuilt.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .notify import STATE_DELIVERED, Channel, OutboundMessage, compact_json
+from .notify import (
+    CHANNEL_BY_VALUE,
+    STATE_DELIVERED,
+    WIRE_FIELDS,
+    OutboundMessage,
+    compact_json,
+)
 from .timeutil import parse_ts
 from .workflow import (
     Priority,
@@ -26,6 +36,7 @@ from .workflow import (
     Ticket,
     WorkflowState,
     apply_transition,
+    evolve,
     new_ticket,
     reopen,
 )
@@ -52,6 +63,16 @@ class DuplicateTicketError(ValueError):
     def __init__(self, ticket_id: str):
         self.ticket_id = ticket_id
         super().__init__(f"ticket {ticket_id} already exists")
+
+
+class MalformedRecordError(ValueError):
+    """A parseable record the fold cannot apply: a field it reads is
+    missing, or names a ticket or message the board does not know."""
+
+    def __init__(self, seq, field: str, detail: str):
+        self.seq = seq
+        self.field = field
+        super().__init__(f"seq {seq}: {detail} in field {field!r}")
 
 
 class CorruptRecordError(Exception):
@@ -99,29 +120,53 @@ def _reindex(snapshot: BoardSnapshot, ticket: Ticket) -> None:
         snapshot.unassigned_backlog.discard(ticket.id)
 
 
-def _message(wire: dict) -> OutboundMessage:
-    return OutboundMessage(
-        msg_id=wire["msg_id"],
-        team_id=wire["team"],
-        channel=Channel(wire["channel"]),
-        kind=wire["kind"],
-        ticket_id=wire["ticket"],
-        text=wire["text"],
-        created_at=parse_ts(wire["ts"]),
-    )
+def _messages(seq: int, wires: list[dict]) -> list[OutboundMessage]:
+    """The outbox entries for an event's wire dicts, which they keep."""
+    messages = []
+    for i, wire in enumerate(wires):
+        channel = CHANNEL_BY_VALUE.get(wire.get("channel"))
+        if channel is None or not WIRE_FIELDS <= wire.keys():
+            missing = sorted(WIRE_FIELDS - wire.keys())
+            if missing:
+                name, detail = missing[0], "missing value"
+            else:
+                name = "channel"
+                detail = f"unknown channel {wire['channel']!r}"
+            raise MalformedRecordError(seq, f"messages[{i}].{name}", detail)
+        messages.append(OutboundMessage.from_wire(wire, channel))
+    return messages
+
+
+def _ticket(snapshot: BoardSnapshot, event: dict) -> Ticket:
+    """The known ticket that `event` names."""
+    ticket = snapshot.tickets.get(event["ticket"])
+    if ticket is None:
+        raise MalformedRecordError(event["seq"], "ticket",
+                                   f"unknown ticket {event['ticket']!r}")
+    return ticket
 
 
 def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
     """Apply one event in place, all or nothing: a seq gap, an illegal
     transition, an unknown or duplicate ticket, an unknown message or a
-    malformed field raises before the snapshot changes."""
+    missing or malformed field raises before the snapshot changes."""
     seq = event["seq"]
     if seq != snapshot.watermark + 1:
         raise SeqGapError(snapshot.watermark + 1, seq)
+    try:
+        _apply(snapshot, event, seq)
+    except KeyError as exc:
+        # Every field is read before anything changes.
+        raise MalformedRecordError(seq, exc.args[0], "missing value") \
+            from None
+    snapshot.watermark = seq
+
+
+def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
     kind = event["kind"]
     ts = parse_ts(event["ts"])
     wires = event.get("messages")
-    messages = [_message(wire) for wire in wires] if wires else ()
+    messages = _messages(seq, wires) if wires else ()
     msg_counter = snapshot.msg_counter
     for msg in messages:
         msg_counter = max(msg_counter, int(msg.msg_id.lstrip("m")))
@@ -141,7 +186,7 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
         )
         _reindex(snapshot, ticket)
     elif kind == KIND_TRANSITIONED:
-        ticket = snapshot.tickets[event["ticket"]]
+        ticket = _ticket(snapshot, event)
         if event.get("reopen_mode"):
             ticket = reopen(ticket, ReopenMode(event["reopen_mode"]), ts,
                             event["actor"])
@@ -158,35 +203,37 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
             ledger.discard(key)
             index += 1
     elif kind == KIND_ASSIGNED:
-        ticket = replace(snapshot.tickets[event["ticket"]],
-                         assignee=event["engineer"])
-        _reindex(snapshot, ticket)
-        if event.get("cursor_after") is not None:
-            snapshot.cursor_position = event["cursor_after"]
         eng = event["engineer"]
+        ticket = evolve(_ticket(snapshot, event), assignee=eng)
+        cursor_after = event.get("cursor_after")
+        _reindex(snapshot, ticket)
+        if cursor_after is not None:
+            snapshot.cursor_position = cursor_after
         snapshot.assign_counts[eng] = snapshot.assign_counts.get(eng, 0) + 1
     elif kind == KIND_REASSIGNED:
-        ticket = replace(snapshot.tickets[event["ticket"]],
-                         assignee=event["engineer"])
+        ticket = evolve(_ticket(snapshot, event), assignee=event["engineer"])
         _reindex(snapshot, ticket)
     elif kind == KIND_REMINDER_SENT:
         snapshot.reminder_ledger.add(
             (event["ticket"], event["reminder_kind"], event["index"]))
     elif kind == KIND_MESSAGE_DELIVERED:
-        msg = snapshot.outbox[event["msg_id"]]
+        msg = snapshot.outbox.get(event["msg_id"])
+        if msg is None:
+            raise MalformedRecordError(
+                seq, "msg_id", f"unknown message {event['msg_id']!r}")
         state, retries, terminal = (event["state"], event["retries"],
                                     event["terminal"])
         msg.delivery_state, msg.retries, msg.terminal = state, retries, terminal
         if state == STATE_DELIVERED or terminal:
-            snapshot.pending_outbox.pop(msg.msg_id, None)
+            snapshot.pending_outbox.pop(event["msg_id"], None)
     else:
         raise ValueError(f"unknown event kind: {kind}")
 
     for msg in messages:
-        snapshot.outbox[msg.msg_id] = msg
-        snapshot.pending_outbox[msg.msg_id] = None
+        msg_id = msg.msg_id
+        snapshot.outbox[msg_id] = msg
+        snapshot.pending_outbox[msg_id] = None
     snapshot.msg_counter = msg_counter
-    snapshot.watermark = seq
 
 
 def replay(events: Iterable[dict], board_id: str = "") -> BoardSnapshot:
@@ -194,6 +241,9 @@ def replay(events: Iterable[dict], board_id: str = "") -> BoardSnapshot:
     snapshot: BoardSnapshot | None = None
     for event in events:
         if snapshot is None:
+            if "board" not in event:
+                raise MalformedRecordError(event["seq"], "board",
+                                           "missing value")
             snapshot = BoardSnapshot(board_id=event["board"])
         fold_event(snapshot, event)
     return snapshot if snapshot is not None else BoardSnapshot(board_id)
@@ -208,14 +258,13 @@ class EventLog:
         self._fh = None
         if self.path is not None and self.path.exists():
             self.events = read_event_log(self.path)
-
-    @property
-    def watermark(self) -> int:
-        return self.events[-1]["seq"] if self.events else 0
+        #: seq of the last event in `events`; 0 when empty.
+        self.watermark: int = self.events[-1]["seq"] if self.events else 0
 
     def append(self, events: list[dict]) -> int:
         """Append events whose seq continues the log; returns the new
-        watermark."""
+        watermark. A failed write leaves `events` and `watermark` as they
+        were."""
         expected = self.watermark + 1
         for event in events:
             if event["seq"] != expected:
@@ -228,6 +277,7 @@ class EventLog:
             for event in events:
                 self._fh.write(encode_event(event) + "\n")
         self.events.extend(events)
+        self.watermark = expected - 1
         return self.watermark
 
     def close(self) -> None:
@@ -242,6 +292,10 @@ class EventLog:
         self.close()
 
 
+#: Parses one JSON value at an index: `json.loads` without its wrapper.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def read_event_log(path: str | Path) -> list[dict]:
     """Parse an ndjson log, failing fast with the offending line number."""
     events: list[dict] = []
@@ -251,10 +305,16 @@ def read_event_log(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorruptRecordError(line_no, f"invalid JSON: {exc}")
-            if not isinstance(event, dict) or "seq" not in event \
+                event, end = _scan_json(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                # Not one JSON value: json.loads words the error.
+                try:
+                    event = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorruptRecordError(line_no, f"invalid JSON: {exc}")
+            if type(event) is not dict or "seq" not in event \
                     or "kind" not in event or "ts" not in event:
                 raise CorruptRecordError(line_no, "missing required fields")
             if event["kind"] not in EVENT_KINDS:

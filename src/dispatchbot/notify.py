@@ -5,6 +5,10 @@ channel to an endpoint descriptor, either a file path (append one JSON
 object per line) or an http(s) webhook URL (POST the same object).
 Delivery is at-least-once with idempotent message ids; dedup is the
 receiver's concern. `attempt_delivery` is the one retry/terminal rule.
+
+A message is built once, as its wire dict: the payload put on the wire.
+The event that announces it carries that dict, the fold keeps the same
+dict in the outbox's `OutboundMessage`, and every sink sends it as it is.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Protocol, TextIO
 
 from .assignment import AssignmentDecision
 from .reminders import Reminder
-from .timeutil import iso
+from .timeutil import iso, parse_ts
 from .workflow import WorkflowState
 
 DEFAULT_MAX_RETRIES = 3
@@ -32,8 +36,10 @@ STATE_DELIVERED = "Delivered"
 STATE_FAILED = "Failed"
 
 #: Compact, key-sorted JSON: the bytes of an event-log line and of a
-#: channel-file line. One prebuilt encoder, not one per call.
-compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: channel-file line. One prebuilt encoder, not one per call, and no
+#: cycle check: a record is a tree of dicts and lists.
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                check_circular=False).encode
 
 
 class Channel(str, Enum):
@@ -41,6 +47,9 @@ class Channel(str, Enum):
     CHAT_B = "ChatB"
     EMAIL = "Email"
 
+
+#: Each channel by its wire value: a dict lookup, not an Enum call.
+CHANNEL_BY_VALUE = {channel.value: channel for channel in Channel}
 
 #: Stable fan-out order for reminders.
 CHANNEL_ORDER = (Channel.CHAT_A, Channel.CHAT_B, Channel.EMAIL)
@@ -74,30 +83,75 @@ class ChannelBinding:
         return [c for c in CHANNEL_ORDER if c in self.endpoints]
 
 
-@dataclass
+#: The keys of a message's wire dict.
+WIRE_FIELDS = frozenset({"msg_id", "team", "channel", "kind", "ticket",
+                         "text", "ts"})
+
+
 class OutboundMessage:
-    msg_id: str
-    team_id: str
-    channel: Channel
-    kind: str
-    ticket_id: str
-    text: str
-    created_at: datetime
-    delivery_state: str = STATE_PENDING
-    retries: int = 0
-    terminal: bool = False
+    """One message: its wire dict and its delivery state.
+
+    The wire dict is the payload put on the wire (webhook body / file
+    line). It is shared, not copied: the event that announced the message
+    holds the same dict, so it must not be mutated.
+    """
+
+    __slots__ = ("_wire", "channel", "delivery_state", "retries",
+                 "terminal")
+
+    def __init__(self, msg_id: str, team_id: str, channel: Channel,
+                 kind: str, ticket_id: str, text: str, created_at: datetime,
+                 delivery_state: str = STATE_PENDING, retries: int = 0,
+                 terminal: bool = False):
+        self._wire = {
+            "msg_id": msg_id,
+            "team": team_id,
+            "channel": channel.value,
+            "kind": kind,
+            "ticket": ticket_id,
+            "text": text,
+            "ts": iso(created_at),
+        }
+        self.channel = channel
+        self.delivery_state = delivery_state
+        self.retries = retries
+        self.terminal = terminal
+
+    @classmethod
+    def from_wire(cls, wire: dict, channel: Channel) -> OutboundMessage:
+        """A pending message holding `wire`, whose "channel" is `channel`."""
+        message = cls.__new__(cls)
+        message._wire = wire
+        message.channel = channel
+        message.delivery_state = STATE_PENDING
+        message.retries = 0
+        message.terminal = False
+        return message
 
     def wire(self) -> dict:
-        """The payload put on the wire (webhook body / file line)."""
-        return {
-            "msg_id": self.msg_id,
-            "team": self.team_id,
-            "channel": self.channel.value,
-            "kind": self.kind,
-            "ticket": self.ticket_id,
-            "text": self.text,
-            "ts": iso(self.created_at),
-        }
+        """The payload put on the wire: the shared dict itself."""
+        return self._wire
+
+    msg_id = property(lambda self: self._wire["msg_id"])
+    team_id = property(lambda self: self._wire["team"])
+    kind = property(lambda self: self._wire["kind"])
+    ticket_id = property(lambda self: self._wire["ticket"])
+    text = property(lambda self: self._wire["text"])
+    created_at = property(lambda self: parse_ts(self._wire["ts"]))
+
+    def _state(self) -> tuple:
+        return (self._wire, self.delivery_state, self.retries, self.terminal)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not OutboundMessage:
+            return NotImplemented
+        return self._state() == other._state()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return (f"OutboundMessage({self._wire!r}, {self.delivery_state!r}, "
+                f"retries={self.retries}, terminal={self.terminal})")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from functools import lru_cache
 UTC = timezone.utc
 SECOND = timedelta(seconds=1)
 DAY = timedelta(days=1)
+WEEK = timedelta(weeks=1)
 
 
 def utc_now() -> datetime:
@@ -45,13 +46,19 @@ def is_business_day(d: date) -> bool:
 
 
 def add_business_days(start: datetime, days: int) -> datetime:
-    """Advance by whole business days, skipping Saturdays and Sundays."""
-    out = start
-    remaining = days
-    while remaining > 0:
+    """Advance by whole business days, skipping Saturdays and Sundays:
+    the first instant, a whole number of days after `start`, by which
+    `days` business days have passed."""
+    if days <= 0:
+        return start
+    # Any 7 consecutive days hold exactly 5 business days, so whole weeks
+    # are a jump; the last 1 to 5 business days are stepped.
+    weeks, rest = divmod(days - 1, 5)
+    out = start + weeks * WEEK
+    for _ in range(rest + 1):
         out += DAY
-        if is_business_day(out.date()):
-            remaining -= 1
+        while out.weekday() >= 5:
+            out += DAY
     return out
 
 

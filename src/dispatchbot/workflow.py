@@ -7,11 +7,11 @@ history from creation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
-from .timeutil import add_business_days
+from .timeutil import UTC, add_business_days
 
 
 class WorkflowState(str, Enum):
@@ -104,6 +104,32 @@ class Ticket:
         return self.history[-1].ts if self.history else self.created_at
 
 
+def evolve(value, **changes):
+    """`dataclasses.replace(value, **changes)` for a ticket or a history
+    entry at about a fifth of its cost: no frozen dataclass `__init__`,
+    which sets each field through `object.__setattr__`. `changes` must
+    name fields.
+
+    The copy's `__dict__` takes the fields one by one in the source's
+    order, so it stays a key-sharing dict of the usual size. (Updating an
+    empty instance dict from an ordinary dict would make it a larger
+    private copy of that dict.)"""
+    out = object.__new__(type(value))
+    attrs = out.__dict__
+    attrs.update(value.__dict__)
+    attrs.update(changes)
+    return out
+
+
+#: What `new_ticket` and `apply_transition` copy. Each copy replaces every
+#: field without a default, so it equals what `__init__` would build.
+_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_BLANK_TICKET = Ticket(id="", board_id="", reporter="", created_at=_EPOCH,
+                       sla_deadline=_EPOCH)
+_BLANK_ENTRY = HistoryEntry(ts=_EPOCH, from_state=WorkflowState.BACKLOG,
+                            to_state=WorkflowState.BACKLOG, actor="")
+
+
 def new_ticket(ticket_id: str, board_id: str, reporter: str,
                created_at: datetime, priority: Priority = Priority.MEDIUM,
                sla_deadline: datetime | None = None,
@@ -112,7 +138,8 @@ def new_ticket(ticket_id: str, board_id: str, reporter: str,
     if sla_deadline is None:
         sla_deadline = add_business_days(
             created_at, DEFAULT_SLA_BUSINESS_DAYS[priority])
-    return Ticket(
+    return evolve(
+        _BLANK_TICKET,
         id=ticket_id,
         board_id=board_id,
         reporter=reporter,
@@ -143,14 +170,14 @@ def apply_transition(ticket: Ticket, to: WorkflowState, at: datetime,
     if to in ASSIGNED_STATES and ticket.assignee is None:
         raise TransitionError(ticket.id, ticket.state, to, MISSING_ASSIGNEE)
 
-    entry = HistoryEntry(ts=at, from_state=ticket.state, to_state=to,
-                         actor=actor)
+    entry = evolve(_BLANK_ENTRY, ts=at, from_state=ticket.state, to_state=to,
+                   actor=actor)
     resolved_at = ticket.resolved_at
     if to is WorkflowState.DONE:
         resolved_at = at
     elif ticket.state is WorkflowState.DONE:
         resolved_at = None
-    return replace(
+    return evolve(
         ticket,
         state=to,
         state_entered_at=at,
@@ -171,5 +198,5 @@ def reopen(ticket: Ticket, mode: ReopenMode, at: datetime,
                               ILLEGAL_EDGE)
     if mode is ReopenMode.TO_BACKLOG:
         out = apply_transition(ticket, WorkflowState.BACKLOG, at, actor)
-        return replace(out, assignee=None)
+        return evolve(out, assignee=None)
     return apply_transition(ticket, WorkflowState.WORK_IN_PROGRESS, at, actor)

@@ -163,6 +163,14 @@ class TestTeamConfig:
         assert error.startswith(f"channels: bad webhook URL {url!r} for "
                                 f"ChatA: {reason}")
 
+    @pytest.mark.parametrize("endpoint", [None, 5, ["out"], {"dir": "out"}])
+    def test_non_string_endpoint_is_field_error(self, endpoint):
+        doc = dict(CONFIG_DOC, channels={"ChatA": "out", "Email": endpoint})
+        with pytest.raises(ConfigError) as err:
+            parse_team_config(doc)
+        assert err.value.errors == [
+            f"channels: endpoint for Email must be a string, got {endpoint!r}"]
+
     def test_webhook_urls_with_a_host_load(self):
         channels = {"ChatA": "https://hooks.example/a",
                     "ChatB": "http://127.0.0.1:8080/b", "Email": "out/mail"}

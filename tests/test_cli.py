@@ -120,6 +120,20 @@ class TestRun:
             in capsys.readouterr().err
         assert not (tmp_path / "T1.events.ndjson").exists()
 
+    @pytest.mark.parametrize("endpoint", [None, 5])
+    def test_non_string_endpoint_is_validation_error(self, tmp_path, capsys,
+                                                     monkeypatch, endpoint):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "team.json"
+        channels = {"ChatA": "out", "Email": endpoint}
+        bad.write_text(json.dumps(dict(TEAM_DOC, channels=channels)))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path),
+                     "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert (f"config error: channels: endpoint for Email must be a "
+                f"string, got {endpoint!r}") in capsys.readouterr().err
+        assert not (tmp_path / str(endpoint)).exists()
+
     def test_bad_now_is_validation_error(self, team_files, capsys):
         config, board, out = team_files
         code = main(["run", "--config", str(config), "--board", str(board),
@@ -170,6 +184,26 @@ class TestReplay:
             lines + [lines[0].replace('"seq":1', '"seq":4')]) + "\n")
         assert main(["replay", "--log", str(board)]) == EXIT_RUNTIME
         assert "ticket T1-1 already exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "report"])
+    @pytest.mark.parametrize("record, error", [
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","reporter":"r1"}',
+         "seq 1: missing value in field 'ticket'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-7","engineer":"e1"}',
+         "seq 1: unknown ticket 'T1-7' in field 'ticket'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"MessageDelivered","msg_id":"m000001","state":"Delivered",'
+         '"retries":0,"terminal":false}',
+         "seq 1: unknown message 'm000001' in field 'msg_id'"),
+    ], ids=["missing-field", "unknown-ticket", "unknown-message"])
+    def test_unfoldable_record_is_runtime_error(self, tmp_path, capsys,
+                                                command, record, error):
+        log = tmp_path / "log.ndjson"
+        log.write_text(record + "\n")
+        assert main([command, "--log", str(log)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"{log}: {error}\n"
 
     def test_missing_log_is_validation_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "no.ndjson")]) == \

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from dispatchbot.eventlog import (
     CorruptRecordError,
     DuplicateTicketError,
     EventLog,
+    MalformedRecordError,
     SeqGapError,
     encode_event,
     fold_event,
@@ -38,12 +40,13 @@ def test_seq_gap_detected():
 
 
 def test_append_rejects_gap(tmp_path):
-    log = EventLog(tmp_path / "x.ndjson")
-    log.append([{"seq": 1, "ts": "2025-01-06T09:00:00Z", "board": "T1",
-                 "kind": "Created", "ticket": "T1-1", "reporter": "r1"}])
-    with pytest.raises(SeqGapError):
-        log.append([{"seq": 5, "ts": "2025-01-06T09:00:00Z", "board": "T1",
-                     "kind": "Created", "ticket": "T1-2", "reporter": "r1"}])
+    with EventLog(tmp_path / "x.ndjson") as log:
+        log.append([{"seq": 1, "ts": "2025-01-06T09:00:00Z", "board": "T1",
+                     "kind": "Created", "ticket": "T1-1", "reporter": "r1"}])
+        with pytest.raises(SeqGapError):
+            log.append([{"seq": 5, "ts": "2025-01-06T09:00:00Z",
+                         "board": "T1", "kind": "Created", "ticket": "T1-2",
+                         "reporter": "r1"}])
 
 
 def test_corrupt_record_names_line(tmp_path):
@@ -54,6 +57,52 @@ def test_corrupt_record_names_line(tmp_path):
     with pytest.raises(CorruptRecordError) as err:
         read_event_log(path)
     assert err.value.line_no == 2
+
+
+GOOD_LINE = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+             '"kind":"Created","ticket":"T1-1","reporter":"r1"}')
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    # Blank lines are skipped but still counted.
+    (GOOD_LINE + "\n\n   \n" + '{"seq":2' + "\n", 4,
+     "invalid JSON: Expecting ',' delimiter: line 1 column 9 (char 8)"),
+    (GOOD_LINE + "\n" + GOOD_LINE[:40] + "\n", 2,
+     "invalid JSON: Unterminated string starting at: line 1 column 38 "
+     "(char 37)"),
+    ("{} {}\n", 1, "invalid JSON: Extra data: line 1 column 4 (char 3)"),
+    (GOOD_LINE + " x\n", 1,
+     "invalid JSON: Extra data: line 1 column 101 (char 100)"),
+    ("garbage\n", 1,
+     "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("\ufeff" + GOOD_LINE + "\n", 1,
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 "
+     "column 1 (char 0)"),
+    ("[1, 2]\n", 1, "missing required fields"),
+    ('"seq"\n', 1, "missing required fields"),
+    ("\t{ }\x0b\n", 1, "missing required fields"),
+    ('{"seq":1,"kind":"Created"}\n', 1, "missing required fields"),
+    ('{"seq":1,"ts":"x","kind":"Exploded"}\n', 1,
+     "unknown kind 'Exploded'"),
+    ('{"seq":1,"ts":"x","kind":["Created"]}\n', 1,
+     "unknown kind ['Created']"),
+])
+def test_corrupt_record_texts(tmp_path, text, line_no, message):
+    path = tmp_path / "bad.ndjson"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorruptRecordError) as err:
+        read_event_log(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_read_accepts_what_json_loads_accepts(tmp_path):
+    path = tmp_path / "log.ndjson"
+    path.write_text("\n  " + GOOD_LINE + "\t\n\n"
+                    + GOOD_LINE.replace('"seq":1', '"seq":NaN') + "\n")
+    events = read_event_log(path)
+    assert events[0] == json.loads(GOOD_LINE)
+    assert events[1]["seq"] != events[1]["seq"]  # NaN, as json.loads reads it
 
 
 def test_unknown_kind_is_corrupt(tmp_path):
@@ -154,14 +203,15 @@ def _bad_events(events, snapshot):
               to=ticket.state.value, actor="e1", messages=[message]),
          TransitionError),
         (dict(base, kind="Assigned", ticket="nope", engineer="e1",
-              messages=[message]), KeyError),
+              messages=[message]), MalformedRecordError),
         # A valid move whose message is malformed: nothing of it lands.
         (dict(base, kind="Assigned", ticket=ticket.id, engineer="e1",
               messages=[dict(message, channel="Pager")]), ValueError),
         (dict(base, kind="MessageDelivered", msg_id="m999999",
-              state="Delivered", retries=0, terminal=False), KeyError),
+              state="Delivered", retries=0, terminal=False),
+         MalformedRecordError),
         (dict(base, kind="MessageDelivered", msg_id="m000001",
-              state="Failed", retries=7), KeyError),
+              state="Failed", retries=7), MalformedRecordError),
         (dict(base, kind="Exploded"), ValueError),
     ]
 
@@ -177,3 +227,101 @@ def test_a_rejected_event_changes_nothing(case):
         fold_event(snapshot, event)
     # Derived indexes too: vars() compares every field.
     assert vars(snapshot) == vars(before)
+
+
+@pytest.mark.parametrize("event, field, text", [
+    ({"kind": "Created", "reporter": "r1"}, "ticket",
+     "seq 1: missing value in field 'ticket'"),
+    ({"kind": "Created", "ticket": "T1-1"}, "reporter",
+     "seq 1: missing value in field 'reporter'"),
+    ({"kind": "Assigned", "ticket": "T1-9", "engineer": "e1"}, "ticket",
+     "seq 1: unknown ticket 'T1-9' in field 'ticket'"),
+    ({"kind": "Transitioned", "ticket": "T1-9", "to": "Done",
+      "actor": "e1"}, "ticket",
+     "seq 1: unknown ticket 'T1-9' in field 'ticket'"),
+    ({"kind": "MessageDelivered", "msg_id": "m000001", "state": "Delivered",
+      "retries": 0, "terminal": False}, "msg_id",
+     "seq 1: unknown message 'm000001' in field 'msg_id'"),
+    ({"kind": "ReminderSent", "ticket": "T1-1", "index": 1},
+     "reminder_kind", "seq 1: missing value in field 'reminder_kind'"),
+])
+def test_malformed_record_names_seq_and_field(event, field, text):
+    snapshot = replay([], "T1")
+    event = dict(event, seq=1, ts="2025-01-06T09:00:00Z", board="T1")
+    with pytest.raises(MalformedRecordError) as err:
+        fold_event(snapshot, event)
+    assert (err.value.seq, err.value.field, str(err.value)) == \
+        (1, field, text)
+    assert isinstance(err.value, ValueError)
+    assert snapshot == replay([], "T1")
+
+
+def test_malformed_message_names_its_field():
+    created = {"seq": 1, "ts": "2025-01-06T09:00:00Z", "board": "T1",
+               "kind": "Created", "ticket": "T1-1", "reporter": "r1"}
+    wire = {"msg_id": "m000001", "team": "team1", "channel": "ChatA",
+            "kind": "Assignment", "ticket": "T1-1", "text": "hi",
+            "ts": "2025-01-06T09:00:00Z"}
+    for bad, field in [(dict(wire, channel="Pager"), "messages[1].channel"),
+                       ({k: v for k, v in wire.items() if k != "text"},
+                        "messages[1].text")]:
+        snapshot = replay([created])
+        event = {"seq": 2, "ts": "2025-01-06T10:00:00Z", "board": "T1",
+                 "kind": "Assigned", "ticket": "T1-1", "engineer": "e1",
+                 "messages": [wire, bad]}
+        with pytest.raises(MalformedRecordError) as err:
+            fold_event(snapshot, event)
+        assert err.value.field == field
+        assert snapshot == replay([created])
+
+
+def test_replay_needs_a_board_on_the_first_record():
+    with pytest.raises(MalformedRecordError) as err:
+        replay([{"seq": 1, "ts": "2025-01-06T09:00:00Z", "kind": "Created",
+                 "ticket": "T1-1", "reporter": "r1"}])
+    assert err.value.field == "board"
+
+
+class FailingHandle:
+    """A log file handle whose writes fail, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def close(self):
+        pass
+
+
+def test_watermark_follows_appends_and_survives_a_failed_write(tmp_path):
+    path = tmp_path / "x.ndjson"
+    first = {"seq": 1, "ts": "2025-01-06T09:00:00Z", "board": "T1",
+             "kind": "Created", "ticket": "T1-1", "reporter": "r1"}
+    second = dict(first, seq=2, ticket="T1-2")
+    with EventLog(path) as log:
+        assert log.watermark == 0
+        assert log.append([first]) == 1 == log.watermark
+        log.close()
+        log._fh = FailingHandle()
+        with pytest.raises(OSError):
+            log.append([second])
+        assert log.watermark == 1
+        assert log.events == [first]
+        log._fh = None
+        assert log.append([second]) == 2 == log.watermark
+    with EventLog(path) as reopened:
+        assert reopened.watermark == 2
+        assert reopened.events == [first, second]
+
+
+def test_a_message_is_its_events_wire_dict():
+    run = run_simulation(SimConfig(seed=4, horizon_days=2, arrival_rate=6,
+                                   roster_size=3, reminders_enabled=True,
+                                   stuck_threshold_hours=4,
+                                   reminder_period_hours=2))
+    wires = {wire["msg_id"]: wire for event in run.events
+             for wire in event.get("messages", ())}
+    assert wires and wires.keys() == run.snapshot.outbox.keys()
+    for msg_id, msg in run.snapshot.outbox.items():
+        assert msg.wire() is wires[msg_id]
+        assert (msg.msg_id, msg.channel.value) == \
+            (msg_id, wires[msg_id]["channel"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from dispatchbot.workflow import (
     ILLEGAL_EDGE,
+    HistoryEntry,
+    Ticket,
     MISSING_ASSIGNEE,
     STALE_TIMESTAMP,
     TRANSITIONS,
@@ -15,6 +18,7 @@ from dispatchbot.workflow import (
     TransitionError,
     WorkflowState,
     apply_transition,
+    evolve,
     new_ticket,
     reopen,
     valid_transitions,
@@ -144,3 +148,57 @@ def test_random_walks_stay_in_reachable_states(choices):
         rebuilt = apply_transition(rebuilt, entry.to_state, entry.ts,
                                    entry.actor)
     assert rebuilt == t
+
+
+TICKET_CHANGES = st.fixed_dictionaries({}, optional={
+    "assignee": st.none() | st.sampled_from(["e1", "e2"]),
+    "state": st.sampled_from(list(WorkflowState)),
+    "state_entered_at": st.none() | st.just(at(5)),
+    "history": st.just(()),
+    "resolved_at": st.none() | st.just(at(7)),
+    "labels": st.lists(st.sampled_from(["net", "db"])).map(tuple),
+    "priority": st.sampled_from(list(Priority)),
+})
+
+
+@given(changes=TICKET_CHANGES, moves=st.integers(min_value=0, max_value=3))
+def test_evolve_equals_dataclasses_replace(changes, moves):
+    t = replace(ticket(labels=("net",)), assignee="e1")
+    for hour in range(1, moves + 1):
+        t = apply_transition(t, S.DONE if t.state is not S.DONE
+                             else S.WORK_IN_PROGRESS, at(hour), "e1")
+    before = dict(vars(t))
+    copied = evolve(t, **changes)
+    expected = replace(t, **changes)
+    same_instance(copied, expected)
+    assert vars(t) == before  # the source is untouched
+
+
+def same_instance(built, expected):
+    """Equal, with an equal hash, the same fields in the same order and a
+    key-sharing instance dict, as `__init__` makes: a fresh dict assigned
+    to `__dict__` would be larger."""
+    assert type(built) is type(expected)
+    assert built == expected
+    assert hash(built) == hash(expected)
+    assert list(vars(built).items()) == list(vars(expected).items())
+    assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(expected))
+
+
+@given(priority=st.sampled_from(list(Priority)),
+       labels=st.lists(st.sampled_from(["net", "db"])).map(tuple),
+       explicit_sla=st.booleans())
+def test_new_ticket_equals_the_dataclass_init(priority, labels,
+                                              explicit_sla):
+    sla = at(50) if explicit_sla else None
+    built = new_ticket("T1-5", "T1", "r1", at(1), priority, sla, labels)
+    same_instance(built, Ticket(
+        id="T1-5", board_id="T1", reporter="r1", created_at=at(1),
+        sla_deadline=built.sla_deadline, priority=priority,
+        state_entered_at=at(1), labels=labels))
+
+
+def test_history_entry_equals_the_dataclass_init():
+    t = apply_transition(ticket(), S.DONE, at(1), "e1")
+    same_instance(t.history[-1], HistoryEntry(
+        ts=at(1), from_state=S.BACKLOG, to_state=S.DONE, actor="e1"))
