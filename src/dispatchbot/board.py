@@ -532,7 +532,8 @@ class BoardRuntime:
     def run_cycle(self, now: datetime) -> CycleReport:
         """One bot pass: assign new unassigned tickets, evaluate due
         reminders (skipping tickets assigned this very cycle), then flush
-        the outbox through the sinks. Sink failures never abort the cycle.
+        the outbox through the sinks, and flush the log. Sink failures
+        never abort the cycle.
         """
         report = CycleReport(now=now)
         assigned_now: set[str] = set()
@@ -569,6 +570,7 @@ class BoardRuntime:
             self._touched.clear()
 
         self._flush_outbox(now, report)
+        self.log.flush()
         return report
 
     def _remind(self, now: datetime, assigned_now: set[str],

@@ -31,8 +31,9 @@ from .notify import (
 )
 from .timeutil import parse_ts
 from .workflow import (
-    Priority,
-    ReopenMode,
+    PRIORITY_BY_VALUE,
+    REOPEN_BY_VALUE,
+    STATE_BY_VALUE,
     Ticket,
     WorkflowState,
     apply_transition,
@@ -67,7 +68,8 @@ class DuplicateTicketError(ValueError):
 
 class MalformedRecordError(ValueError):
     """A parseable record the fold cannot apply: a field it reads is
-    missing, or names a ticket or message the board does not know."""
+    missing, is not a timestamp or a known Enum value where one is due, or
+    names a ticket or message the board does not know."""
 
     def __init__(self, seq, field: str, detail: str):
         self.seq = seq
@@ -120,8 +122,30 @@ def _reindex(snapshot: BoardSnapshot, ticket: Ticket) -> None:
         snapshot.unassigned_backlog.discard(ticket.id)
 
 
-def _messages(seq: int, wires: list[dict]) -> list[OutboundMessage]:
-    """The outbox entries for an event's wire dicts, which they keep."""
+def _timestamp(seq: int, name: str, raw):
+    """`raw` parsed by `parse_ts`; a value it cannot read is malformed."""
+    if type(raw) is str:
+        try:
+            return parse_ts(raw)
+        except (ValueError, OverflowError):
+            pass
+    raise MalformedRecordError(seq, name, f"bad timestamp {raw!r}")
+
+
+def _member(seq: int, name: str, by_value: dict, raw):
+    """The Enum member whose value is `raw`, looked up in `by_value`."""
+    try:
+        return by_value[raw]
+    except (KeyError, TypeError):  # TypeError: a list or an object
+        raise MalformedRecordError(seq, name,
+                                   f"unknown value {raw!r}") from None
+
+
+def _messages(seq: int, wires: list[dict],
+              event_ts: str) -> list[OutboundMessage]:
+    """The outbox entries for an event's wire dicts, which they keep. A
+    message's `ts` must parse; the runtime gives each message its event's
+    `ts`, which is parsed already."""
     messages = []
     for i, wire in enumerate(wires):
         channel = CHANNEL_BY_VALUE.get(wire.get("channel"))
@@ -133,6 +157,8 @@ def _messages(seq: int, wires: list[dict]) -> list[OutboundMessage]:
                 name = "channel"
                 detail = f"unknown channel {wire['channel']!r}"
             raise MalformedRecordError(seq, f"messages[{i}].{name}", detail)
+        if wire["ts"] != event_ts:
+            _timestamp(seq, f"messages[{i}].ts", wire["ts"])
         messages.append(OutboundMessage.from_wire(wire, channel))
     return messages
 
@@ -164,9 +190,9 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
 
 def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
     kind = event["kind"]
-    ts = parse_ts(event["ts"])
+    ts = _timestamp(seq, "ts", event["ts"])
     wires = event.get("messages")
-    messages = _messages(seq, wires) if wires else ()
+    messages = _messages(seq, wires, event["ts"]) if wires else ()
     msg_counter = snapshot.msg_counter
     for msg in messages:
         msg_counter = max(msg_counter, int(msg.msg_id.lstrip("m")))
@@ -179,8 +205,10 @@ def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
             board_id=event["board"],
             reporter=event["reporter"],
             created_at=ts,
-            priority=Priority(event.get("priority", "Medium")),
-            sla_deadline=(parse_ts(event["sla_deadline"])
+            priority=_member(seq, "priority", PRIORITY_BY_VALUE,
+                             event.get("priority", "Medium")),
+            sla_deadline=(_timestamp(seq, "sla_deadline",
+                                     event["sla_deadline"])
                           if event.get("sla_deadline") else None),
             labels=tuple(event.get("labels", ())),
         )
@@ -188,11 +216,12 @@ def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
     elif kind == KIND_TRANSITIONED:
         ticket = _ticket(snapshot, event)
         if event.get("reopen_mode"):
-            ticket = reopen(ticket, ReopenMode(event["reopen_mode"]), ts,
-                            event["actor"])
+            mode = _member(seq, "reopen_mode", REOPEN_BY_VALUE,
+                           event["reopen_mode"])
+            ticket = reopen(ticket, mode, ts, event["actor"])
         else:
-            ticket = apply_transition(ticket, WorkflowState(event["to"]), ts,
-                                      event["actor"])
+            to = _member(seq, "to", STATE_BY_VALUE, event["to"])
+            ticket = apply_transition(ticket, to, ts, event["actor"])
         _reindex(snapshot, ticket)
         # A state change resets the stuck clock, so the next spell's
         # escalations restart at index 1. The stream is prefix-closed,
@@ -279,6 +308,12 @@ class EventLog:
         self.events.extend(events)
         self.watermark = expected - 1
         return self.watermark
+
+    def flush(self) -> None:
+        """Hand every appended line to the OS, so that another reader of
+        the file sees it. A no-op for an in-memory log."""
+        if self._fh is not None:
+            self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:

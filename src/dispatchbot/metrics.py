@@ -79,19 +79,6 @@ def resolved_counts(tickets: Iterable[Ticket],
     return counts
 
 
-def per_engineer_avg_time(tickets: Iterable[Ticket]) -> dict[str, timedelta]:
-    """Mean resolution time grouped by final assignee; engineers without a
-    resolved ticket are omitted."""
-    sums: dict[str, timedelta] = {}
-    counts: dict[str, int] = {}
-    for t in tickets:
-        if t.state is not WorkflowState.DONE or t.assignee is None:
-            continue
-        sums[t.assignee] = sums.get(t.assignee, timedelta(0)) + resolution_time(t)
-        counts[t.assignee] = counts.get(t.assignee, 0) + 1
-    return {e: sums[e] / counts[e] for e in sums}
-
-
 @dataclass(frozen=True)
 class DistributionReport:
     team_id: str
@@ -111,7 +98,6 @@ class ResolutionReport:
     period: str
     avg_resolution: timedelta
     formatted: str
-    per_engineer_avg: dict[str, timedelta]
 
 
 def build_distribution_report(team_id: str, period: str,
@@ -146,7 +132,6 @@ def build_resolution_report(team_id: str, period: str,
         period=period,
         avg_resolution=avg,
         formatted=format_duration(avg),
-        per_engineer_avg=per_engineer_avg_time(resolved),
     )
 
 

@@ -35,11 +35,20 @@ STATE_PENDING = "Pending"
 STATE_DELIVERED = "Delivered"
 STATE_FAILED = "Failed"
 
-#: Compact, key-sorted JSON: the bytes of an event-log line and of a
-#: channel-file line. One prebuilt encoder, not one per call, and no
-#: cycle check: a record is a tree of dicts and lists.
-compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                check_circular=False).encode
+#: The C encoder that `JSONEncoder(sort_keys=True, separators=(",", ":"),
+#: check_circular=False).encode` would build on every call, built once
+#: with the same arguments: the same bytes, and the same `TypeError` for
+#: a value JSON cannot hold. No cycle check: a record is a tree of dicts
+#: and lists.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True)
+
+
+def compact_json(value) -> str:
+    """Compact, key-sorted JSON: the bytes of an event-log line and of a
+    channel-file line."""
+    return "".join(_encode(value, 0))
 
 
 class Channel(str, Enum):
@@ -257,9 +266,13 @@ class FileSink:
         fh = self._files.get(message.channel)
         try:
             if fh is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
                 path = self.directory / f"{message.channel.value}.ndjson"
-                fh = path.open("a", encoding="utf-8")
+                try:
+                    fh = path.open("a", encoding="utf-8")
+                except FileNotFoundError:
+                    # The directory is new, or was deleted: make it.
+                    self.directory.mkdir(parents=True, exist_ok=True)
+                    fh = path.open("a", encoding="utf-8")
                 self._files[message.channel] = fh
             fh.write(line)
             fh.flush()

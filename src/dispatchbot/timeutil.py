@@ -22,8 +22,10 @@ _CODEC_CACHE = 1024
 
 @lru_cache(maxsize=_CODEC_CACHE)
 def iso(ts: datetime) -> str:
-    """Render an aware timestamp as ISO-8601 UTC with a Z suffix."""
-    return ts.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render an aware timestamp as ISO-8601 UTC with a Z suffix, to the
+    second, with a four-digit year (`parse_ts` reads every year back)."""
+    return ts.astimezone(UTC).replace(microsecond=0,
+                                      tzinfo=None).isoformat() + "Z"
 
 
 @lru_cache(maxsize=_CODEC_CACHE)

@@ -34,6 +34,11 @@ class ReopenMode(str, Enum):
     TO_SAME_ENGINEER = "ToSameEngineer"
 
 
+#: Each member by its wire value: a dict lookup, not an Enum call.
+STATE_BY_VALUE = {state.value: state for state in WorkflowState}
+PRIORITY_BY_VALUE = {priority.value: priority for priority in Priority}
+REOPEN_BY_VALUE = {mode.value: mode for mode in ReopenMode}
+
 _S = WorkflowState
 
 #: Legal moves out of each state. ReadyToStart is optional and may be

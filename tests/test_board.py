@@ -583,6 +583,20 @@ def log_bytes(runtime) -> bytes:
     return runtime.log.path.read_bytes()
 
 
+def test_a_cycle_hands_the_log_to_a_second_reader(tmp_path):
+    path = tmp_path / "T1.events.ndjson"
+    runtime = file_log_runtime(path)
+    with runtime.log:
+        for i in range(1, 4):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
+        runtime.run_cycle(at(1))
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
+        runtime.run_cycle(at(3))
+        assert len(runtime.log.events) == 11
+        assert read_event_log(path) == runtime.log.events
+
+
 class TestAtomicCommit:
     """A rejected command leaves the log, its file and the snapshot as
     they were, and the board keeps running."""

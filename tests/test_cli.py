@@ -156,6 +156,11 @@ class TestRun:
             capsys.readouterr().err
 
 
+#: A first log line for the records that need a known ticket.
+CREATED = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+           '"kind":"Created","ticket":"T1-1","reporter":"r1"}\n')
+
+
 class TestReplay:
     def test_clean_log_replays_ok(self, tmp_path, capsys):
         run_simulation(SimConfig(seed=3, horizon_days=2, arrival_rate=4,
@@ -197,7 +202,31 @@ class TestReplay:
          '"kind":"MessageDelivered","msg_id":"m000001","state":"Delivered",'
          '"retries":0,"terminal":false}',
          "seq 1: unknown message 'm000001' in field 'msg_id'"),
-    ], ids=["missing-field", "unknown-ticket", "unknown-message"])
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1",'
+         '"priority":"Urgent"}',
+         "seq 1: unknown value 'Urgent' in field 'priority'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Transitioned","ticket":"T1-1","to":"Nope","actor":"e1"}',
+         "seq 2: unknown value 'Nope' in field 'to'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Transitioned","ticket":"T1-1","to":5,"actor":"e1"}',
+         "seq 2: unknown value 5 in field 'to'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Transitioned","ticket":"T1-1","to":"Backlog",'
+         '"actor":"e1","reopen_mode":"Sideways"}',
+         "seq 2: unknown value 'Sideways' in field 'reopen_mode'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":"e1","messages":['
+         '{"channel":"ChatA","kind":"Assignment","msg_id":"m000001",'
+         '"team":"team1","text":"hi","ticket":"T1-1","ts":"not a time"}]}',
+         "seq 2: bad timestamp 'not a time' in field 'messages[0].ts'"),
+        (CREATED + '{"seq":2,"ts":5,"board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":"e1"}',
+         "seq 2: bad timestamp 5 in field 'ts'"),
+    ], ids=["missing-field", "unknown-ticket", "unknown-message",
+            "unknown-priority", "unknown-state", "state-int",
+            "unknown-reopen-mode", "message-ts", "event-ts"])
     def test_unfoldable_record_is_runtime_error(self, tmp_path, capsys,
                                                 command, record, error):
         log = tmp_path / "log.ndjson"

@@ -197,7 +197,7 @@ def _bad_events(events, snapshot):
         (dict(created, seq=seq, ts=ts, reporter="someone else"),
          DuplicateTicketError),
         (dict(base, kind="Transitioned", ticket=ticket.id, to="Bogus",
-              actor="e1"), ValueError),
+              actor="e1"), MalformedRecordError),
         # A move to the state it is in is never an edge.
         (dict(base, kind="Transitioned", ticket=ticket.id,
               to=ticket.state.value, actor="e1", messages=[message]),
@@ -275,6 +275,62 @@ def test_malformed_message_names_its_field():
         assert snapshot == replay([created])
 
 
+CREATED = {"seq": 1, "ts": "2025-01-06T09:00:00Z", "board": "T1",
+           "kind": "Created", "ticket": "T1-1", "reporter": "r1"}
+WIRE = {"msg_id": "m000001", "team": "team1", "channel": "ChatA",
+        "kind": "Assignment", "ticket": "T1-1", "text": "hi",
+        "ts": "2025-01-06T10:00:00Z"}
+ASSIGNED = {"kind": "Assigned", "ticket": "T1-1", "engineer": "e1"}
+MOVED = {"kind": "Transitioned", "ticket": "T1-1", "actor": "e1"}
+
+
+@pytest.mark.parametrize("event, field, text", [
+    ({"kind": "Created", "ticket": "T1-2", "reporter": "r1",
+      "priority": "Urgent"}, "priority",
+     "seq 2: unknown value 'Urgent' in field 'priority'"),
+    (dict(MOVED, to="Nope"), "to",
+     "seq 2: unknown value 'Nope' in field 'to'"),
+    (dict(MOVED, to=5), "to", "seq 2: unknown value 5 in field 'to'"),
+    (dict(MOVED, to=["Done"]), "to",
+     "seq 2: unknown value ['Done'] in field 'to'"),
+    (dict(MOVED, to="Backlog", reopen_mode="Sideways"), "reopen_mode",
+     "seq 2: unknown value 'Sideways' in field 'reopen_mode'"),
+    (dict(ASSIGNED, ts="not a time"), "ts",
+     "seq 2: bad timestamp 'not a time' in field 'ts'"),
+    (dict(ASSIGNED, ts=5), "ts", "seq 2: bad timestamp 5 in field 'ts'"),
+    (dict(ASSIGNED, ts="0001-01-01T00:00:00+05:00"), "ts",
+     "seq 2: bad timestamp '0001-01-01T00:00:00+05:00' in field 'ts'"),
+    ({"kind": "Created", "ticket": "T1-2", "reporter": "r1",
+      "sla_deadline": "soon"}, "sla_deadline",
+     "seq 2: bad timestamp 'soon' in field 'sla_deadline'"),
+    (dict(ASSIGNED, messages=[WIRE, dict(WIRE, ts="not a time")]),
+     "messages[1].ts",
+     "seq 2: bad timestamp 'not a time' in field 'messages[1].ts'"),
+    (dict(ASSIGNED, messages=[dict(WIRE, ts=5)]), "messages[0].ts",
+     "seq 2: bad timestamp 5 in field 'messages[0].ts'"),
+    (dict(ASSIGNED, messages=[dict(WIRE, ts=None)]), "messages[0].ts",
+     "seq 2: bad timestamp None in field 'messages[0].ts'"),
+], ids=["priority", "state", "state-int", "state-list", "reopen-mode", "ts",
+        "ts-int", "ts-out-of-range", "sla-deadline", "message-ts",
+        "message-ts-int", "message-ts-null"])
+def test_unknown_value_or_bad_timestamp_changes_nothing(event, field, text):
+    snapshot = replay([CREATED])
+    event = {"seq": 2, "ts": "2025-01-06T10:00:00Z", "board": "T1", **event}
+    with pytest.raises(MalformedRecordError) as err:
+        fold_event(snapshot, event)
+    assert (err.value.seq, err.value.field, str(err.value)) == \
+        (2, field, text)
+    assert vars(snapshot) == vars(replay([CREATED]))
+
+
+def test_a_message_may_carry_another_timestamp_than_its_event():
+    earlier = dict(WIRE, ts="2025-01-06T09:30:00+00:00")
+    snapshot = replay([CREATED, {"seq": 2, "ts": "2025-01-06T10:00:00Z",
+                                 "board": "T1", **ASSIGNED,
+                                 "messages": [earlier]}])
+    assert snapshot.outbox["m000001"].wire() is earlier
+
+
 def test_replay_needs_a_board_on_the_first_record():
     with pytest.raises(MalformedRecordError) as err:
         replay([{"seq": 1, "ts": "2025-01-06T09:00:00Z", "kind": "Created",
@@ -311,6 +367,18 @@ def test_watermark_follows_appends_and_survives_a_failed_write(tmp_path):
     with EventLog(path) as reopened:
         assert reopened.watermark == 2
         assert reopened.events == [first, second]
+
+
+def test_flush_hands_appended_lines_to_a_second_reader(tmp_path):
+    path = tmp_path / "x.ndjson"
+    with EventLog(path) as log:
+        log.append([CREATED])
+        log.flush()
+        assert read_event_log(path) == log.events == [CREATED]
+    memory = EventLog()
+    memory.append([CREATED])
+    memory.flush()
+    assert memory.events == [CREATED]
 
 
 def test_a_message_is_its_events_wire_dict():

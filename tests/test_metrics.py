@@ -21,7 +21,6 @@ from dispatchbot.metrics import (
     distribution_stats,
     format_duration,
     parse_duration,
-    per_engineer_avg_time,
     resolution_csv,
     resolution_time,
     round2,
@@ -141,21 +140,6 @@ class TestResolutionTime:
             resolution_time(t)
         t = apply_transition(t, WorkflowState.DONE, at(30), "e1")
         assert resolution_time(t) == timedelta(hours=30)
-
-
-class TestPerEngineerAvg:
-    def test_groups_by_final_assignee(self):
-        tickets = [resolved("T1-1", "e1", 10), resolved("T1-2", "e1", 20),
-                   resolved("T1-3", "e2", 6)]
-        avgs = per_engineer_avg_time(tickets)
-        assert avgs == {"e1": timedelta(hours=15), "e2": timedelta(hours=6)}
-
-    def test_reassigned_ticket_counts_for_new_assignee(self):
-        t = replace(resolved("T1-1", "e1", 10), assignee="e2")
-        assert per_engineer_avg_time([t]) == {"e2": timedelta(hours=10)}
-
-    def test_open_tickets_ignored(self):
-        assert per_engineer_avg_time([ticket()]) == {}
 
 
 class TestReports:

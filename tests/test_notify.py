@@ -9,9 +9,12 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from datetime import datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dispatchbot.assignment import AssignmentDecision
 from dispatchbot.board import BoardRuntime
@@ -28,6 +31,7 @@ from dispatchbot.notify import (
     WebhookSink,
     assignment_text,
     attempt_delivery,
+    compact_json,
     reminder_text,
     route_reminder,
     state_change_text,
@@ -99,6 +103,44 @@ class TestRouting:
             ChannelBinding("team1", {Channel.EMAIL: "out"}, Channel.CHAT_A)
         with pytest.raises(BindingError):
             ChannelBinding("team1", {}, Channel.CHAT_A)
+
+
+#: Any JSON value: every string (non-ASCII, control characters and lone
+#: surrogates included), ints far past 64 bits, every float (NaN and
+#: infinities included), bools and null, nested in lists and objects.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-10**40, max_value=10**40)
+    | st.text(st.characters(blacklist_categories=())),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24)
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class TestCompactJson:
+    @given(json_values)
+    def test_equals_json_dumps(self, value):
+        assert compact_json(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {"a": {1, 2}}, [b"bytes"], datetime(2025, 1, 6), object(),
+        {1: "a", "b": 2}, {(1, 2): 3},
+    ], ids=["set", "bytes", "datetime", "object", "mixed-keys",
+            "tuple-key"])
+    def test_a_value_json_cannot_hold_raises_the_same_error(self, value):
+        with pytest.raises(TypeError) as ours:
+            compact_json(value)
+        with pytest.raises(TypeError) as theirs:
+            dumps(value)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_tuples_and_int_keys_as_json_dumps_writes_them(self):
+        value = {2: (1, "x"), 10: None, -1: [True, 1.5e300]}
+        assert compact_json(value) == dumps(value)
 
 
 class ScriptedSink:
@@ -358,6 +400,27 @@ class TestFileSinkFlush:
         runtime.inject_ticket("T1-2", "r1", at(0, seconds=20))
         runtime.run_cycle(at(0, seconds=30))
         assert channel_lines(channels) == {"ChatA": ["m000002"]}
+
+    def test_directory_made_only_when_missing(self, tmp_path, monkeypatch):
+        made = []
+        inner = pathlib.Path.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            made.append(path)
+            return inner(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", mkdir)
+        channels = tmp_path / "a" / "channels"
+        runtime = file_runtime(channels)
+        for hour in range(3):
+            runtime.inject_ticket(f"T1-{hour}", "r1", at(hour))
+            runtime.run_cycle(at(hour, seconds=10))
+            # The first flush makes the directory and its missing parent.
+            assert made == ([channels, channels.parent, channels]
+                            if hour == 0 else [])
+            del made[:]
+        delivered = sum(channel_lines(channels).values(), [])
+        assert sorted(delivered) == sorted(runtime.snapshot.outbox)
 
     def test_write_failure_retried_through_a_fresh_handle(self, tmp_path,
                                                           monkeypatch):
