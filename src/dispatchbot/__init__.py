@@ -33,7 +33,6 @@ from .workflow import (
     apply_transition,
     new_ticket,
     reopen,
-    valid_transitions,
 )
 
 __version__ = "0.1.0"

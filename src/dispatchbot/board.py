@@ -11,17 +11,19 @@ never diverge.
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
 resumes each reminder stream after its highest sent index and flushes
-only the pending-outbox index, all of which the fold maintains in the
-snapshot. Reminders are evaluated only for the tickets that changed since
-their last evaluation or whose next reminder boundary has passed, found
-through a next-due min-heap. The reminder policy is configuration, not
-log state, so that schedule lives in the runtime rather than in the
-snapshot; a restart rebuilds it by evaluating every open ticket once.
+the outbox, which holds only pending messages; the fold maintains all
+three in the snapshot. Reminders are evaluated only for the tickets that
+changed since their last evaluation or whose next reminder boundary has
+passed, found through a next-due min-heap. The reminder policy is
+configuration, not log state, so that schedule lives in the runtime
+rather than in the snapshot; a restart rebuilds it by evaluating every
+open ticket once.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -420,14 +422,8 @@ class BoardRuntime:
 
     def _make_msg_id(self):
         # Allocates ids ahead of the fold that will bump msg_counter.
-        state = {"next": self.snapshot.msg_counter + 1}
-
-        def make_id() -> str:
-            msg_id = f"m{state['next']:06d}"
-            state["next"] += 1
-            return msg_id
-
-        return make_id
+        return map("m{:06d}".format,
+                   itertools.count(self.snapshot.msg_counter + 1)).__next__
 
     # -- external board writes --------------------------------------------
 
@@ -456,10 +452,9 @@ class BoardRuntime:
         payload: dict = {"ticket": ticket_id, "from": ticket.state.value,
                          "to": to.value, "actor": actor}
         if announce:
-            msg = announce_state_change(ticket_id, ticket.state, to, at,
-                                        self.config.binding,
-                                        self._make_msg_id())
-            payload["messages"] = [msg.wire()]
+            payload["messages"] = [announce_state_change(
+                ticket_id, ticket.state, to, at, self.config.binding,
+                self._make_msg_id())]
         self._commit(KIND_TRANSITIONED, at, payload)
         return self.snapshot.tickets[ticket_id]
 
@@ -468,15 +463,15 @@ class BoardRuntime:
         ticket = self.snapshot.tickets[ticket_id]
         to = (WorkflowState.BACKLOG if mode is ReopenMode.TO_BACKLOG
               else WorkflowState.WORK_IN_PROGRESS)
-        msg = announce_state_change(ticket_id, ticket.state, to, at,
-                                    self.config.binding, self._make_msg_id())
+        wire = announce_state_change(ticket_id, ticket.state, to, at,
+                                     self.config.binding, self._make_msg_id())
         self._commit(KIND_TRANSITIONED, at, {
             "ticket": ticket_id,
             "from": ticket.state.value,
             "to": to.value,
             "actor": actor,
             "reopen_mode": mode.value,
-            "messages": [msg.wire()],
+            "messages": [wire],
         })
         return self.snapshot.tickets[ticket_id]
 
@@ -490,13 +485,13 @@ class BoardRuntime:
         decision = AssignmentDecision(
             ticket_id=ticket_id, engineer_id=to, policy=POLICY_MANUAL,
             decided_at=at, cursor_after=None)
-        msg = announce_assignment(decision, self.config.binding,
-                                  self._make_msg_id())
+        wire = announce_assignment(decision, self.config.binding,
+                                   self._make_msg_id())
         self._commit(KIND_REASSIGNED, at, {
             "ticket": ticket_id,
             "engineer": to,
             "from_engineer": ticket.assignee,
-            "messages": [msg.wire()],
+            "messages": [wire],
         })
         return decision
 
@@ -551,14 +546,14 @@ class BoardRuntime:
             if decision is None:
                 report.unassigned_pending += 1
                 continue
-            msg = announce_assignment(decision, self.config.binding,
-                                      self._make_msg_id())
+            wire = announce_assignment(decision, self.config.binding,
+                                       self._make_msg_id())
             self._commit(KIND_ASSIGNED, now, {
                 "ticket": ticket.id,
                 "engineer": decision.engineer_id,
                 "policy": decision.policy,
                 "cursor_after": decision.cursor_after,
-                "messages": [msg.wire()],
+                "messages": [wire],
             })
             report.assigned += 1
             report.assignments.append((ticket.id, decision.engineer_id))
@@ -597,14 +592,13 @@ class BoardRuntime:
                 next_due.pop(tid, None)
         for reminder in due_reminders(tickets, now, policy,
                                       self.snapshot.reminder_ledger):
-            messages = route_reminder(reminder, self.config.binding,
-                                      self._make_msg_id())
             self._commit(KIND_REMINDER_SENT, now, {
                 "ticket": reminder.ticket_id,
                 "reminder_kind": reminder.kind.value,
                 "index": reminder.escalation_index,
                 "recipients": list(reminder.recipients),
-                "messages": [m.wire() for m in messages],
+                "messages": route_reminder(reminder, self.config.binding,
+                                           self._make_msg_id()),
             })
             report.reminders_sent += 1
         for ticket in tickets:
@@ -614,12 +608,12 @@ class BoardRuntime:
                 heapq.heappush(heap, (instant, ticket.id))
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
-        pending = self.snapshot.pending_outbox
-        if not pending:
+        outbox = self.snapshot.outbox
+        if not outbox:
             return
         try:
-            for msg_id in list(pending):
-                msg = self.snapshot.outbox[msg_id]
+            # Each settling record removes its message from the outbox.
+            for msg_id, msg in list(outbox.items()):
                 state, retries, terminal = attempt_delivery(
                     msg, self._sinks.get(msg.channel),
                     self.config.max_retries)

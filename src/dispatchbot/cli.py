@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .board import BoardRuntime, ConfigError, load_team_config
 from .eventlog import (
+    BoardSnapshot,
     CorruptRecordError,
     DuplicateTicketError,
     EventLog,
@@ -151,15 +152,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.log)
+def _replay_log(log: str) -> tuple[list[dict], BoardSnapshot] | int:
+    """The events of the log file `log` and their snapshot, or the exit
+    code after saying on stderr why there are none."""
+    path = Path(log)
     if not path.exists():
         return _fail(EXIT_VALIDATION, f"event log not found: {path}")
     try:
         events = read_event_log(path)
-        snapshot = replay(events)
+        return events, replay(events)
     except REPLAY_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"{path}: {exc}")
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    replayed = _replay_log(args.log)
+    if type(replayed) is int:
+        return replayed
+    _, snapshot = replayed
 
     tickets = list(snapshot.tickets.values())
     team = snapshot.board_id or "board"
@@ -187,14 +197,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    path = Path(args.log)
-    if not path.exists():
-        return _fail(EXIT_VALIDATION, f"event log not found: {path}")
-    try:
-        events = read_event_log(path)
-        snapshot = replay(events)
-    except REPLAY_ERRORS as exc:
-        return _fail(EXIT_RUNTIME, f"{path}: {exc}")
+    replayed = _replay_log(args.log)
+    if type(replayed) is int:
+        return replayed
+    events, snapshot = replayed
     print(f"replayed {len(events)} events, watermark {snapshot.watermark}, "
           f"{len(snapshot.tickets)} tickets")
     if args.assert_consistency:

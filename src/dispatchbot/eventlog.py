@@ -5,19 +5,24 @@ Each board persists as one newline-delimited JSON file; every record is
 over the records, so any prefix of the log replays to a consistent
 snapshot and live state always equals replay of what was written.
 
-The fold also keeps derived indexes (open tickets, the unassigned backlog,
-the pending outbox) so that a cycle reads only what is new, never the
-whole history. They hold nothing the log does not: `replay` rebuilds them,
-and snapshot equality ignores them.
+The fold also keeps derived indexes (open tickets, the unassigned
+backlog) so that a cycle reads only what is new, never the whole history.
+They hold nothing the log does not: `replay` rebuilds them, and snapshot
+equality ignores them.
 
-Each record is parsed once and folded once. A message lives in the
-outbox as the wire dict its event carries, shared with the event and
-sent by the sinks as it is (see `notify`), so it is never rebuilt.
+The outbox is the set of pending messages, in commit order. A message
+enters it with the event that announces it and leaves it with the
+`MessageDelivered` record that settles it (delivered, or failed for
+good); the snapshot keeps only a count of settled messages per channel
+and outcome. Each record is parsed once and folded once. A message lives
+in the outbox as the wire dict its event carries, shared with the event
+and sent by the sinks as it is (see `notify`), so it is never rebuilt.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -26,6 +31,7 @@ from .notify import (
     CHANNEL_BY_VALUE,
     STATE_DELIVERED,
     WIRE_FIELDS,
+    Channel,
     OutboundMessage,
     compact_json,
 )
@@ -97,7 +103,10 @@ class BoardSnapshot:
     #: (ticket id, reminder kind, escalation index) already sent. Each
     #: (ticket, kind) stream is prefix-closed: it holds indices 1..n.
     reminder_ledger: set = field(default_factory=set)
+    #: Pending messages by msg id, in commit order.
     outbox: dict[str, OutboundMessage] = field(default_factory=dict)
+    #: (channel, final delivery state) -> number of settled messages.
+    settled: dict[tuple[Channel, str], int] = field(default_factory=dict)
     assign_counts: dict[str, int] = field(default_factory=dict)
     msg_counter: int = 0
     watermark: int = 0
@@ -105,9 +114,6 @@ class BoardSnapshot:
     # excluded from equality. The log stays the only source of truth.
     unassigned_backlog: set = field(default_factory=set, compare=False)
     open_tickets: set = field(default_factory=set, compare=False)
-    #: msg ids neither delivered nor terminal, in outbox order (values
-    #: unused); a failed message that will be retried keeps its place.
-    pending_outbox: dict = field(default_factory=dict, compare=False)
 
 
 def _reindex(snapshot: BoardSnapshot, ticket: Ticket) -> None:
@@ -141,13 +147,22 @@ def _member(seq: int, name: str, by_value: dict, raw):
                                    f"unknown value {raw!r}") from None
 
 
-def _messages(seq: int, wires: list[dict],
-              event_ts: str) -> list[OutboundMessage]:
+#: Matches a whole msg id: "m" and ASCII digits.
+_MSG_ID = re.compile(r"m[0-9]+\Z").match
+
+
+def _messages(seq: int, wires, event_ts: str) -> list[OutboundMessage]:
     """The outbox entries for an event's wire dicts, which they keep. A
     message's `ts` must parse; the runtime gives each message its event's
     `ts`, which is parsed already."""
+    if type(wires) is not list:
+        raise MalformedRecordError(seq, "messages",
+                                   f"not a list: {wires!r}")
     messages = []
     for i, wire in enumerate(wires):
+        if type(wire) is not dict:
+            raise MalformedRecordError(seq, f"messages[{i}]",
+                                       f"not an object: {wire!r}")
         channel = CHANNEL_BY_VALUE.get(wire.get("channel"))
         if channel is None or not WIRE_FIELDS <= wire.keys():
             missing = sorted(WIRE_FIELDS - wire.keys())
@@ -157,9 +172,13 @@ def _messages(seq: int, wires: list[dict],
                 name = "channel"
                 detail = f"unknown channel {wire['channel']!r}"
             raise MalformedRecordError(seq, f"messages[{i}].{name}", detail)
+        msg_id = wire["msg_id"]
+        if type(msg_id) is not str or not _MSG_ID(msg_id):
+            raise MalformedRecordError(seq, f"messages[{i}].msg_id",
+                                       f"bad message id {msg_id!r}")
         if wire["ts"] != event_ts:
             _timestamp(seq, f"messages[{i}].ts", wire["ts"])
-        messages.append(OutboundMessage.from_wire(wire, channel))
+        messages.append(OutboundMessage(wire, channel))
     return messages
 
 
@@ -191,11 +210,11 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
 def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
     kind = event["kind"]
     ts = _timestamp(seq, "ts", event["ts"])
-    wires = event.get("messages")
-    messages = _messages(seq, wires, event["ts"]) if wires else ()
+    messages = (_messages(seq, event["messages"], event["ts"])
+                if "messages" in event else ())
     msg_counter = snapshot.msg_counter
     for msg in messages:
-        msg_counter = max(msg_counter, int(msg.msg_id.lstrip("m")))
+        msg_counter = max(msg_counter, int(msg.msg_id[1:]))
 
     if kind == KIND_CREATED:
         if event["ticket"] in snapshot.tickets:
@@ -246,22 +265,25 @@ def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
         snapshot.reminder_ledger.add(
             (event["ticket"], event["reminder_kind"], event["index"]))
     elif kind == KIND_MESSAGE_DELIVERED:
-        msg = snapshot.outbox.get(event["msg_id"])
+        msg_id, state, retries, terminal = (
+            event["msg_id"], event["state"], event["retries"],
+            event["terminal"])
+        msg = snapshot.outbox.get(msg_id)
         if msg is None:
-            raise MalformedRecordError(
-                seq, "msg_id", f"unknown message {event['msg_id']!r}")
-        state, retries, terminal = (event["state"], event["retries"],
-                                    event["terminal"])
-        msg.delivery_state, msg.retries, msg.terminal = state, retries, terminal
+            # Never announced, or settled already.
+            raise MalformedRecordError(seq, "msg_id",
+                                       f"unknown message {msg_id!r}")
         if state == STATE_DELIVERED or terminal:
-            snapshot.pending_outbox.pop(event["msg_id"], None)
+            del snapshot.outbox[msg_id]
+            key = (msg.channel, state)
+            snapshot.settled[key] = snapshot.settled.get(key, 0) + 1
+        else:
+            msg.retries = retries
     else:
         raise ValueError(f"unknown event kind: {kind}")
 
     for msg in messages:
-        msg_id = msg.msg_id
-        snapshot.outbox[msg_id] = msg
-        snapshot.pending_outbox[msg_id] = None
+        snapshot.outbox[msg.msg_id] = msg
     snapshot.msg_counter = msg_counter
 
 

@@ -6,9 +6,11 @@ object per line) or an http(s) webhook URL (POST the same object).
 Delivery is at-least-once with idempotent message ids; dedup is the
 receiver's concern. `attempt_delivery` is the one retry/terminal rule.
 
-A message is built once, as its wire dict: the payload put on the wire.
-The event that announces it carries that dict, the fold keeps the same
-dict in the outbox's `OutboundMessage`, and every sink sends it as it is.
+The `announce_*` and `route_reminder` templates build each message as its
+wire dict: the payload put on the wire. The event that announces it
+carries that dict, the fold wraps the same dict in the outbox's
+`OutboundMessage` until its delivery settles, and every sink sends it as
+it is.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
@@ -26,12 +28,11 @@ from typing import Protocol, TextIO
 
 from .assignment import AssignmentDecision
 from .reminders import Reminder
-from .timeutil import iso, parse_ts
+from .timeutil import iso
 from .workflow import WorkflowState
 
 DEFAULT_MAX_RETRIES = 3
 
-STATE_PENDING = "Pending"
 STATE_DELIVERED = "Delivered"
 STATE_FAILED = "Failed"
 
@@ -97,70 +98,24 @@ WIRE_FIELDS = frozenset({"msg_id", "team", "channel", "kind", "ticket",
                          "text", "ts"})
 
 
+@dataclass(slots=True)
 class OutboundMessage:
-    """One message: its wire dict and its delivery state.
+    """A pending message in the outbox: its wire dict, its channel and
+    the number of failed attempts to deliver it so far. It is Failed
+    exactly when `retries > 0`; a settled message leaves the outbox.
 
     The wire dict is the payload put on the wire (webhook body / file
     line). It is shared, not copied: the event that announced the message
     holds the same dict, so it must not be mutated.
     """
 
-    __slots__ = ("_wire", "channel", "delivery_state", "retries",
-                 "terminal")
+    wire: dict
+    channel: Channel
+    retries: int = field(default=0, init=False)
 
-    def __init__(self, msg_id: str, team_id: str, channel: Channel,
-                 kind: str, ticket_id: str, text: str, created_at: datetime,
-                 delivery_state: str = STATE_PENDING, retries: int = 0,
-                 terminal: bool = False):
-        self._wire = {
-            "msg_id": msg_id,
-            "team": team_id,
-            "channel": channel.value,
-            "kind": kind,
-            "ticket": ticket_id,
-            "text": text,
-            "ts": iso(created_at),
-        }
-        self.channel = channel
-        self.delivery_state = delivery_state
-        self.retries = retries
-        self.terminal = terminal
-
-    @classmethod
-    def from_wire(cls, wire: dict, channel: Channel) -> OutboundMessage:
-        """A pending message holding `wire`, whose "channel" is `channel`."""
-        message = cls.__new__(cls)
-        message._wire = wire
-        message.channel = channel
-        message.delivery_state = STATE_PENDING
-        message.retries = 0
-        message.terminal = False
-        return message
-
-    def wire(self) -> dict:
-        """The payload put on the wire: the shared dict itself."""
-        return self._wire
-
-    msg_id = property(lambda self: self._wire["msg_id"])
-    team_id = property(lambda self: self._wire["team"])
-    kind = property(lambda self: self._wire["kind"])
-    ticket_id = property(lambda self: self._wire["ticket"])
-    text = property(lambda self: self._wire["text"])
-    created_at = property(lambda self: parse_ts(self._wire["ts"]))
-
-    def _state(self) -> tuple:
-        return (self._wire, self.delivery_state, self.retries, self.terminal)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not OutboundMessage:
-            return NotImplemented
-        return self._state() == other._state()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return (f"OutboundMessage({self._wire!r}, {self.delivery_state!r}, "
-                f"retries={self.retries}, terminal={self.terminal})")
+    @property
+    def msg_id(self) -> str:
+        return self.wire["msg_id"]
 
 
 # ---------------------------------------------------------------------------
@@ -187,49 +142,42 @@ def reminder_text(reminder: Reminder) -> str:
 # Routing
 # ---------------------------------------------------------------------------
 
+def _wire(make_id, binding: ChannelBinding, channel: Channel, kind: str,
+          ticket_id: str, text: str, at: datetime) -> dict:
+    return {
+        "msg_id": make_id(),
+        "team": binding.team_id,
+        "channel": channel.value,
+        "kind": kind,
+        "ticket": ticket_id,
+        "text": text,
+        "ts": iso(at),
+    }
+
+
 def route_reminder(reminder: Reminder, binding: ChannelBinding,
-                   make_id) -> list[OutboundMessage]:
+                   make_id) -> list[dict]:
     """One message per enabled channel."""
-    return [
-        OutboundMessage(
-            msg_id=make_id(),
-            team_id=binding.team_id,
-            channel=channel,
-            kind=reminder.kind.value,
-            ticket_id=reminder.ticket_id,
-            text=reminder_text(reminder),
-            created_at=reminder.generated_at,
-        )
-        for channel in binding.enabled()
-    ]
+    return [_wire(make_id, binding, channel, reminder.kind.value,
+                  reminder.ticket_id, reminder_text(reminder),
+                  reminder.generated_at)
+            for channel in binding.enabled()]
 
 
 def announce_assignment(decision: AssignmentDecision, binding: ChannelBinding,
-                        make_id) -> OutboundMessage:
+                        make_id) -> dict:
     """Exactly one message, to the team's review channel."""
-    return OutboundMessage(
-        msg_id=make_id(),
-        team_id=binding.team_id,
-        channel=binding.review_channel,
-        kind="Assignment",
-        ticket_id=decision.ticket_id,
-        text=assignment_text(decision),
-        created_at=decision.decided_at,
-    )
+    return _wire(make_id, binding, binding.review_channel, "Assignment",
+                 decision.ticket_id, assignment_text(decision),
+                 decision.decided_at)
 
 
 def announce_state_change(ticket_id: str, from_state: WorkflowState,
                           to_state: WorkflowState, at: datetime,
-                          binding: ChannelBinding, make_id) -> OutboundMessage:
-    return OutboundMessage(
-        msg_id=make_id(),
-        team_id=binding.team_id,
-        channel=binding.review_channel,
-        kind="StateChange",
-        ticket_id=ticket_id,
-        text=state_change_text(ticket_id, from_state, to_state, at),
-        created_at=at,
-    )
+                          binding: ChannelBinding, make_id) -> dict:
+    return _wire(make_id, binding, binding.review_channel, "StateChange",
+                 ticket_id, state_change_text(ticket_id, from_state,
+                                              to_state, at), at)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +210,7 @@ class FileSink:
         self._files: dict[Channel, TextIO] = {}
 
     def deliver(self, message: OutboundMessage) -> None:
-        line = compact_json(message.wire()) + "\n"
+        line = compact_json(message.wire) + "\n"
         fh = self._files.get(message.channel)
         try:
             if fh is None:
@@ -306,7 +254,7 @@ class WebhookSink:
         self.timeout = timeout
 
     def deliver(self, message: OutboundMessage) -> None:
-        body = json.dumps(message.wire()).encode("utf-8")
+        body = json.dumps(message.wire).encode("utf-8")
         try:
             request = urllib.request.Request(
                 self.url, data=body, method="POST",
@@ -332,7 +280,7 @@ class MemorySink:
         self.delivered: list[dict] = []
 
     def deliver(self, message: OutboundMessage) -> None:
-        self.delivered.append(message.wire())
+        self.delivered.append(message.wire)
 
 
 _WEBHOOK_SCHEMES = ("http://", "https://")

@@ -79,9 +79,6 @@ class Reminder:
     escalation_index: int
     generated_at: datetime
 
-    def ledger_key(self) -> tuple[str, str, int]:
-        return (self.ticket_id, self.kind.value, self.escalation_index)
-
 
 def _escalations_due(trigger: datetime, now: datetime,
                      period: timedelta) -> int:

@@ -46,10 +46,6 @@ class EngineerRoster:
                 raise ValueError(
                     f"{e.engineer_id}: separated_at before joined_at")
 
-    @property
-    def order(self) -> list[str]:
-        return [e.engineer_id for e in self.entries]
-
     def __contains__(self, engineer_id: str) -> bool:
         return engineer_id in self._ids
 

@@ -156,10 +156,6 @@ def new_ticket(ticket_id: str, board_id: str, reporter: str,
     )
 
 
-def valid_transitions(state: WorkflowState) -> frozenset[WorkflowState]:
-    return TRANSITIONS[state]
-
-
 def apply_transition(ticket: Ticket, to: WorkflowState, at: datetime,
                      actor: str) -> Ticket:
     """Move a ticket to an adjacent state, appending to its history.

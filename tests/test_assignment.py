@@ -171,16 +171,17 @@ class TestRoundRobinProperty:
     def test_matches_pool_reference(self, entries, position, day):
         # The reference is the brute-force scan over `available_pool`.
         r = EngineerRoster("team1", entries)
+        order = [e.engineer_id for e in r.entries]
         now = datetime(day.year, day.month, day.day, 9, tzinfo=timezone.utc)
         pool = available_pool(r, day)
         if not pool:
             with pytest.raises(EmptyPoolError):
                 round_robin_assign(r, position, ticket(), now)
             return
-        [expected] = rr_oracle(r.order, set(pool), position, 1)
+        [expected] = rr_oracle(order, set(pool), position, 1)
         decision = round_robin_assign(r, position, ticket(), now)
         assert decision.engineer_id == expected
-        assert decision.cursor_after == (r.order.index(expected) + 1) % len(r)
+        assert decision.cursor_after == (order.index(expected) + 1) % len(r)
 
 
 class TestTieBreakProperty:
@@ -189,17 +190,18 @@ class TestTieBreakProperty:
         # The reference breaks ties on each engineer's roster index.
         entries = data.draw(st.permutations(data.draw(roster_entries())))
         r = EngineerRoster("team1", list(entries))
+        order = [e.engineer_id for e in r.entries]
         day = data.draw(days)
         now = datetime(day.year, day.month, day.day, 9, tzinfo=timezone.utc)
-        counts = {e: c for e in r.order
+        counts = {e: c for e in order
                   if (c := data.draw(st.none() | st.integers(0, 2)))
                   is not None}
-        experts = {e for e in r.order if data.draw(st.booleans())}
+        experts = {e for e in order if data.draw(st.booleans())}
         pool = available_pool(r, day)
 
         def reference(candidates):
             return min(candidates,
-                       key=lambda e: (counts.get(e, 0), r.order.index(e)))
+                       key=lambda e: (counts.get(e, 0), order.index(e)))
 
         if not pool:
             with pytest.raises(EmptyPoolError):
@@ -245,16 +247,17 @@ class TestExpertise:
     def test_exhaustive_argmin_oracle(self):
         rng = random.Random(11)
         r = roster("e1", "e2", "e3", "e4")
+        order = [e.engineer_id for e in r.entries]
         profile = ExpertiseProfile(
             skills={e: frozenset({"x"}) for e in ("e1", "e2", "e4")},
             label_tags={"lx": "x"})
         for _ in range(200):
-            counts = {e: rng.randrange(10) for e in r.order}
+            counts = {e: rng.randrange(10) for e in order}
             d = expertise_assign(profile, r, ticket(labels=["lx"]), at(0),
                                  counts, 0)
             experts = ["e1", "e2", "e4"]
             best = min(experts,
-                       key=lambda e: (counts[e], r.order.index(e)))
+                       key=lambda e: (counts[e], order.index(e)))
             assert d.engineer_id == best
 
 
@@ -283,12 +286,13 @@ class TestLeastOpen:
     def test_oracle_equivalence(self):
         rng = random.Random(3)
         r = roster("e1", "e2", "e3", "e4", "e5")
+        order = [e.engineer_id for e in r.entries]
         for _ in range(300):
-            counts = {e: rng.randrange(6) for e in r.order
+            counts = {e: rng.randrange(6) for e in order
                       if rng.random() < 0.8}  # missing keys read as 0
             d = least_open_assign(counts, r, ticket(), at(0))
-            best = min(r.order,
-                       key=lambda e: (counts.get(e, 0), r.order.index(e)))
+            best = min(order,
+                       key=lambda e: (counts.get(e, 0), order.index(e)))
             assert d.engineer_id == best
 
 

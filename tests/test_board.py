@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import errno
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,7 @@ from dispatchbot.eventlog import (
     replay,
 )
 from dispatchbot.notify import (
+    CHANNEL_BY_VALUE,
     STATE_DELIVERED,
     Channel,
     MemorySink,
@@ -65,7 +67,8 @@ class TestTeamConfig:
         path = tmp_path / "team.json"
         path.write_text(json.dumps(CONFIG_DOC))
         cfg = load_team_config(path)
-        assert cfg.roster.order == ["e1", "e2", "e3"]
+        assert [e.engineer_id for e in cfg.roster.entries] == \
+            ["e1", "e2", "e3"]
         assert cfg.binding.review_channel is Channel.CHAT_A
         assert cfg.thresholds.reminder_period_hours == 12
         assert cfg.cycle_period_minutes == 30
@@ -396,9 +399,20 @@ class FlakySink(MemorySink):
         super().deliver(message)
 
 
+def delivery_records(runtime):
+    return [e for e in runtime.log.events if e["kind"] == "MessageDelivered"]
+
+
+def settles(record):
+    return record["state"] == STATE_DELIVERED or record["terminal"]
+
+
 class TestPendingOutbox:
     def test_tracks_undelivered_messages_in_outbox_order(self,
                                                          memory_runtime):
+        """The outbox holds exactly the messages that no delivery record
+        has settled, in commit order, and `settled` counts the settling
+        records per (channel, state), live and on replay."""
         runtime = memory_runtime(team_config(
             thresholds=ThresholdPolicy(team_id="team1",
                                        reminder_period_hours=2)))
@@ -412,18 +426,29 @@ class TestPendingOutbox:
                     f"T1-{hour - 6}", WorkflowState.WORK_IN_PROGRESS,
                     at(hour), "e1")
             runtime.run_cycle(at(hour + 1))
+            channels = {wire["msg_id"]: CHANNEL_BY_VALUE[wire["channel"]]
+                        for event in runtime.log.events
+                        for wire in event.get("messages", ())}
+            last = {r["msg_id"]: r for r in delivery_records(runtime)}
+            expected = [m for m in channels
+                        if m not in last or not settles(last[m])]
+            settled = Counter((channels[r["msg_id"]], r["state"])
+                              for r in delivery_records(runtime)
+                              if settles(r))
             snapshot = runtime.snapshot
-            expected = [m.msg_id for m in snapshot.outbox.values()
-                        if m.delivery_state != STATE_DELIVERED
-                        and not m.terminal]
-            assert list(snapshot.pending_outbox) == expected
-            assert list(replay(runtime.log.events).pending_outbox) == expected
+            rebuilt = replay(runtime.log.events)
+            assert list(snapshot.outbox) == list(rebuilt.outbox) == expected
+            assert snapshot.settled == rebuilt.settled == settled
+            # A pending message is Failed exactly when it has retries.
+            assert {m: msg.retries for m, msg in snapshot.outbox.items()} \
+                == {m: last[m]["retries"] if m in last else 0
+                    for m in expected}
             pending_seen += len(expected)
         assert pending_seen
-        outbox = runtime.snapshot.outbox.values()
-        assert any(m.terminal for m in outbox)
-        assert any(m.retries and m.delivery_state == STATE_DELIVERED
-                   for m in outbox)
+        records = delivery_records(runtime)
+        assert any(r["terminal"] for r in records)
+        assert any(r["retries"] and r["state"] == STATE_DELIVERED
+                   for r in records)
 
 
 def assert_nothing_due(runtime, report):
@@ -501,7 +526,7 @@ class TestReminderSchedule:
         kinds = {e["reminder_kind"] for e in runtime.log.events
                  if e["kind"] == "ReminderSent"}
         assert kinds == {"StuckState", "SlaImminent", "SlaBreached"}
-        assert any(m.terminal for m in runtime.snapshot.outbox.values())
+        assert any(r["terminal"] for r in delivery_records(runtime))
 
     def test_restart_mid_run_writes_the_same_log(self, memory_runtime):
         straight = memory_runtime(scripted_config())
@@ -628,7 +653,7 @@ class TestAtomicCommit:
         report = runtime.run_cycle(at(4))
         assert report.assignments == [("T1-3", "e3")]
         # The rejected command's announcement took no message id.
-        assert list(runtime.snapshot.outbox) == [
+        assert [r["msg_id"] for r in delivery_records(runtime)] == [
             f"m{i:06d}" for i in range(1, 5)]
         runtime.log.close()
         assert replay(read_event_log(runtime.log.path)) == runtime.snapshot

@@ -159,6 +159,9 @@ class TestRun:
 #: A first log line for the records that need a known ticket.
 CREATED = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
            '"kind":"Created","ticket":"T1-1","reporter":"r1"}\n')
+ASSIGNMENT_WIRE = ('{"channel":"ChatA","kind":"Assignment",'
+                   '"msg_id":"m000001","team":"team1","text":"hi",'
+                   '"ticket":"T1-1","ts":"2025-01-06T10:00:00Z"}')
 
 
 class TestReplay:
@@ -224,9 +227,31 @@ class TestReplay:
         (CREATED + '{"seq":2,"ts":5,"board":"T1",'
          '"kind":"Assigned","ticket":"T1-1","engineer":"e1"}',
          "seq 2: bad timestamp 5 in field 'ts'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1","messages":[5]}',
+         "seq 1: not an object: 5 in field 'messages[0]'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1","messages":5}',
+         "seq 1: not a list: 5 in field 'messages'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":"e1","messages":['
+         + ASSIGNMENT_WIRE.replace("m000001", "mx") + ']}',
+         "seq 2: bad message id 'mx' in field 'messages[0].msg_id'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":"e1","messages":['
+         + ASSIGNMENT_WIRE + ']}\n'
+         '{"seq":3,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"MessageDelivered","msg_id":"m000001","state":"Delivered",'
+         '"retries":0,"terminal":false}\n'
+         '{"seq":4,"ts":"2025-01-06T11:00:00Z","board":"T1",'
+         '"kind":"MessageDelivered","msg_id":"m000001","state":"Failed",'
+         '"retries":1,"terminal":false}',
+         "seq 4: unknown message 'm000001' in field 'msg_id'"),
     ], ids=["missing-field", "unknown-ticket", "unknown-message",
             "unknown-priority", "unknown-state", "state-int",
-            "unknown-reopen-mode", "message-ts", "event-ts"])
+            "unknown-reopen-mode", "message-ts", "event-ts",
+            "message-not-object", "messages-int", "message-id",
+            "message-settled-twice"])
     def test_unfoldable_record_is_runtime_error(self, tmp_path, capsys,
                                                 command, record, error):
         log = tmp_path / "log.ndjson"

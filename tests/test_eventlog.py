@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from dispatchbot.eventlog import (
+    BoardSnapshot,
     CorruptRecordError,
     DuplicateTicketError,
     EventLog,
@@ -17,6 +18,7 @@ from dispatchbot.eventlog import (
     read_event_log,
     replay,
 )
+from dispatchbot.notify import Channel
 from dispatchbot.sim import SimConfig, run_simulation
 from dispatchbot.workflow import TransitionError
 
@@ -310,9 +312,32 @@ MOVED = {"kind": "Transitioned", "ticket": "T1-1", "actor": "e1"}
      "seq 2: bad timestamp 5 in field 'messages[0].ts'"),
     (dict(ASSIGNED, messages=[dict(WIRE, ts=None)]), "messages[0].ts",
      "seq 2: bad timestamp None in field 'messages[0].ts'"),
+    ({"kind": "Created", "ticket": "T1-2", "reporter": "r1",
+      "messages": [5]}, "messages[0]",
+     "seq 2: not an object: 5 in field 'messages[0]'"),
+    ({"kind": "Created", "ticket": "T1-2", "reporter": "r1",
+      "messages": 5}, "messages",
+     "seq 2: not a list: 5 in field 'messages'"),
+    (dict(ASSIGNED, messages={}), "messages",
+     "seq 2: not a list: {} in field 'messages'"),
+    (dict(ASSIGNED, messages=None), "messages",
+     "seq 2: not a list: None in field 'messages'"),
+    (dict(ASSIGNED, messages=[WIRE, dict(WIRE, msg_id="mx")]),
+     "messages[1].msg_id",
+     "seq 2: bad message id 'mx' in field 'messages[1].msg_id'"),
+    (dict(ASSIGNED, messages=[dict(WIRE, msg_id=7)]), "messages[0].msg_id",
+     "seq 2: bad message id 7 in field 'messages[0].msg_id'"),
+    (dict(ASSIGNED, messages=[dict(WIRE, msg_id="m")]), "messages[0].msg_id",
+     "seq 2: bad message id 'm' in field 'messages[0].msg_id'"),
+    (dict(ASSIGNED, messages=[dict(WIRE, msg_id="m\u0663")]),
+     "messages[0].msg_id",
+     "seq 2: bad message id 'm\u0663' in field 'messages[0].msg_id'"),
 ], ids=["priority", "state", "state-int", "state-list", "reopen-mode", "ts",
         "ts-int", "ts-out-of-range", "sla-deadline", "message-ts",
-        "message-ts-int", "message-ts-null"])
+        "message-ts-int", "message-ts-null", "message-not-object",
+        "messages-int", "messages-object", "messages-null", "message-id",
+        "message-id-int", "message-id-no-digits",
+        "message-id-non-ascii-digit"])
 def test_unknown_value_or_bad_timestamp_changes_nothing(event, field, text):
     snapshot = replay([CREATED])
     event = {"seq": 2, "ts": "2025-01-06T10:00:00Z", "board": "T1", **event}
@@ -328,7 +353,37 @@ def test_a_message_may_carry_another_timestamp_than_its_event():
     snapshot = replay([CREATED, {"seq": 2, "ts": "2025-01-06T10:00:00Z",
                                  "board": "T1", **ASSIGNED,
                                  "messages": [earlier]}])
-    assert snapshot.outbox["m000001"].wire() is earlier
+    assert snapshot.outbox["m000001"].wire is earlier
+
+
+DELIVERED = {"kind": "MessageDelivered", "msg_id": "m000001",
+             "state": "Delivered", "retries": 0, "terminal": False}
+
+
+def test_a_delivery_record_settles_its_message_once():
+    announced = [CREATED, {"seq": 2, "ts": "2025-01-06T10:00:00Z",
+                           "board": "T1", **ASSIGNED, "messages": [WIRE]}]
+    failed = dict(DELIVERED, seq=3, ts="2025-01-06T11:00:00Z", board="T1",
+                  state="Failed", retries=1)
+    snapshot = replay(announced + [failed])
+    assert snapshot.outbox["m000001"].retries == 1
+    assert snapshot.settled == {}
+
+    delivered = dict(failed, seq=4, state="Delivered")
+    snapshot = replay(announced + [failed, delivered])
+    assert snapshot.outbox == {}
+    assert snapshot.settled == {(Channel.CHAT_A, "Delivered"): 1}
+    assert snapshot != replay(announced + [failed])
+
+    # A settled message is no longer known: marking it again is rejected.
+    again = dict(failed, seq=5, ts="2025-01-06T12:00:00Z", retries=3,
+                 terminal=True)
+    before = copy.deepcopy(snapshot)
+    with pytest.raises(MalformedRecordError) as err:
+        fold_event(snapshot, again)
+    assert str(err.value) == \
+        "seq 5: unknown message 'm000001' in field 'msg_id'"
+    assert vars(snapshot) == vars(before)
 
 
 def test_replay_needs_a_board_on_the_first_record():
@@ -388,8 +443,17 @@ def test_a_message_is_its_events_wire_dict():
                                    reminder_period_hours=2))
     wires = {wire["msg_id"]: wire for event in run.events
              for wire in event.get("messages", ())}
-    assert wires and wires.keys() == run.snapshot.outbox.keys()
-    for msg_id, msg in run.snapshot.outbox.items():
-        assert msg.wire() is wires[msg_id]
-        assert (msg.msg_id, msg.channel.value) == \
-            (msg_id, wires[msg_id]["channel"])
+    # Each message, checked as its delivery is folded: it leaves the
+    # outbox then.
+    snapshot, checked = BoardSnapshot(run.snapshot.board_id), 0
+    for event in run.events:
+        if event["kind"] == "MessageDelivered":
+            msg_id = event["msg_id"]
+            msg = snapshot.outbox[msg_id]
+            assert msg.wire is wires[msg_id]
+            assert (msg.msg_id, msg.channel.value) == \
+                (msg_id, wires[msg_id]["channel"])
+            checked += 1
+        fold_event(snapshot, event)
+    assert checked == len(wires) - len(snapshot.outbox)
+    assert snapshot == run.snapshot

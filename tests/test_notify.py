@@ -78,14 +78,16 @@ class TestRouting:
     def test_reminder_fans_out_to_all_enabled(self):
         msgs = route_reminder(reminder(), binding(), make_ids())
         assert len(msgs) == 3
-        assert [m.channel for m in msgs] == [Channel.CHAT_A, Channel.CHAT_B,
-                                             Channel.EMAIL]
+        assert [m["channel"] for m in msgs] == [Channel.CHAT_A.value,
+                                                Channel.CHAT_B.value,
+                                                Channel.EMAIL.value]
 
     def test_two_channel_team(self):
         b = ChannelBinding("team1", {Channel.EMAIL: "out",
                                      Channel.CHAT_A: "out"}, Channel.CHAT_A)
         msgs = route_reminder(reminder(), b, make_ids())
-        assert {m.channel for m in msgs} == {Channel.CHAT_A, Channel.EMAIL}
+        assert {m["channel"] for m in msgs} == {Channel.CHAT_A.value,
+                                                Channel.EMAIL.value}
 
     def test_announcement_goes_to_review_channel_only(self, memory_runtime):
         runtime = memory_runtime(replace(
@@ -157,15 +159,18 @@ class ScriptedSink:
 
 
 def message():
-    return OutboundMessage("m000001", "team1", Channel.CHAT_A, "StuckState",
-                           "T1-42", "text", at(0))
+    return OutboundMessage({"msg_id": "m000001", "team": "team1",
+                            "channel": "ChatA", "kind": "StuckState",
+                            "ticket": "T1-42", "text": "text",
+                            "ts": "2025-01-06T09:00:00Z"}, Channel.CHAT_A)
 
 
 @pytest.fixture
 def flush(memory_runtime):
     """Run a board whose one assignment announcement, m000001, goes
-    through `sink`; return the message's (state, retries, terminal)
-    after each of `cycles` hourly cycles, checking replay after each."""
+    through `sink`; return the (state, retries, terminal) of its last
+    delivery record after each of `cycles` hourly cycles, checking
+    replay after each."""
 
     def run(sink, cycles, max_retries=3):
         runtime = memory_runtime(replace(team_config(),
@@ -175,8 +180,9 @@ def flush(memory_runtime):
         outcomes = []
         for hour in range(1, cycles + 1):
             runtime.run_cycle(at(hour))
-            msg = runtime.snapshot.outbox["m000001"]
-            outcomes.append((msg.delivery_state, msg.retries, msg.terminal))
+            *_, last = (e for e in runtime.log.events
+                        if e.get("msg_id") == "m000001")
+            outcomes.append((last["state"], last["retries"], last["terminal"]))
             assert replay(runtime.log.events) == runtime.snapshot
         return outcomes
 
@@ -190,7 +196,7 @@ class TestDelivery:
         assert attempt_delivery(msg, sink, 3) == ("Delivered", 0, False)
         sink.close()
         line = (tmp_path / "ChatA.ndjson").read_text().strip()
-        assert json.loads(line) == msg.wire()
+        assert json.loads(line) == msg.wire
         assert json.loads(line)["ts"] == "2025-01-06T09:00:00Z"
 
     def test_transient_failures_then_success(self, flush):
@@ -264,7 +270,7 @@ class TestWebhookSink:
     def test_body_is_the_wire_payload(self, receiver):
         msg = message()
         webhook(receiver).deliver(msg)
-        assert receiver.bodies == [msg.wire()]
+        assert receiver.bodies == [msg.wire]
 
     def test_bad_request_is_terminal(self, receiver):
         receiver.status = 400
@@ -351,7 +357,8 @@ class TestFileSinkFlush:
                                  "Email.ndjson"]
         lines = channel_lines(tmp_path)
         assert [len(ids) for ids in lines.values()] == [6, 3, 3]
-        delivered = [m.msg_id for m in runtime.snapshot.outbox.values()]
+        delivered = [e["msg_id"] for e in runtime.log.events
+                     if e.get("state") == "Delivered"]
         assert sorted(sum(lines.values(), [])) == delivered
 
     def test_line_on_disk_before_its_delivery_is_logged(self, tmp_path):
@@ -420,7 +427,9 @@ class TestFileSinkFlush:
                             if hour == 0 else [])
             del made[:]
         delivered = sum(channel_lines(channels).values(), [])
-        assert sorted(delivered) == sorted(runtime.snapshot.outbox)
+        assert sorted(delivered) == sorted(
+            e["msg_id"] for e in runtime.log.events
+            if e["kind"] == "MessageDelivered")
 
     def test_write_failure_retried_through_a_fresh_handle(self, tmp_path,
                                                           monkeypatch):
@@ -454,8 +463,9 @@ class TestFileSinkFlush:
             runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
         report = runtime.run_cycle(at(0, seconds=10))
         assert (report.messages_delivered, report.messages_failed) == (2, 1)
-        failed = runtime.snapshot.outbox["m000002"]
-        assert (failed.delivery_state, failed.retries) == ("Failed", 1)
+        [failed] = [e for e in runtime.log.events
+                    if e.get("msg_id") == "m000002"]
+        assert (failed["state"], failed["retries"]) == ("Failed", 1)
         # The failed handle was dropped: m000003 went through a new one.
         assert len(handles) == 2 and all(fh.closed for fh in handles)
         assert channel_lines(tmp_path) == {"ChatA": ["m000001", "m000003"]}

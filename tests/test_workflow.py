@@ -21,7 +21,6 @@ from dispatchbot.workflow import (
     evolve,
     new_ticket,
     reopen,
-    valid_transitions,
 )
 
 from .conftest import T0, at, ticket
@@ -31,14 +30,14 @@ S = WorkflowState
 
 class TestValidTransitions:
     def test_work_in_progress_neighbors(self):
-        assert valid_transitions(S.WORK_IN_PROGRESS) == {
+        assert TRANSITIONS[S.WORK_IN_PROGRESS] == {
             S.BLOCKED, S.READY_FOR_REVIEW, S.DONE}
 
     def test_done_neighbors(self):
-        assert valid_transitions(S.DONE) == {S.BACKLOG, S.WORK_IN_PROGRESS}
+        assert TRANSITIONS[S.DONE] == {S.BACKLOG, S.WORK_IN_PROGRESS}
 
     def test_blocked_neighbors(self):
-        assert valid_transitions(S.BLOCKED) == {S.WORK_IN_PROGRESS, S.DONE}
+        assert TRANSITIONS[S.BLOCKED] == {S.WORK_IN_PROGRESS, S.DONE}
 
     def test_exactly_six_states(self):
         assert len(list(WorkflowState)) == 6
@@ -135,7 +134,7 @@ def test_random_walks_stay_in_reachable_states(choices):
     t = replace(t, assignee="e1")
     hour = 1
     for c in choices:
-        targets = sorted(valid_transitions(t.state), key=lambda s: s.value)
+        targets = sorted(TRANSITIONS[t.state], key=lambda s: s.value)
         t = apply_transition(t, targets[c % len(targets)], at(hour), "e1")
         hour += 1
         assert t.state in set(WorkflowState)
