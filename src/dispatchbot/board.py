@@ -10,7 +10,7 @@ never diverge.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
-resumes each reminder stream after its highest sent index and flushes
+resumes each reminder stream after its last sent index and flushes
 the outbox, which holds only pending messages; the fold maintains all
 three in the snapshot. Reminders are evaluated only for the tickets that
 changed since their last evaluation or whose next reminder boundary has
@@ -444,34 +444,29 @@ class BoardRuntime:
         return self.snapshot.tickets[ticket_id]
 
     def apply_external_transition(self, ticket_id: str, to: WorkflowState,
-                                  at: datetime, actor: str,
-                                  announce: bool = True) -> Ticket:
+                                  at: datetime, actor: str) -> Ticket:
         """Record a state change made on the board (by an engineer or
         reporter), announcing it on the review channel."""
-        ticket = self.snapshot.tickets[ticket_id]
-        payload: dict = {"ticket": ticket_id, "from": ticket.state.value,
-                         "to": to.value, "actor": actor}
-        if announce:
-            payload["messages"] = [announce_state_change(
-                ticket_id, ticket.state, to, at, self.config.binding,
-                self._make_msg_id())]
-        self._commit(KIND_TRANSITIONED, at, payload)
-        return self.snapshot.tickets[ticket_id]
+        return self._transition(ticket_id, to, at, {"actor": actor})
 
     def reopen_ticket(self, ticket_id: str, mode: ReopenMode, at: datetime,
                       actor: str = "reopen") -> Ticket:
-        ticket = self.snapshot.tickets[ticket_id]
         to = (WorkflowState.BACKLOG if mode is ReopenMode.TO_BACKLOG
               else WorkflowState.WORK_IN_PROGRESS)
+        return self._transition(ticket_id, to, at,
+                                {"actor": actor, "reopen_mode": mode.value})
+
+    def _transition(self, ticket_id: str, to: WorkflowState, at: datetime,
+                    fields: dict) -> Ticket:
+        ticket = self.snapshot.tickets[ticket_id]
         wire = announce_state_change(ticket_id, ticket.state, to, at,
                                      self.config.binding, self._make_msg_id())
         self._commit(KIND_TRANSITIONED, at, {
             "ticket": ticket_id,
             "from": ticket.state.value,
             "to": to.value,
-            "actor": actor,
-            "reopen_mode": mode.value,
             "messages": [wire],
+            **fields,
         })
         return self.snapshot.tickets[ticket_id]
 

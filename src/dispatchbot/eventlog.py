@@ -30,11 +30,13 @@ from typing import Iterable
 from .notify import (
     CHANNEL_BY_VALUE,
     STATE_DELIVERED,
+    STATE_FAILED,
     WIRE_FIELDS,
     Channel,
     OutboundMessage,
     compact_json,
 )
+from .reminders import REMINDER_KIND_BY_VALUE
 from .timeutil import parse_ts
 from .workflow import (
     PRIORITY_BY_VALUE,
@@ -74,8 +76,8 @@ class DuplicateTicketError(ValueError):
 
 class MalformedRecordError(ValueError):
     """A parseable record the fold cannot apply: a field it reads is
-    missing, is not a timestamp or a known Enum value where one is due, or
-    names a ticket or message the board does not know."""
+    missing or mistyped, names a ticket or message the board does not know,
+    reuses a message id or skips a reminder index."""
 
     def __init__(self, seq, field: str, detail: str):
         self.seq = seq
@@ -100,9 +102,9 @@ class BoardSnapshot:
     board_id: str
     tickets: dict[str, Ticket] = field(default_factory=dict)
     cursor_position: int = 0
-    #: (ticket id, reminder kind, escalation index) already sent. Each
-    #: (ticket, kind) stream is prefix-closed: it holds indices 1..n.
-    reminder_ledger: set = field(default_factory=set)
+    #: (ticket id, reminder kind) -> the last escalation index sent in
+    #: that stream; indices 1..n were sent, in order.
+    reminder_ledger: dict[tuple[str, str], int] = field(default_factory=dict)
     #: Pending messages by msg id, in commit order.
     outbox: dict[str, OutboundMessage] = field(default_factory=dict)
     #: (channel, final delivery state) -> number of settled messages.
@@ -138,6 +140,12 @@ def _timestamp(seq: int, name: str, raw):
     raise MalformedRecordError(seq, name, f"bad timestamp {raw!r}")
 
 
+def _want(ok: bool, seq: int, name: str, raw) -> None:
+    """Reject `raw`, read from field `name`, unless `ok`."""
+    if not ok:
+        raise MalformedRecordError(seq, name, f"bad value {raw!r}")
+
+
 def _member(seq: int, name: str, by_value: dict, raw):
     """The Enum member whose value is `raw`, looked up in `by_value`."""
     try:
@@ -151,10 +159,12 @@ def _member(seq: int, name: str, by_value: dict, raw):
 _MSG_ID = re.compile(r"m[0-9]+\Z").match
 
 
-def _messages(seq: int, wires, event_ts: str) -> list[OutboundMessage]:
-    """The outbox entries for an event's wire dicts, which they keep. A
-    message's `ts` must parse; the runtime gives each message its event's
-    `ts`, which is parsed already."""
+def _messages(seq: int, wires, event_ts: str,
+              counter: int) -> tuple[list[OutboundMessage], int]:
+    """The outbox entries for an event's wire dicts, which they keep, and
+    the last message number. Numbers must rise past `counter`, so no id is
+    reused. A message's `ts` must parse; the runtime gives each message its
+    event's `ts`, which is parsed already."""
     if type(wires) is not list:
         raise MalformedRecordError(seq, "messages",
                                    f"not a list: {wires!r}")
@@ -178,16 +188,21 @@ def _messages(seq: int, wires, event_ts: str) -> list[OutboundMessage]:
                                        f"bad message id {msg_id!r}")
         if wire["ts"] != event_ts:
             _timestamp(seq, f"messages[{i}].ts", wire["ts"])
+        if (number := int(msg_id[1:])) <= counter:
+            raise MalformedRecordError(seq, f"messages[{i}].msg_id",
+                                       f"reused message id {msg_id!r}")
+        counter = number
         messages.append(OutboundMessage(wire, channel))
-    return messages
+    return messages, counter
 
 
 def _ticket(snapshot: BoardSnapshot, event: dict) -> Ticket:
     """The known ticket that `event` names."""
-    ticket = snapshot.tickets.get(event["ticket"])
+    tid = event["ticket"]
+    ticket = snapshot.tickets.get(tid) if type(tid) is str else None
     if ticket is None:
         raise MalformedRecordError(event["seq"], "ticket",
-                                   f"unknown ticket {event['ticket']!r}")
+                                   f"unknown ticket {tid!r}")
     return ticket
 
 
@@ -210,65 +225,80 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
 def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
     kind = event["kind"]
     ts = _timestamp(seq, "ts", event["ts"])
-    messages = (_messages(seq, event["messages"], event["ts"])
-                if "messages" in event else ())
-    msg_counter = snapshot.msg_counter
-    for msg in messages:
-        msg_counter = max(msg_counter, int(msg.msg_id[1:]))
+    messages, msg_counter = (
+        _messages(seq, event["messages"], event["ts"], snapshot.msg_counter)
+        if "messages" in event else ((), snapshot.msg_counter))
 
     if kind == KIND_CREATED:
-        if event["ticket"] in snapshot.tickets:
-            raise DuplicateTicketError(event["ticket"])
+        tid, reporter = event["ticket"], event["reporter"]
+        labels = event.get("labels", [])
+        _want(type(tid) is str, seq, "ticket", tid)
+        if tid in snapshot.tickets:
+            raise DuplicateTicketError(tid)
+        _want(type(reporter) is str, seq, "reporter", reporter)
+        _want(type(labels) is list and all(type(x) is str for x in labels),
+              seq, "labels", labels)
         ticket = new_ticket(
-            ticket_id=event["ticket"],
+            ticket_id=tid,
             board_id=event["board"],
-            reporter=event["reporter"],
+            reporter=reporter,
             created_at=ts,
             priority=_member(seq, "priority", PRIORITY_BY_VALUE,
                              event.get("priority", "Medium")),
             sla_deadline=(_timestamp(seq, "sla_deadline",
                                      event["sla_deadline"])
                           if event.get("sla_deadline") else None),
-            labels=tuple(event.get("labels", ())),
+            labels=tuple(labels),
         )
         _reindex(snapshot, ticket)
     elif kind == KIND_TRANSITIONED:
         ticket = _ticket(snapshot, event)
+        to = _member(seq, "to", STATE_BY_VALUE, event["to"])
         if event.get("reopen_mode"):
             mode = _member(seq, "reopen_mode", REOPEN_BY_VALUE,
                            event["reopen_mode"])
-            ticket = reopen(ticket, mode, ts, event["actor"])
+            ticket = reopen(ticket, mode, ts)
+            # The record names the state its reopen mode leads to.
+            _want(ticket.state is to, seq, "to", event["to"])
         else:
-            to = _member(seq, "to", STATE_BY_VALUE, event["to"])
-            ticket = apply_transition(ticket, to, ts, event["actor"])
+            ticket = apply_transition(ticket, to, ts)
         _reindex(snapshot, ticket)
         # A state change resets the stuck clock, so the next spell's
-        # escalations restart at index 1. The stream is prefix-closed,
-        # so its keys are exactly 1..n.
-        ledger = snapshot.reminder_ledger
-        index = 1
-        while (key := (ticket.id, "StuckState", index)) in ledger:
-            ledger.discard(key)
-            index += 1
+        # escalations restart at index 1.
+        snapshot.reminder_ledger.pop((ticket.id, "StuckState"), None)
     elif kind == KIND_ASSIGNED:
-        eng = event["engineer"]
-        ticket = evolve(_ticket(snapshot, event), assignee=eng)
+        ticket, eng = _ticket(snapshot, event), event["engineer"]
         cursor_after = event.get("cursor_after")
-        _reindex(snapshot, ticket)
+        _want(type(eng) is str, seq, "engineer", eng)
+        _want(cursor_after is None or type(cursor_after) is int
+              and cursor_after >= 0, seq, "cursor_after", cursor_after)
+        _reindex(snapshot, evolve(ticket, assignee=eng))
         if cursor_after is not None:
             snapshot.cursor_position = cursor_after
         snapshot.assign_counts[eng] = snapshot.assign_counts.get(eng, 0) + 1
     elif kind == KIND_REASSIGNED:
-        ticket = evolve(_ticket(snapshot, event), assignee=event["engineer"])
-        _reindex(snapshot, ticket)
+        ticket, eng = _ticket(snapshot, event), event["engineer"]
+        _want(type(eng) is str, seq, "engineer", eng)
+        _reindex(snapshot, evolve(ticket, assignee=eng))
     elif kind == KIND_REMINDER_SENT:
-        snapshot.reminder_ledger.add(
-            (event["ticket"], event["reminder_kind"], event["index"]))
+        kind_value = event["reminder_kind"]
+        _member(seq, "reminder_kind", REMINDER_KIND_BY_VALUE, kind_value)
+        stream = (_ticket(snapshot, event).id, kind_value)
+        index = event["index"]
+        # Each stream counts up from 1, one index per record.
+        expected = snapshot.reminder_ledger.get(stream, 0) + 1
+        if type(index) is not int or index != expected:
+            raise MalformedRecordError(
+                seq, "index", f"expected index {expected}, got {index!r}")
+        snapshot.reminder_ledger[stream] = index
     elif kind == KIND_MESSAGE_DELIVERED:
         msg_id, state, retries, terminal = (
             event["msg_id"], event["state"], event["retries"],
             event["terminal"])
-        msg = snapshot.outbox.get(msg_id)
+        _want(state in (STATE_DELIVERED, STATE_FAILED), seq, "state", state)
+        _want(type(retries) is int and retries >= 0, seq, "retries", retries)
+        _want(type(terminal) is bool, seq, "terminal", terminal)
+        msg = snapshot.outbox.get(msg_id) if type(msg_id) is str else None
         if msg is None:
             # Never announced, or settled already.
             raise MalformedRecordError(seq, "msg_id",

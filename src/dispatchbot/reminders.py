@@ -1,8 +1,9 @@
 """Stuck-state and SLA reminder evaluation.
 
 Everything here is a pure function over a snapshot of tickets plus a
-ledger of already-sent reminders, so the scheduler is reentrant and
-replays deterministically on a virtual clock.
+ledger that holds, for each (ticket, kind) reminder stream, the last
+escalation index sent. The scheduler is therefore reentrant and replays
+deterministically on a virtual clock.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ class ReminderKind(str, Enum):
     SLA_IMMINENT = "SlaImminent"
     SLA_BREACHED = "SlaBreached"
 
+
+#: Each member by its wire value: a dict lookup, not an Enum call.
+REMINDER_KIND_BY_VALUE = {kind.value: kind for kind in ReminderKind}
 
 #: Fallback stuck thresholds (hours) when a team configures nothing.
 #: Blocked gets a tighter leash; Done never triggers.
@@ -145,35 +149,16 @@ def due_reminders(
     tickets: Iterable[Ticket],
     now: datetime,
     policy: ThresholdPolicy,
-    already_sent: set[tuple[str, str, int]],
+    already_sent: Mapping[tuple[str, str], int],
 ) -> list[Reminder]:
-    """Reminders triggered at `now` whose (ticket, kind, index) is not in
-    the persisted ledger. Idempotent: with an updated ledger, a repeat
-    call at the same instant emits nothing.
-
-    The ledger must be prefix-closed: for each (ticket, kind) it holds
-    indices 1..n for some n >= 0, as the fold of a board's log does. Each
-    stream is then resumed at n + 1, found by scanning down from the due
-    count, so a long-escalated stream costs only its new reminders.
+    """Reminders triggered at `now` past the last index `already_sent`
+    holds for their (ticket id, kind value) stream: a stream n reminders
+    due with k sent emits k + 1..n, so a long-escalated stream costs only
+    its new reminders. Idempotent: with an updated ledger, a repeat call
+    at the same instant emits nothing.
     """
     period = policy.reminder_period
     out: list[Reminder] = []
-
-    def emit(ticket: Ticket, kind: ReminderKind, count: int,
-             recipients: tuple[str, ...]) -> None:
-        tid, kind_value = ticket.id, kind.value
-        sent = count
-        while sent > 0 and (tid, kind_value, sent) not in already_sent:
-            sent -= 1
-        for index in range(sent + 1, count + 1):
-            out.append(Reminder(
-                ticket_id=tid,
-                kind=kind,
-                recipients=recipients,
-                escalation_index=index,
-                generated_at=now,
-            ))
-
     team_channel = f"team:{policy.team_id}"
     for t in tickets:
         if t.state is WorkflowState.DONE:
@@ -181,9 +166,12 @@ def due_reminders(
         for kind, trigger, cap in _streams(t, policy):
             count = _escalations_due(
                 trigger, now if cap is None else min(now, cap), period)
-            if count:
+            sent = already_sent.get((t.id, kind.value), 0) if count else 0
+            if count > sent:
                 # Breach notifications additionally reach the team channel.
-                emit(t, kind, count, _recipients(
+                recipients = _recipients(
                     t, team_channel if kind is ReminderKind.SLA_BREACHED
-                    else None))
+                    else None)
+                out.extend(Reminder(t.id, kind, recipients, index, now)
+                           for index in range(sent + 1, count + 1))
     return out

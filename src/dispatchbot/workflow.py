@@ -1,8 +1,8 @@
 """Ticket domain model and the workflow state machine.
 
-Tickets are immutable values; every change returns a new ticket with an
-appended history entry, so a ticket can always be rebuilt by replaying its
-history from creation.
+Tickets are immutable values; every change returns a new ticket. A ticket
+holds only its current state: its history is the board's event log, and
+replaying that log from creation rebuilds it.
 """
 
 from __future__ import annotations
@@ -83,14 +83,6 @@ class TransitionError(Exception):
 
 
 @dataclass(frozen=True)
-class HistoryEntry:
-    ts: datetime
-    from_state: WorkflowState
-    to_state: WorkflowState
-    actor: str
-
-
-@dataclass(frozen=True)
 class Ticket:
     id: str
     board_id: str
@@ -101,19 +93,14 @@ class Ticket:
     assignee: str | None = None
     state: WorkflowState = WorkflowState.BACKLOG
     state_entered_at: datetime | None = None
-    history: tuple[HistoryEntry, ...] = ()
     resolved_at: datetime | None = None
     labels: tuple[str, ...] = ()
 
-    def last_event_ts(self) -> datetime:
-        return self.history[-1].ts if self.history else self.created_at
-
 
 def evolve(value, **changes):
-    """`dataclasses.replace(value, **changes)` for a ticket or a history
-    entry at about a fifth of its cost: no frozen dataclass `__init__`,
-    which sets each field through `object.__setattr__`. `changes` must
-    name fields.
+    """`dataclasses.replace(value, **changes)` for a ticket at about a
+    fifth of its cost: no frozen dataclass `__init__`, which sets each
+    field through `object.__setattr__`. `changes` must name fields.
 
     The copy's `__dict__` takes the fields one by one in the source's
     order, so it stays a key-sharing dict of the usual size. (Updating an
@@ -126,13 +113,11 @@ def evolve(value, **changes):
     return out
 
 
-#: What `new_ticket` and `apply_transition` copy. Each copy replaces every
-#: field without a default, so it equals what `__init__` would build.
+#: What `new_ticket` copies. Each copy replaces every field without a
+#: default, so it equals what `__init__` would build.
 _EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 _BLANK_TICKET = Ticket(id="", board_id="", reporter="", created_at=_EPOCH,
                        sla_deadline=_EPOCH)
-_BLANK_ENTRY = HistoryEntry(ts=_EPOCH, from_state=WorkflowState.BACKLOG,
-                            to_state=WorkflowState.BACKLOG, actor="")
 
 
 def new_ticket(ticket_id: str, board_id: str, reporter: str,
@@ -156,9 +141,9 @@ def new_ticket(ticket_id: str, board_id: str, reporter: str,
     )
 
 
-def apply_transition(ticket: Ticket, to: WorkflowState, at: datetime,
-                     actor: str) -> Ticket:
-    """Move a ticket to an adjacent state, appending to its history.
+def apply_transition(ticket: Ticket, to: WorkflowState,
+                     at: datetime) -> Ticket:
+    """Move a ticket to an adjacent state, entered at `at`.
 
     Raises TransitionError with reason IllegalEdge, StaleTimestamp or
     MissingAssignee when a precondition fails. Pure: the input ticket is
@@ -166,29 +151,21 @@ def apply_transition(ticket: Ticket, to: WorkflowState, at: datetime,
     """
     if to not in TRANSITIONS[ticket.state]:
         raise TransitionError(ticket.id, ticket.state, to, ILLEGAL_EDGE)
-    if at <= ticket.last_event_ts():
+    if at <= ticket.state_entered_at:
         raise TransitionError(ticket.id, ticket.state, to, STALE_TIMESTAMP)
     if to in ASSIGNED_STATES and ticket.assignee is None:
         raise TransitionError(ticket.id, ticket.state, to, MISSING_ASSIGNEE)
 
-    entry = evolve(_BLANK_ENTRY, ts=at, from_state=ticket.state, to_state=to,
-                   actor=actor)
     resolved_at = ticket.resolved_at
     if to is WorkflowState.DONE:
         resolved_at = at
     elif ticket.state is WorkflowState.DONE:
         resolved_at = None
-    return evolve(
-        ticket,
-        state=to,
-        state_entered_at=at,
-        history=ticket.history + (entry,),
-        resolved_at=resolved_at,
-    )
+    return evolve(ticket, state=to, state_entered_at=at,
+                  resolved_at=resolved_at)
 
 
-def reopen(ticket: Ticket, mode: ReopenMode, at: datetime,
-           actor: str = "reopen") -> Ticket:
+def reopen(ticket: Ticket, mode: ReopenMode, at: datetime) -> Ticket:
     """Reopen a Done ticket.
 
     ToBacklog returns it to the unassigned queue; ToSameEngineer puts it
@@ -198,6 +175,6 @@ def reopen(ticket: Ticket, mode: ReopenMode, at: datetime,
         raise TransitionError(ticket.id, ticket.state, WorkflowState.BACKLOG,
                               ILLEGAL_EDGE)
     if mode is ReopenMode.TO_BACKLOG:
-        out = apply_transition(ticket, WorkflowState.BACKLOG, at, actor)
+        out = apply_transition(ticket, WorkflowState.BACKLOG, at)
         return evolve(out, assignee=None)
-    return apply_transition(ticket, WorkflowState.WORK_IN_PROGRESS, at, actor)
+    return apply_transition(ticket, WorkflowState.WORK_IN_PROGRESS, at)

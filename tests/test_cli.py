@@ -6,14 +6,17 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 import dispatchbot
+from dispatchbot import eventlog
 from dispatchbot.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from dispatchbot.eventlog import encode_event
 from dispatchbot.sim import SimConfig, run_simulation
+from dispatchbot.workflow import WorkflowState, evolve
 
 TEAM_DOC = {
     "team_id": "team1",
@@ -142,6 +145,31 @@ class TestRun:
         assert "bad --now 'yesterday'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, error", [
+        ({"reporter": None}, "missing value in field 'reporter'"),
+        ({"labels": 5}, "bad value 5 in field 'labels'"),
+        ({"labels": "abc"}, "bad value 'abc' in field 'labels'"),
+        ({"ticket": ["x"]}, "bad value ['x'] in field 'ticket'"),
+        ({"ts": 5}, "bad timestamp 5 in field 'ts'"),
+    ], ids=["no-reporter", "labels-int", "labels-string", "ticket-list",
+            "ts-int"])
+    def test_bad_fixture_record_is_validation_error(self, team_files, capsys,
+                                                    change, error):
+        config, board, out = team_files
+        lines = board.read_text().splitlines()
+        record = {k: v for k, v in json.loads(lines[1]).items()
+                  if k not in change or change[k] is not None}
+        record.update((k, v) for k, v in change.items() if v is not None)
+        board.write_text("\n".join(
+            [lines[0], encode_event(record), lines[2]]) + "\n")
+        code = main(["run", "--config", str(config), "--board", str(board),
+                     "--out", str(out), "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"board fixture: seq 2: {error}\n"
+        # No record of the fixture reached the board.
+        assert not (out / "T1.events.ndjson").exists()
+
     def test_torn_final_line_is_runtime_error(self, team_files, capsys):
         config, board, out = team_files
         args = ["run", "--config", str(config), "--board", str(board),
@@ -162,6 +190,10 @@ CREATED = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
 ASSIGNMENT_WIRE = ('{"channel":"ChatA","kind":"Assignment",'
                    '"msg_id":"m000001","team":"team1","text":"hi",'
                    '"ticket":"T1-1","ts":"2025-01-06T10:00:00Z"}')
+#: The log lines that create T1-1 and announce its assignment, m000001.
+ANNOUNCED = (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+             '"kind":"Assigned","ticket":"T1-1","engineer":"e1","messages":['
+             + ASSIGNMENT_WIRE + ']}\n')
 
 
 class TestReplay:
@@ -247,11 +279,51 @@ class TestReplay:
          '"kind":"MessageDelivered","msg_id":"m000001","state":"Failed",'
          '"retries":1,"terminal":false}',
          "seq 4: unknown message 'm000001' in field 'msg_id'"),
+        (ANNOUNCED + '{"seq":3,"ts":"2025-01-06T11:00:00Z","board":"T1",'
+         '"kind":"MessageDelivered","msg_id":"m000001","state":"Failed",'
+         '"retries":"x","terminal":false}',
+         "seq 3: bad value 'x' in field 'retries'"),
+        (ANNOUNCED + '{"seq":3,"ts":"2025-01-06T11:00:00Z","board":"T1",'
+         '"kind":"MessageDelivered","msg_id":[],"state":"Failed",'
+         '"retries":1,"terminal":false}',
+         "seq 3: unknown message [] in field 'msg_id'"),
+        (ANNOUNCED + '{"seq":3,"ts":"2025-01-06T11:00:00Z","board":"T1",'
+         '"kind":"Reassigned","ticket":"T1-1","engineer":"e2","messages":['
+         + ASSIGNMENT_WIRE + ']}',
+         "seq 3: reused message id 'm000001' in field 'messages[0].msg_id'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":["x"],"reporter":"r1"}',
+         "seq 1: bad value ['x'] in field 'ticket'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":["e1"]}',
+         "seq 2: bad value ['e1'] in field 'engineer'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1","labels":5}',
+         "seq 1: bad value 5 in field 'labels'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1","labels":"abc"}',
+         "seq 1: bad value 'abc' in field 'labels'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":5}',
+         "seq 1: bad value 5 in field 'reporter'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":"e1",'
+         '"cursor_after":"q"}',
+         "seq 2: bad value 'q' in field 'cursor_after'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Transitioned","ticket":"T1-1","to":"Done","actor":"e1"}\n'
+         '{"seq":3,"ts":"2025-01-06T11:00:00Z","board":"T1",'
+         '"kind":"Transitioned","ticket":"T1-1","to":"Blocked",'
+         '"actor":"e1","reopen_mode":"ToBacklog"}',
+         "seq 3: bad value 'Blocked' in field 'to'"),
     ], ids=["missing-field", "unknown-ticket", "unknown-message",
             "unknown-priority", "unknown-state", "state-int",
             "unknown-reopen-mode", "message-ts", "event-ts",
             "message-not-object", "messages-int", "message-id",
-            "message-settled-twice"])
+            "message-settled-twice", "retries-string", "msg-id-list",
+            "message-id-reused", "ticket-list", "engineer-list",
+            "labels-int", "labels-string", "reporter-int", "cursor-string",
+            "reopen-to-mismatch"])
     def test_unfoldable_record_is_runtime_error(self, tmp_path, capsys,
                                                 command, record, error):
         log = tmp_path / "log.ndjson"
@@ -262,6 +334,34 @@ class TestReplay:
     def test_missing_log_is_validation_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "no.ndjson")]) == \
             EXIT_VALIDATION
+
+    @pytest.mark.parametrize("wrong, error", [
+        ({"state": WorkflowState.BLOCKED}, "state differs from the log"),
+        ({"resolved_at": None}, "resolved_at differs from the log"),
+        ({"resolved_at": datetime(2025, 1, 6, 11, tzinfo=timezone.utc)},
+         "resolved_at differs from the log"),
+    ], ids=["state", "resolved-at-missing", "resolved-at-moved"])
+    def test_assert_checks_the_fold_against_the_log(self, tmp_path, capsys,
+                                                    monkeypatch, wrong,
+                                                    error):
+        log = tmp_path / "log.ndjson"
+        log.write_text(
+            CREATED.replace("T1-1", "T1-2") + CREATED.replace('"seq":1',
+                                                               '"seq":2')
+            + '{"seq":3,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+            '"kind":"Transitioned","ticket":"T1-1","to":"Done",'
+            '"actor":"e1"}\n')
+        assert main(["replay", "--log", str(log), "--assert"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("consistency ok\n")
+
+        # A fold that lands T1-1 wrongly: --assert reads the log, not the
+        # snapshot, so it names the ticket.
+        moved = eventlog.apply_transition
+        monkeypatch.setattr(eventlog, "apply_transition",
+                            lambda *args: evolve(moved(*args), **wrong))
+        assert main(["replay", "--log", str(log), "--assert"]) == \
+            EXIT_RUNTIME
+        assert capsys.readouterr().err == f"T1-1: {error}\n"
 
 
 class TestReport:

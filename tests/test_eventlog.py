@@ -147,20 +147,23 @@ def test_stuck_ledger_resets_on_transition():
                                    reminder_period_hours=2,
                                    cycle_period_hours=2))
     snapshot = replay(run.events)
-    # no StuckState ledger entry survives for tickets whose state changed
-    # after the reminder was sent
-    for tid, kind, index in snapshot.reminder_ledger:
-        if kind != "StuckState":
-            continue
-        ticket = snapshot.tickets[tid]
-        trigger_basis = ticket.state_entered_at
-        sent = [e for e in run.events if e["kind"] == "ReminderSent"
-                and e["ticket"] == tid and e["reminder_kind"] == kind
-                and e["index"] == index]
-        assert sent, "ledger entry without a matching event"
+    # no StuckState stream survives for a ticket whose state changed after
+    # its last stuck reminder was sent
+    moved, reminded = {}, {}
+    for e in run.events:
+        if e["kind"] == "Transitioned":
+            moved[e["ticket"]] = e["seq"]
+        elif e["kind"] == "ReminderSent" and \
+                e["reminder_kind"] == "StuckState":
+            reminded[e["ticket"]] = e["seq"]
+    reset = {tid for tid, seq in reminded.items() if moved.get(tid, 0) > seq}
+    assert reset and len(reset) < len(reminded)
+    for tid in reminded:
+        assert ((tid, "StuckState") in snapshot.reminder_ledger) == \
+            (tid not in reset)
 
 
-def test_reminder_ledger_streams_are_prefix_closed():
+def test_reminder_ledger_holds_each_streams_count_since_its_reset():
     # Overload-shaped: a small desk, a backlog, short stuck thresholds and
     # frequent escalations, so streams grow long and reset on transitions.
     run = run_simulation(SimConfig(seed=4, horizon_days=4, arrival_rate=20,
@@ -168,17 +171,22 @@ def test_reminder_ledger_streams_are_prefix_closed():
                                    stuck_threshold_hours=4,
                                    reminder_period_hours=2,
                                    cycle_period_hours=1))
-    streams: dict = {}
-    for tid, kind, index in run.snapshot.reminder_ledger:
-        streams.setdefault((tid, kind), set()).add(index)
-    assert any(len(indices) > 3 for indices in streams.values())
+    # Each stream's ReminderSent records since its last reset, counted
+    # from the log: a transition resets the ticket's StuckState stream.
+    counts: dict = {}
+    for e in run.events:
+        if e["kind"] == "Transitioned":
+            counts.pop((e["ticket"], "StuckState"), None)
+        elif e["kind"] == "ReminderSent":
+            stream = (e["ticket"], e["reminder_kind"])
+            counts[stream] = counts.get(stream, 0) + 1
+    assert run.snapshot.reminder_ledger == counts
+    assert max(counts.values()) > 3
     # some StuckState stream was reset by a transition and began again
     restarts = Counter(e["ticket"] for e in run.events
                        if e["kind"] == "ReminderSent" and e["index"] == 1
                        and e["reminder_kind"] == "StuckState")
     assert max(restarts.values()) > 1
-    for indices in streams.values():
-        assert indices == set(range(1, len(indices) + 1))
 
 
 def test_encode_is_stable():
@@ -284,6 +292,11 @@ WIRE = {"msg_id": "m000001", "team": "team1", "channel": "ChatA",
         "ts": "2025-01-06T10:00:00Z"}
 ASSIGNED = {"kind": "Assigned", "ticket": "T1-1", "engineer": "e1"}
 MOVED = {"kind": "Transitioned", "ticket": "T1-1", "actor": "e1"}
+NEW = {"kind": "Created", "ticket": "T1-2", "reporter": "r1"}
+REMINDED = {"kind": "ReminderSent", "ticket": "T1-1",
+            "reminder_kind": "StuckState", "index": 1}
+DELIVERED = {"kind": "MessageDelivered", "msg_id": "m000001",
+             "state": "Delivered", "retries": 0, "terminal": False}
 
 
 @pytest.mark.parametrize("event, field, text", [
@@ -332,12 +345,72 @@ MOVED = {"kind": "Transitioned", "ticket": "T1-1", "actor": "e1"}
     (dict(ASSIGNED, messages=[dict(WIRE, msg_id="m\u0663")]),
      "messages[0].msg_id",
      "seq 2: bad message id 'm\u0663' in field 'messages[0].msg_id'"),
+    (dict(ASSIGNED, messages=[WIRE, WIRE]), "messages[1].msg_id",
+     "seq 2: reused message id 'm000001' in field 'messages[1].msg_id'"),
+    (dict(ASSIGNED, messages=[dict(WIRE, msg_id="m000002"), WIRE]),
+     "messages[1].msg_id",
+     "seq 2: reused message id 'm000001' in field 'messages[1].msg_id'"),
+    (dict(DELIVERED, msg_id=[]), "msg_id",
+     "seq 2: unknown message [] in field 'msg_id'"),
+    (dict(DELIVERED, state="Lost"), "state",
+     "seq 2: bad value 'Lost' in field 'state'"),
+    (dict(DELIVERED, state=["Delivered"]), "state",
+     "seq 2: bad value ['Delivered'] in field 'state'"),
+    (dict(DELIVERED, retries="x"), "retries",
+     "seq 2: bad value 'x' in field 'retries'"),
+    (dict(DELIVERED, retries=-1), "retries",
+     "seq 2: bad value -1 in field 'retries'"),
+    (dict(DELIVERED, retries=True), "retries",
+     "seq 2: bad value True in field 'retries'"),
+    (dict(DELIVERED, terminal=1), "terminal",
+     "seq 2: bad value 1 in field 'terminal'"),
+    (dict(NEW, ticket=["x"]), "ticket",
+     "seq 2: bad value ['x'] in field 'ticket'"),
+    (dict(NEW, reporter=5), "reporter",
+     "seq 2: bad value 5 in field 'reporter'"),
+    (dict(NEW, labels=5), "labels", "seq 2: bad value 5 in field 'labels'"),
+    (dict(NEW, labels="abc"), "labels",
+     "seq 2: bad value 'abc' in field 'labels'"),
+    (dict(NEW, labels=["net", 5]), "labels",
+     "seq 2: bad value ['net', 5] in field 'labels'"),
+    (dict(ASSIGNED, engineer=["e1"]), "engineer",
+     "seq 2: bad value ['e1'] in field 'engineer'"),
+    (dict(ASSIGNED, cursor_after="q"), "cursor_after",
+     "seq 2: bad value 'q' in field 'cursor_after'"),
+    (dict(ASSIGNED, cursor_after=-1), "cursor_after",
+     "seq 2: bad value -1 in field 'cursor_after'"),
+    (dict(ASSIGNED, kind="Reassigned", engineer=7), "engineer",
+     "seq 2: bad value 7 in field 'engineer'"),
+    (dict(MOVED, ticket=["T1-1"], to="Done"), "ticket",
+     "seq 2: unknown ticket ['T1-1'] in field 'ticket'"),
+    (dict(REMINDED, index=2), "index",
+     "seq 2: expected index 1, got 2 in field 'index'"),
+    (dict(REMINDED, index="zz"), "index",
+     "seq 2: expected index 1, got 'zz' in field 'index'"),
+    (dict(REMINDED, index=True), "index",
+     "seq 2: expected index 1, got True in field 'index'"),
+    (dict(REMINDED, reminder_kind="x"), "reminder_kind",
+     "seq 2: unknown value 'x' in field 'reminder_kind'"),
+    (dict(REMINDED, reminder_kind=["StuckState"]), "reminder_kind",
+     "seq 2: unknown value ['StuckState'] in field 'reminder_kind'"),
+    (dict(REMINDED, ticket=["T1-1"]), "ticket",
+     "seq 2: unknown ticket ['T1-1'] in field 'ticket'"),
 ], ids=["priority", "state", "state-int", "state-list", "reopen-mode", "ts",
         "ts-int", "ts-out-of-range", "sla-deadline", "message-ts",
         "message-ts-int", "message-ts-null", "message-not-object",
         "messages-int", "messages-object", "messages-null", "message-id",
         "message-id-int", "message-id-no-digits",
-        "message-id-non-ascii-digit"])
+        "message-id-non-ascii-digit", "message-id-repeated",
+        "message-id-falling", "delivered-msg-id-list", "delivered-state",
+        "delivered-state-list", "delivered-retries-string",
+        "delivered-retries-negative", "delivered-retries-bool",
+        "delivered-terminal-int", "created-ticket-list",
+        "created-reporter-int", "labels-int", "labels-string",
+        "labels-non-string", "engineer-list", "cursor-string",
+        "cursor-negative", "reassigned-engineer-int", "moved-ticket-list",
+        "reminder-index-skipped", "reminder-index-string",
+        "reminder-index-bool", "reminder-kind", "reminder-kind-list",
+        "reminder-ticket-list"])
 def test_unknown_value_or_bad_timestamp_changes_nothing(event, field, text):
     snapshot = replay([CREATED])
     event = {"seq": 2, "ts": "2025-01-06T10:00:00Z", "board": "T1", **event}
@@ -354,10 +427,6 @@ def test_a_message_may_carry_another_timestamp_than_its_event():
                                  "board": "T1", **ASSIGNED,
                                  "messages": [earlier]}])
     assert snapshot.outbox["m000001"].wire is earlier
-
-
-DELIVERED = {"kind": "MessageDelivered", "msg_id": "m000001",
-             "state": "Delivered", "retries": 0, "terminal": False}
 
 
 def test_a_delivery_record_settles_its_message_once():
@@ -457,3 +526,71 @@ def test_a_message_is_its_events_wire_dict():
         fold_event(snapshot, event)
     assert checked == len(wires) - len(snapshot.outbox)
     assert snapshot == run.snapshot
+
+
+def _events(*records):
+    """`records` numbered from seq 1, an hour apart, on board T1."""
+    return [dict(record, seq=seq, board="T1",
+                 ts=f"2025-01-06T{9 + seq:02d}:00:00Z")
+            for seq, record in enumerate(records, start=1)]
+
+
+def _rejected(records, field, text):
+    """Fold `records`; the last must be rejected, naming `field`, and
+    leave the snapshot as the others made it."""
+    events = _events(*records)
+    snapshot = replay(events[:-1])
+    before = copy.deepcopy(snapshot)
+    with pytest.raises(MalformedRecordError) as err:
+        fold_event(snapshot, events[-1])
+    assert (err.value.field, str(err.value)) == (field, text)
+    assert vars(snapshot) == vars(before)
+
+
+def test_a_message_id_is_never_reused():
+    announced = [CREATED, dict(ASSIGNED, messages=[WIRE])]
+    again = {"kind": "Reassigned", "ticket": "T1-1", "engineer": "e2",
+             "messages": [dict(WIRE, text="second")]}
+    # A pending message is not replaced, whose wire would then never go.
+    _rejected(announced + [again], "messages[0].msg_id",
+              "seq 3: reused message id 'm000001' in field "
+              "'messages[0].msg_id'")
+    # A delivered message does not come back to be delivered again.
+    _rejected(announced + [DELIVERED, again], "messages[0].msg_id",
+              "seq 4: reused message id 'm000001' in field "
+              "'messages[0].msg_id'")
+    fresh = dict(again, messages=[dict(WIRE, msg_id="m000002")])
+    assert list(replay(_events(*announced, DELIVERED, fresh)).outbox) == \
+        ["m000002"]
+
+
+def test_a_reopen_record_names_the_state_it_leads_to():
+    done = [CREATED, dict(MOVED, to="Done")]
+    reopened = dict(MOVED, to="Blocked", reopen_mode="ToBacklog")
+    _rejected(done + [reopened], "to",
+              "seq 3: bad value 'Blocked' in field 'to'")
+    for mode, to in (("ToBacklog", "Backlog"),
+                     ("ToSameEngineer", "WorkInProgress")):
+        records = [CREATED, ASSIGNED, dict(MOVED, to="Done"),
+                   dict(reopened, reopen_mode=mode, to=to)]
+        assert replay(_events(*records)).tickets["T1-1"].state.value == to
+
+
+def test_each_reminder_stream_counts_up_from_one():
+    stuck, imminent = REMINDED, dict(REMINDED, reminder_kind="SlaImminent")
+    records = [CREATED, stuck, dict(stuck, index=2), imminent]
+    assert replay(_events(*records)).reminder_ledger == {
+        ("T1-1", "StuckState"): 2, ("T1-1", "SlaImminent"): 1}
+    _rejected(records + [dict(stuck, index=2)], "index",
+              "seq 5: expected index 3, got 2 in field 'index'")
+    # A transition restarts the stuck stream only.
+    records += [dict(MOVED, to="Done")]
+    assert replay(_events(*records)).reminder_ledger == {
+        ("T1-1", "SlaImminent"): 1}
+    _rejected(records + [dict(stuck, index=3)], "index",
+              "seq 6: expected index 1, got 3 in field 'index'")
+    _rejected(records + [imminent], "index",
+              "seq 6: expected index 2, got 1 in field 'index'")
+    records += [stuck, dict(imminent, index=2)]
+    assert replay(_events(*records)).reminder_ledger == {
+        ("T1-1", "StuckState"): 1, ("T1-1", "SlaImminent"): 2}

@@ -45,8 +45,8 @@ def oracle_stats(counts):
 
 def resolved(tid="T1-1", assignee="e1", hours=10.0):
     t = replace(ticket(tid), assignee=assignee)
-    t = apply_transition(t, WorkflowState.WORK_IN_PROGRESS, at(1), assignee)
-    return apply_transition(t, WorkflowState.DONE, at(hours), assignee)
+    t = apply_transition(t, WorkflowState.WORK_IN_PROGRESS, at(1))
+    return apply_transition(t, WorkflowState.DONE, at(hours))
 
 
 class TestDistributionStats:
@@ -138,7 +138,7 @@ class TestResolutionTime:
         t = reopen(t, ReopenMode.TO_SAME_ENGINEER, at(20))
         with pytest.raises(NotResolvedError):
             resolution_time(t)
-        t = apply_transition(t, WorkflowState.DONE, at(30), "e1")
+        t = apply_transition(t, WorkflowState.DONE, at(30))
         assert resolution_time(t) == timedelta(hours=30)
 
 

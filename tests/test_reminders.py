@@ -23,31 +23,31 @@ POLICY = ThresholdPolicy(team_id="team1")
 
 def blocked_ticket(tid="T1-1"):
     t = replace(ticket(tid), assignee="e1")
-    t = apply_transition(t, WorkflowState.WORK_IN_PROGRESS, at(1), "e1")
-    return apply_transition(t, WorkflowState.BLOCKED, at(2), "e1")
+    t = apply_transition(t, WorkflowState.WORK_IN_PROGRESS, at(1))
+    return apply_transition(t, WorkflowState.BLOCKED, at(2))
 
 
-def ledger_key(r):
-    """The reminder ledger's key for `r`."""
+def reminder_key(r):
+    """(ticket id, kind value, escalation index) of `r`."""
     return (r.ticket_id, r.kind.value, r.escalation_index)
 
 
 def due_kinds(t, now, policy=POLICY):
     """The kinds of reminder due for `t` at `now`, from an empty ledger."""
-    return [r.kind for r in due_reminders([t], now, policy, set())]
+    return [r.kind for r in due_reminders([t], now, policy, {})]
 
 
 class TestStuckTickets:
     def test_blocked_past_threshold(self):
         t = blocked_ticket()  # blocked since at(2), threshold 72h
-        stuck = [r for r in due_reminders([t], at(2 + 80), POLICY, set())
+        stuck = [r for r in due_reminders([t], at(2 + 80), POLICY, {})
                  if r.kind is ReminderKind.STUCK_STATE]
         assert [(r.ticket_id, r.escalation_index) for r in stuck] == \
             [(t.id, 1)]
 
     def test_done_never_returned(self):
-        t = apply_transition(ticket(), WorkflowState.DONE, at(1), "e1")
-        assert due_reminders([t], at(10_000), POLICY, set()) == []
+        t = apply_transition(ticket(), WorkflowState.DONE, at(1))
+        assert due_reminders([t], at(10_000), POLICY, {}) == []
 
     def test_boundary_is_strict(self):
         t = blocked_ticket()
@@ -87,33 +87,34 @@ class TestDueReminders:
         # indices 1..3 all come due at once, each exactly once.
         t = blocked_ticket()
         now = at(2 + 72 + 2.5 * 24)
-        reminders = due_reminders([t], now, POLICY, set())
+        reminders = due_reminders([t], now, POLICY, {})
         stuck = [r for r in reminders if r.kind is ReminderKind.STUCK_STATE]
         assert [r.escalation_index for r in stuck] == [1, 2, 3]
 
     def test_idempotent_with_updated_ledger(self):
         t = blocked_ticket()
         now = at(2 + 72 + 60)
-        first = due_reminders([t], now, POLICY, set())
-        ledger = {ledger_key(r) for r in first}
+        first = due_reminders([t], now, POLICY, {})
+        ledger = {(r.ticket_id, r.kind.value): r.escalation_index
+                  for r in first}
         assert due_reminders([t], now, POLICY, ledger) == []
 
     def test_recipients_are_assignee_and_reporter(self):
         t = blocked_ticket()
-        [r] = [x for x in due_reminders([t], at(2 + 73), POLICY, set())
+        [r] = [x for x in due_reminders([t], at(2 + 73), POLICY, {})
                if x.kind is ReminderKind.STUCK_STATE]
         assert set(r.recipients) == {"e1", "r1"}
 
     def test_unassigned_ticket_notifies_reporter_only(self):
         t = ticket()  # Backlog, unassigned, default threshold 120h
-        [r] = [x for x in due_reminders([t], at(121), POLICY, set())
+        [r] = [x for x in due_reminders([t], at(121), POLICY, {})
                if x.kind is ReminderKind.STUCK_STATE]
         assert r.recipients == ("r1",)
 
     def test_breach_adds_team_channel(self):
         t = replace(ticket(), assignee="e1")
         now = t.sla_deadline + timedelta(hours=1)
-        breached = [x for x in due_reminders([t], now, POLICY, set())
+        breached = [x for x in due_reminders([t], now, POLICY, {})
                     if x.kind is ReminderKind.SLA_BREACHED]
         assert breached
         assert "team:team1" in breached[0].recipients
@@ -122,16 +123,16 @@ class TestDueReminders:
         t = blocked_ticket()
         for n in (1, 2, 5):
             now = at(2 + 72 + n * 24)
-            stuck = [r for r in due_reminders([t], now, POLICY, set())
+            stuck = [r for r in due_reminders([t], now, POLICY, {})
                      if r.kind is ReminderKind.STUCK_STATE]
             assert len(stuck) == n
 
     @pytest.mark.parametrize("sent", [0, 1, 3, 6, 9])
     def test_resumes_after_sent_prefix(self, sent):
-        # Stuck 6 periods past threshold with indices 1..k in the ledger:
-        # exactly k+1..6 come due, in ascending order.
+        # Stuck 6 periods past threshold with index k last sent: exactly
+        # k+1..6 come due, in ascending order.
         t = blocked_ticket()
-        ledger = {(t.id, "StuckState", i) for i in range(1, sent + 1)}
+        ledger = {(t.id, "StuckState"): sent}
         stuck = [r.escalation_index
                  for r in due_reminders([t], at(2 + 72 + 6 * 24), POLICY,
                                         ledger)
@@ -142,14 +143,14 @@ class TestDueReminders:
         t = blocked_ticket()
         seen: set = set()
         for h in range(60, 400, 7):
-            due = {ledger_key(r)
-                   for r in due_reminders([t], at(h), POLICY, set())}
+            due = {reminder_key(r)
+                   for r in due_reminders([t], at(h), POLICY, {})}
             assert seen <= due
             seen = due
 
 
 def due_keys(t, now, policy):
-    return {ledger_key(r) for r in due_reminders([t], now, policy, set())}
+    return {reminder_key(r) for r in due_reminders([t], now, policy, {})}
 
 
 class TestNextReminderAt:

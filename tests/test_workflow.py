@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from dispatchbot.workflow import (
     ILLEGAL_EDGE,
-    HistoryEntry,
     Ticket,
     MISSING_ASSIGNEE,
     STALE_TIMESTAMP,
@@ -46,13 +45,13 @@ class TestValidTransitions:
 
 class TestApplyTransition:
     def test_informal_closure_from_backlog(self):
-        t = apply_transition(ticket(), S.DONE, at(1), "e1")
+        t = apply_transition(ticket(), S.DONE, at(1))
         assert t.state is S.DONE
         assert t.resolved_at == at(1)
 
     def test_backlog_to_blocked_is_illegal(self):
         with pytest.raises(TransitionError) as err:
-            apply_transition(ticket(), S.BLOCKED, at(1), "e1")
+            apply_transition(ticket(), S.BLOCKED, at(1))
         assert err.value.reason == ILLEGAL_EDGE
 
     def test_full_path(self):
@@ -61,33 +60,32 @@ class TestApplyTransition:
         path = [S.READY_TO_START, S.WORK_IN_PROGRESS, S.BLOCKED,
                 S.WORK_IN_PROGRESS, S.READY_FOR_REVIEW, S.DONE]
         for i, state in enumerate(path, start=1):
-            t = apply_transition(t, state, at(i), "e3")
-        assert len(t.history) == 6
+            t = apply_transition(t, state, at(i))
         assert t.state is S.DONE
         assert t.resolved_at == at(6)
         assert t.state_entered_at == at(6)
 
     def test_stale_timestamp_rejected(self):
-        t = apply_transition(ticket(), S.READY_TO_START, at(2), "e1")
+        t = apply_transition(ticket(), S.READY_TO_START, at(2))
         with pytest.raises(TransitionError) as err:
-            apply_transition(t, S.WORK_IN_PROGRESS, at(2), "e1")
+            apply_transition(t, S.WORK_IN_PROGRESS, at(2))
         assert err.value.reason == STALE_TIMESTAMP
 
     def test_work_states_need_assignee(self):
         with pytest.raises(TransitionError) as err:
-            apply_transition(ticket(), S.WORK_IN_PROGRESS, at(1), "e1")
+            apply_transition(ticket(), S.WORK_IN_PROGRESS, at(1))
         assert err.value.reason == MISSING_ASSIGNEE
 
     def test_pure(self):
         t = ticket()
-        a = apply_transition(t, S.DONE, at(1), "e1")
-        b = apply_transition(t, S.DONE, at(1), "e1")
+        a = apply_transition(t, S.DONE, at(1))
+        b = apply_transition(t, S.DONE, at(1))
         assert a == b
         assert t.state is S.BACKLOG  # input untouched
 
     def test_leaving_done_clears_resolved_at(self):
-        t = apply_transition(ticket(), S.DONE, at(1), "e1")
-        t = apply_transition(t, S.BACKLOG, at(2), "e1")
+        t = apply_transition(ticket(), S.DONE, at(1))
+        t = apply_transition(t, S.BACKLOG, at(2))
         assert t.resolved_at is None
 
 
@@ -95,8 +93,8 @@ class TestReopen:
     def _done_ticket(self, assignee="e3"):
         t = ticket()
         t = replace(t, assignee=assignee)
-        t = apply_transition(t, S.WORK_IN_PROGRESS, at(1), assignee)
-        return apply_transition(t, S.DONE, at(2), assignee)
+        t = apply_transition(t, S.WORK_IN_PROGRESS, at(1))
+        return apply_transition(t, S.DONE, at(2))
 
     def test_to_same_engineer(self):
         t = reopen(self._done_ticket("e3"), ReopenMode.TO_SAME_ENGINEER, at(3))
@@ -132,20 +130,19 @@ def test_random_walks_stay_in_reachable_states(choices):
     synchronized with Done."""
     t = ticket()
     t = replace(t, assignee="e1")
-    hour = 1
-    for c in choices:
+    moves = []
+    for hour, c in enumerate(choices, start=1):
         targets = sorted(TRANSITIONS[t.state], key=lambda s: s.value)
-        t = apply_transition(t, targets[c % len(targets)], at(hour), "e1")
-        hour += 1
+        moves.append((targets[c % len(targets)], at(hour)))
+        t = apply_transition(t, *moves[-1])
         assert t.state in set(WorkflowState)
         assert (t.resolved_at is not None) == (t.state is S.DONE)
 
-    # event-sourcing round trip over the accumulated history
+    # event-sourcing round trip over the accepted moves
     rebuilt = ticket()
     rebuilt = replace(rebuilt, assignee="e1")
-    for entry in t.history:
-        rebuilt = apply_transition(rebuilt, entry.to_state, entry.ts,
-                                   entry.actor)
+    for to, ts in moves:
+        rebuilt = apply_transition(rebuilt, to, ts)
     assert rebuilt == t
 
 
@@ -153,7 +150,6 @@ TICKET_CHANGES = st.fixed_dictionaries({}, optional={
     "assignee": st.none() | st.sampled_from(["e1", "e2"]),
     "state": st.sampled_from(list(WorkflowState)),
     "state_entered_at": st.none() | st.just(at(5)),
-    "history": st.just(()),
     "resolved_at": st.none() | st.just(at(7)),
     "labels": st.lists(st.sampled_from(["net", "db"])).map(tuple),
     "priority": st.sampled_from(list(Priority)),
@@ -165,7 +161,7 @@ def test_evolve_equals_dataclasses_replace(changes, moves):
     t = replace(ticket(labels=("net",)), assignee="e1")
     for hour in range(1, moves + 1):
         t = apply_transition(t, S.DONE if t.state is not S.DONE
-                             else S.WORK_IN_PROGRESS, at(hour), "e1")
+                             else S.WORK_IN_PROGRESS, at(hour))
     before = dict(vars(t))
     copied = evolve(t, **changes)
     expected = replace(t, **changes)
@@ -196,8 +192,3 @@ def test_new_ticket_equals_the_dataclass_init(priority, labels,
         sla_deadline=built.sla_deadline, priority=priority,
         state_entered_at=at(1), labels=labels))
 
-
-def test_history_entry_equals_the_dataclass_init():
-    t = apply_transition(ticket(), S.DONE, at(1), "e1")
-    same_instance(t.history[-1], HistoryEntry(
-        ts=at(1), from_state=S.BACKLOG, to_state=S.DONE, actor="e1"))
