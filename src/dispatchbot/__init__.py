@@ -20,7 +20,7 @@ from .metrics import (
     format_duration,
     resolution_time,
 )
-from .notify import Channel, ChannelBinding, FileSink, OutboundMessage, WebhookSink
+from .notify import Channel, ChannelBinding, FileSink, WebhookSink
 from .reminders import Reminder, ReminderKind, ThresholdPolicy, due_reminders
 from .roster import EngineerRoster, RosterEntry, available_pool
 from .sim import SimConfig, default_experiment_configs, run_experiment, run_simulation

@@ -608,9 +608,11 @@ class BoardRuntime:
             return
         try:
             # Each settling record removes its message from the outbox.
-            for msg_id, msg in list(outbox.items()):
+            # A Channel is a str Enum: the wire's value finds its sink.
+            for msg_id, wire in list(outbox.items()):
                 state, retries, terminal = attempt_delivery(
-                    msg, self._sinks.get(msg.channel),
+                    wire, self.snapshot.retries.get(msg_id, 0),
+                    self._sinks.get(wire["channel"]),
                     self.config.max_retries)
                 self._commit(KIND_MESSAGE_DELIVERED, now, {
                     "msg_id": msg_id,

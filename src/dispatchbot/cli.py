@@ -40,7 +40,7 @@ from .workflow import TransitionError, WorkflowState
 
 #: A log that cannot be read, or records a history the fold rejects.
 REPLAY_ERRORS = (CorruptRecordError, SeqGapError, DuplicateTicketError,
-                 MalformedRecordError, TransitionError)
+                 MalformedRecordError, TransitionError, UnicodeDecodeError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -10,13 +10,13 @@ backlog) so that a cycle reads only what is new, never the whole history.
 They hold nothing the log does not: `replay` rebuilds them, and snapshot
 equality ignores them.
 
-The outbox is the set of pending messages, in commit order. A message
-enters it with the event that announces it and leaves it with the
+The outbox is the set of pending messages, in commit order: the wire
+dicts their events carry, which the sinks send as they are (see
+`notify`), so the fold checks every field of them. A message enters it
+with the event that announces it and leaves it with the
 `MessageDelivered` record that settles it (delivered, or failed for
-good); the snapshot keeps only a count of settled messages per channel
-and outcome. Each record is parsed once and folded once. A message lives
-in the outbox as the wire dict its event carries, shared with the event
-and sent by the sinks as it is (see `notify`), so it is never rebuilt.
+good); the snapshot keeps only the failed attempts of pending messages
+and a count of settled messages per channel and outcome.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .notify import (
     STATE_DELIVERED,
     STATE_FAILED,
     WIRE_FIELDS,
-    Channel,
-    OutboundMessage,
     compact_json,
 )
 from .reminders import REMINDER_KIND_BY_VALUE
@@ -76,8 +74,8 @@ class DuplicateTicketError(ValueError):
 
 class MalformedRecordError(ValueError):
     """A parseable record the fold cannot apply: a field it reads is
-    missing or mistyped, names a ticket or message the board does not know,
-    reuses a message id or skips a reminder index."""
+    missing or mistyped, names another board or a ticket or message the
+    board does not know, reuses a message id or skips a reminder index."""
 
     def __init__(self, seq, field: str, detail: str):
         self.seq = seq
@@ -105,10 +103,13 @@ class BoardSnapshot:
     #: (ticket id, reminder kind) -> the last escalation index sent in
     #: that stream; indices 1..n were sent, in order.
     reminder_ledger: dict[tuple[str, str], int] = field(default_factory=dict)
-    #: Pending messages by msg id, in commit order.
-    outbox: dict[str, OutboundMessage] = field(default_factory=dict)
-    #: (channel, final delivery state) -> number of settled messages.
-    settled: dict[tuple[Channel, str], int] = field(default_factory=dict)
+    #: Pending messages by msg id, in commit order: the wire dicts their
+    #: events carry, shared with the events and so never to be mutated.
+    outbox: dict[str, dict] = field(default_factory=dict)
+    #: Failed attempts by msg id, for each pending message that failed.
+    retries: dict[str, int] = field(default_factory=dict)
+    #: (channel value, final delivery state) -> number of settled messages.
+    settled: dict[tuple[str, str], int] = field(default_factory=dict)
     assign_counts: dict[str, int] = field(default_factory=dict)
     msg_counter: int = 0
     watermark: int = 0
@@ -155,26 +156,24 @@ def _member(seq: int, name: str, by_value: dict, raw):
                                    f"unknown value {raw!r}") from None
 
 
-#: Matches a whole msg id: "m" and ASCII digits.
-_MSG_ID = re.compile(r"m[0-9]+\Z").match
+#: Matches a whole msg id: "m" and up to 18 ASCII digits, which `int` reads.
+_MSG_ID = re.compile(r"m[0-9]{1,18}\Z").match
 
 
-def _messages(seq: int, wires, event_ts: str,
-              counter: int) -> tuple[list[OutboundMessage], int]:
-    """The outbox entries for an event's wire dicts, which they keep, and
-    the last message number. Numbers must rise past `counter`, so no id is
-    reused. A message's `ts` must parse; the runtime gives each message its
-    event's `ts`, which is parsed already."""
+def _messages(seq: int, wires, event_ts: str, counter: int) -> int:
+    """Check an event's wire dicts; return the last message number. Each
+    must rise past `counter`, so no id is reused. A message's `ts` must
+    parse; the runtime gives it its event's `ts`, parsed already."""
     if type(wires) is not list:
         raise MalformedRecordError(seq, "messages",
                                    f"not a list: {wires!r}")
-    messages = []
     for i, wire in enumerate(wires):
         if type(wire) is not dict:
             raise MalformedRecordError(seq, f"messages[{i}]",
                                        f"not an object: {wire!r}")
-        channel = CHANNEL_BY_VALUE.get(wire.get("channel"))
-        if channel is None or not WIRE_FIELDS <= wire.keys():
+        channel = wire.get("channel")
+        if type(channel) is not str or channel not in CHANNEL_BY_VALUE \
+                or not WIRE_FIELDS <= wire.keys():
             missing = sorted(WIRE_FIELDS - wire.keys())
             if missing:
                 name, detail = missing[0], "missing value"
@@ -188,12 +187,14 @@ def _messages(seq: int, wires, event_ts: str,
                                        f"bad message id {msg_id!r}")
         if wire["ts"] != event_ts:
             _timestamp(seq, f"messages[{i}].ts", wire["ts"])
+        for name in ("team", "kind", "ticket", "text"):
+            if type(wire[name]) is not str:
+                _want(False, seq, f"messages[{i}].{name}", wire[name])
         if (number := int(msg_id[1:])) <= counter:
             raise MalformedRecordError(seq, f"messages[{i}].msg_id",
                                        f"reused message id {msg_id!r}")
         counter = number
-        messages.append(OutboundMessage(wire, channel))
-    return messages, counter
+    return counter
 
 
 def _ticket(snapshot: BoardSnapshot, event: dict) -> Ticket:
@@ -211,6 +212,8 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
     transition, an unknown or duplicate ticket, an unknown message or a
     missing or malformed field raises before the snapshot changes."""
     seq = event["seq"]
+    # A bool is an int to Python, but not a seq.
+    _want(type(seq) is int, seq, "seq", seq)
     if seq != snapshot.watermark + 1:
         raise SeqGapError(snapshot.watermark + 1, seq)
     try:
@@ -219,15 +222,20 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
         # Every field is read before anything changes.
         raise MalformedRecordError(seq, exc.args[0], "missing value") \
             from None
+    except OverflowError:  # a default SLA deadline past the year 9999
+        raise MalformedRecordError(seq, "ts", "date out of range") from None
     snapshot.watermark = seq
 
 
 def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
-    kind = event["kind"]
+    kind, board = event["kind"], event["board"]
+    if board != snapshot.board_id:
+        raise MalformedRecordError(seq, "board", f"expected board "
+                                   f"{snapshot.board_id!r}, got {board!r}")
     ts = _timestamp(seq, "ts", event["ts"])
-    messages, msg_counter = (
-        _messages(seq, event["messages"], event["ts"], snapshot.msg_counter)
-        if "messages" in event else ((), snapshot.msg_counter))
+    wires = event.get("messages", ())
+    msg_counter = (_messages(seq, wires, event["ts"], snapshot.msg_counter)
+                   if "messages" in event else snapshot.msg_counter)
 
     if kind == KIND_CREATED:
         tid, reporter = event["ticket"], event["reporter"]
@@ -240,21 +248,20 @@ def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
               seq, "labels", labels)
         ticket = new_ticket(
             ticket_id=tid,
-            board_id=event["board"],
             reporter=reporter,
             created_at=ts,
             priority=_member(seq, "priority", PRIORITY_BY_VALUE,
                              event.get("priority", "Medium")),
             sla_deadline=(_timestamp(seq, "sla_deadline",
                                      event["sla_deadline"])
-                          if event.get("sla_deadline") else None),
+                          if "sla_deadline" in event else None),
             labels=tuple(labels),
         )
         _reindex(snapshot, ticket)
     elif kind == KIND_TRANSITIONED:
         ticket = _ticket(snapshot, event)
         to = _member(seq, "to", STATE_BY_VALUE, event["to"])
-        if event.get("reopen_mode"):
+        if "reopen_mode" in event:
             mode = _member(seq, "reopen_mode", REOPEN_BY_VALUE,
                            event["reopen_mode"])
             ticket = reopen(ticket, mode, ts)
@@ -298,36 +305,38 @@ def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
         _want(state in (STATE_DELIVERED, STATE_FAILED), seq, "state", state)
         _want(type(retries) is int and retries >= 0, seq, "retries", retries)
         _want(type(terminal) is bool, seq, "terminal", terminal)
-        msg = snapshot.outbox.get(msg_id) if type(msg_id) is str else None
-        if msg is None:
+        wire = snapshot.outbox.get(msg_id) if type(msg_id) is str else None
+        if wire is None:
             # Never announced, or settled already.
             raise MalformedRecordError(seq, "msg_id",
                                        f"unknown message {msg_id!r}")
         if state == STATE_DELIVERED or terminal:
             del snapshot.outbox[msg_id]
-            key = (msg.channel, state)
+            snapshot.retries.pop(msg_id, None)
+            key = (wire["channel"], state)
             snapshot.settled[key] = snapshot.settled.get(key, 0) + 1
         else:
-            msg.retries = retries
+            snapshot.retries[msg_id] = retries
     else:
         raise ValueError(f"unknown event kind: {kind}")
 
-    for msg in messages:
-        snapshot.outbox[msg.msg_id] = msg
+    for wire in wires:
+        snapshot.outbox[wire["msg_id"]] = wire
     snapshot.msg_counter = msg_counter
 
 
-def replay(events: Iterable[dict], board_id: str = "") -> BoardSnapshot:
-    """Rebuild a snapshot from scratch by folding every event."""
-    snapshot: BoardSnapshot | None = None
+def replay(events: Iterable[dict],
+           board_id: str | None = None) -> BoardSnapshot:
+    """Rebuild a snapshot by folding every event; each must name board
+    `board_id`, or, when that is None, the board the first event names."""
+    snapshot = None if board_id is None else BoardSnapshot(board_id)
     for event in events:
         if snapshot is None:
-            if "board" not in event:
-                raise MalformedRecordError(event["seq"], "board",
-                                           "missing value")
-            snapshot = BoardSnapshot(board_id=event["board"])
+            board = event.get("board", "")  # missing: the fold says so
+            _want(type(board) is str, event["seq"], "board", board)
+            snapshot = BoardSnapshot(board)
         fold_event(snapshot, event)
-    return snapshot if snapshot is not None else BoardSnapshot(board_id)
+    return snapshot if snapshot is not None else BoardSnapshot("")
 
 
 class EventLog:
@@ -393,13 +402,13 @@ def read_event_log(path: str | Path) -> list[dict]:
                 continue
             try:
                 event, end = _scan_json(line, 0)
-            except (StopIteration, json.JSONDecodeError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(line):
                 # Not one JSON value: json.loads words the error.
                 try:
                     event = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise CorruptRecordError(line_no, f"invalid JSON: {exc}")
             if type(event) is not dict or "seq" not in event \
                     or "kind" not in event or "ts" not in event:

@@ -6,11 +6,11 @@ object per line) or an http(s) webhook URL (POST the same object).
 Delivery is at-least-once with idempotent message ids; dedup is the
 receiver's concern. `attempt_delivery` is the one retry/terminal rule.
 
-The `announce_*` and `route_reminder` templates build each message as its
-wire dict: the payload put on the wire. The event that announces it
-carries that dict, the fold wraps the same dict in the outbox's
-`OutboundMessage` until its delivery settles, and every sink sends it as
-it is.
+A message is its wire dict, the payload put on the wire: the
+`announce_*` and `route_reminder` templates build it, the event that
+announces it carries it, the fold keeps that same dict in the snapshot's
+outbox until its delivery settles, and every sink's `deliver` takes it
+and sends it as it is. No sink mutates it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
@@ -98,26 +98,6 @@ WIRE_FIELDS = frozenset({"msg_id", "team", "channel", "kind", "ticket",
                          "text", "ts"})
 
 
-@dataclass(slots=True)
-class OutboundMessage:
-    """A pending message in the outbox: its wire dict, its channel and
-    the number of failed attempts to deliver it so far. It is Failed
-    exactly when `retries > 0`; a settled message leaves the outbox.
-
-    The wire dict is the payload put on the wire (webhook body / file
-    line). It is shared, not copied: the event that announced the message
-    holds the same dict, so it must not be mutated.
-    """
-
-    wire: dict
-    channel: Channel
-    retries: int = field(default=0, init=False)
-
-    @property
-    def msg_id(self) -> str:
-        return self.wire["msg_id"]
-
-
 # ---------------------------------------------------------------------------
 # Message templates (bit-exact; covered by golden tests)
 # ---------------------------------------------------------------------------
@@ -193,7 +173,7 @@ class PayloadRejected(Exception):
 
 
 class Sink(Protocol):
-    def deliver(self, message: OutboundMessage) -> None: ...
+    def deliver(self, wire: dict) -> None: ...
 
 
 class FileSink:
@@ -207,27 +187,28 @@ class FileSink:
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self._files: dict[Channel, TextIO] = {}
+        self._files: dict[str, TextIO] = {}
 
-    def deliver(self, message: OutboundMessage) -> None:
-        line = compact_json(message.wire) + "\n"
-        fh = self._files.get(message.channel)
+    def deliver(self, wire: dict) -> None:
+        line = compact_json(wire) + "\n"
+        channel = wire["channel"]
+        fh = self._files.get(channel)
         try:
             if fh is None:
-                path = self.directory / f"{message.channel.value}.ndjson"
+                path = self.directory / f"{channel}.ndjson"
                 try:
                     fh = path.open("a", encoding="utf-8")
                 except FileNotFoundError:
                     # The directory is new, or was deleted: make it.
                     self.directory.mkdir(parents=True, exist_ok=True)
                     fh = path.open("a", encoding="utf-8")
-                self._files[message.channel] = fh
+                self._files[channel] = fh
             fh.write(line)
             fh.flush()
         except OSError as exc:
             # The next attempt reopens the file through a fresh handle.
             if fh is not None:
-                self._close(self._files.pop(message.channel))
+                self._close(self._files.pop(channel))
             raise SinkUnreachable(str(exc)) from exc
 
     def close(self) -> None:
@@ -253,8 +234,8 @@ class WebhookSink:
         self.url = url
         self.timeout = timeout
 
-    def deliver(self, message: OutboundMessage) -> None:
-        body = json.dumps(message.wire).encode("utf-8")
+    def deliver(self, wire: dict) -> None:
+        body = json.dumps(wire).encode("utf-8")
         try:
             request = urllib.request.Request(
                 self.url, data=body, method="POST",
@@ -279,8 +260,8 @@ class MemorySink:
     def __init__(self):
         self.delivered: list[dict] = []
 
-    def deliver(self, message: OutboundMessage) -> None:
-        self.delivered.append(message.wire)
+    def deliver(self, wire: dict) -> None:
+        self.delivered.append(wire)
 
 
 _WEBHOOK_SCHEMES = ("http://", "https://")
@@ -302,10 +283,10 @@ def sink_for_endpoint(descriptor: str) -> Sink:
     return FileSink(descriptor)
 
 
-def attempt_delivery(message: OutboundMessage, sink: Sink | None,
+def attempt_delivery(wire: dict, retries: int, sink: Sink | None,
                      max_retries: int) -> tuple[str, int, bool]:
-    """Try to deliver a pending message once; return its new (state,
-    retries, terminal) and leave the message itself unchanged.
+    """Try once to deliver a pending message whose earlier attempts failed
+    `retries` times; return its new (state, retries, terminal).
 
     A missing sink counts as unreachable. Transient failures increment the
     retry count and become terminal once max_retries attempts have failed;
@@ -313,11 +294,11 @@ def attempt_delivery(message: OutboundMessage, sink: Sink | None,
     """
     try:
         if sink is None:
-            raise SinkUnreachable(f"no sink for {message.channel.value}")
-        sink.deliver(message)
+            raise SinkUnreachable(f"no sink for {wire['channel']}")
+        sink.deliver(wire)
     except PayloadRejected:
-        return STATE_FAILED, message.retries + 1, True
+        return STATE_FAILED, retries + 1, True
     except SinkUnreachable:
-        retries = message.retries + 1
+        retries += 1
         return STATE_FAILED, retries, retries >= max_retries
-    return STATE_DELIVERED, message.retries, False
+    return STATE_DELIVERED, retries, False

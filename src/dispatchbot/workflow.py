@@ -85,7 +85,6 @@ class TransitionError(Exception):
 @dataclass(frozen=True)
 class Ticket:
     id: str
-    board_id: str
     reporter: str
     created_at: datetime
     sla_deadline: datetime
@@ -116,12 +115,12 @@ def evolve(value, **changes):
 #: What `new_ticket` copies. Each copy replaces every field without a
 #: default, so it equals what `__init__` would build.
 _EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
-_BLANK_TICKET = Ticket(id="", board_id="", reporter="", created_at=_EPOCH,
+_BLANK_TICKET = Ticket(id="", reporter="", created_at=_EPOCH,
                        sla_deadline=_EPOCH)
 
 
-def new_ticket(ticket_id: str, board_id: str, reporter: str,
-               created_at: datetime, priority: Priority = Priority.MEDIUM,
+def new_ticket(ticket_id: str, reporter: str, created_at: datetime,
+               priority: Priority = Priority.MEDIUM,
                sla_deadline: datetime | None = None,
                labels: tuple[str, ...] = ()) -> Ticket:
     """Create a ticket in Backlog. The SLA deadline defaults by priority."""
@@ -131,7 +130,6 @@ def new_ticket(ticket_id: str, board_id: str, reporter: str,
     return evolve(
         _BLANK_TICKET,
         id=ticket_id,
-        board_id=board_id,
         reporter=reporter,
         created_at=created_at,
         sla_deadline=sla_deadline,

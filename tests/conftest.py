@@ -24,8 +24,8 @@ def at(hours: float = 0, seconds: int = 0) -> datetime:
 def ticket(tid: str = "T1-1", reporter: str = "r1", created=None,
            priority: Priority = Priority.MEDIUM, sla_deadline=None,
            labels=()):
-    return new_ticket(tid, "T1", reporter, created or T0, priority,
-                      sla_deadline, tuple(labels))
+    return new_ticket(tid, reporter, created or T0, priority, sla_deadline,
+                      tuple(labels))
 
 
 def roster(*engineer_ids: str, team_id: str = "team1") -> EngineerRoster:

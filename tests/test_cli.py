@@ -170,6 +170,24 @@ class TestRun:
         # No record of the fixture reached the board.
         assert not (out / "T1.events.ndjson").exists()
 
+    @pytest.mark.parametrize("good, bad, error", [
+        ('"seq":1', '"seq":1.0', "seq 1.0: bad value 1.0 in field 'seq'"),
+        ('"board":"T1"', '"board":"OTHER"',
+         "seq 1: expected board 'T1', got 'OTHER' in field 'board'"),
+    ], ids=["seq-float", "other-board"])
+    def test_log_the_fold_rejects_is_left_as_it_is(self, team_files, capsys,
+                                                   good, bad, error):
+        config, board, out = team_files
+        out.mkdir()
+        log = out / "T1.events.ndjson"
+        log.write_text(board.read_text().replace(good, bad, 1))
+        before = log.read_bytes()
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--now", "2025-01-06T10:00:00Z"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            f"cannot rebuild board state: {error}\n"
+        assert log.read_bytes() == before
+
     def test_torn_final_line_is_runtime_error(self, team_files, capsys):
         config, board, out = team_files
         args = ["run", "--config", str(config), "--board", str(board),
@@ -208,6 +226,20 @@ class TestReplay:
         log = tmp_path / "log.ndjson"
         log.write_text("garbage\n")
         assert main(["replay", "--log", str(log)]) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("line, error", [
+        (b'{"seq":1%s}' % (b"0" * 5000), "line 2: invalid JSON: Exceeds "
+         "the limit (4300 digits) for integer string conversion"),
+        (b'{"a":%s}' % (b"[" * 100_000), "line 2: invalid JSON: maximum "
+         "recursion depth exceeded"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["int-too-long", "too-deep", "not-utf-8"])
+    def test_unreadable_line_is_runtime_error(self, tmp_path, capsys, line,
+                                              error):
+        log = tmp_path / "log.ndjson"
+        log.write_bytes(CREATED.encode() + line + b"\n")
+        assert main(["replay", "--log", str(log)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"{log}: {error}")
 
     def test_seq_gap_is_runtime_error(self, tmp_path):
         run_simulation(SimConfig(seed=3, horizon_days=2, arrival_rate=4,
@@ -316,6 +348,40 @@ class TestReplay:
          '"kind":"Transitioned","ticket":"T1-1","to":"Blocked",'
          '"actor":"e1","reopen_mode":"ToBacklog"}',
          "seq 3: bad value 'Blocked' in field 'to'"),
+        ('{"seq":1.0,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1"}',
+         "seq 1.0: bad value 1.0 in field 'seq'"),
+        ('{"seq":true,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1"}',
+         "seq True: bad value True in field 'seq'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":["x"],'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1"}\n'
+         '{"seq":2,"ts":"2025-01-06T09:00:00Z","board":"OTHER",'
+         '"kind":"Created","ticket":"T1-2","reporter":"r1"}',
+         "seq 1: bad value ['x'] in field 'board'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T09:00:00Z","board":"OTHER",'
+         '"kind":"Created","ticket":"T1-2","reporter":"r1"}',
+         "seq 2: expected board 'T1', got 'OTHER' in field 'board'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":"e1","messages":['
+         + ASSIGNMENT_WIRE.replace('"hi"', "5") + ']}',
+         "seq 2: bad value 5 in field 'messages[0].text'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Assigned","ticket":"T1-1","engineer":"e1","messages":['
+         + ASSIGNMENT_WIRE.replace('"T1-1"', '["T1-1"]') + ']}',
+         "seq 2: bad value ['T1-1'] in field 'messages[0].ticket'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1",'
+         '"sla_deadline":0}',
+         "seq 1: bad timestamp 0 in field 'sla_deadline'"),
+        ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
+         '"kind":"Created","ticket":"T1-1","reporter":"r1",'
+         '"sla_deadline":false}',
+         "seq 1: bad timestamp False in field 'sla_deadline'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Transitioned","ticket":"T1-1","to":"Backlog",'
+         '"actor":"e1","reopen_mode":""}',
+         "seq 2: unknown value '' in field 'reopen_mode'"),
     ], ids=["missing-field", "unknown-ticket", "unknown-message",
             "unknown-priority", "unknown-state", "state-int",
             "unknown-reopen-mode", "message-ts", "event-ts",
@@ -323,7 +389,10 @@ class TestReplay:
             "message-settled-twice", "retries-string", "msg-id-list",
             "message-id-reused", "ticket-list", "engineer-list",
             "labels-int", "labels-string", "reporter-int", "cursor-string",
-            "reopen-to-mismatch"])
+            "reopen-to-mismatch", "seq-float", "seq-bool", "board-list",
+            "board-other", "wire-text-int", "wire-ticket-list",
+            "sla-deadline-zero", "sla-deadline-false",
+            "reopen-mode-empty"])
     def test_unfoldable_record_is_runtime_error(self, tmp_path, capsys,
                                                 command, record, error):
         log = tmp_path / "log.ndjson"
@@ -469,3 +538,30 @@ def test_runs_on_the_standard_library_alone(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == EXIT_OK, done.stderr
     assert "consistency ok" in done.stdout
+
+
+#: Imports the package and every submodule, then prints the top-level
+#: name of every module loaded.
+IMPORT_ALL = """
+import importlib, pkgutil, sys
+import dispatchbot
+for module in pkgutil.iter_modules(dispatchbot.__path__):
+    importlib.import_module(f"dispatchbot.{module.name}")
+print(*sorted({name.partition(".")[0] for name in sys.modules}))
+"""
+
+
+def test_imports_and_declares_only_the_standard_library():
+    src = str(Path(dispatchbot.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_ALL],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    loaded = set(done.stdout.split())
+    assert "dispatchbot" in loaded
+    assert loaded - sys.stdlib_module_names == {"__main__", "dispatchbot"}
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

@@ -25,7 +25,6 @@ from dispatchbot.notify import (
     ChannelBinding,
     FileSink,
     MemorySink,
-    OutboundMessage,
     PayloadRejected,
     SinkUnreachable,
     WebhookSink,
@@ -152,17 +151,16 @@ class ScriptedSink:
         self.outcomes = list(outcomes)
         self.delivered = []
 
-    def deliver(self, message):
+    def deliver(self, wire):
         if self.outcomes:
             raise self.outcomes.pop(0)
-        self.delivered.append(message.msg_id)
+        self.delivered.append(wire["msg_id"])
 
 
 def message():
-    return OutboundMessage({"msg_id": "m000001", "team": "team1",
-                            "channel": "ChatA", "kind": "StuckState",
-                            "ticket": "T1-42", "text": "text",
-                            "ts": "2025-01-06T09:00:00Z"}, Channel.CHAT_A)
+    return {"msg_id": "m000001", "team": "team1", "channel": "ChatA",
+            "kind": "StuckState", "ticket": "T1-42", "text": "text",
+            "ts": "2025-01-06T09:00:00Z"}
 
 
 @pytest.fixture
@@ -193,10 +191,10 @@ class TestDelivery:
     def test_file_sink_appends_wire_line(self, tmp_path):
         msg = message()
         sink = FileSink(tmp_path)
-        assert attempt_delivery(msg, sink, 3) == ("Delivered", 0, False)
+        assert attempt_delivery(msg, 0, sink, 3) == ("Delivered", 0, False)
         sink.close()
         line = (tmp_path / "ChatA.ndjson").read_text().strip()
-        assert json.loads(line) == msg.wire
+        assert json.loads(line) == msg
         assert json.loads(line)["ts"] == "2025-01-06T09:00:00Z"
 
     def test_transient_failures_then_success(self, flush):
@@ -220,7 +218,7 @@ class TestDelivery:
         assert [m["msg_id"] for m in sink.delivered] == ["m000001"]
 
     def test_missing_sink_is_unreachable(self):
-        assert attempt_delivery(message(), None, 1) == ("Failed", 1, True)
+        assert attempt_delivery(message(), 0, None, 1) == ("Failed", 1, True)
 
     def test_file_sink_os_error_fails_the_message(self, tmp_path, flush):
         # The sink directory sits under a regular file: `mkdir` fails with
@@ -264,26 +262,26 @@ def webhook(server):
 
 class TestWebhookSink:
     def test_no_content_is_delivered(self, receiver):
-        assert attempt_delivery(message(), webhook(receiver), 3) == \
+        assert attempt_delivery(message(), 0, webhook(receiver), 3) == \
             ("Delivered", 0, False)
 
     def test_body_is_the_wire_payload(self, receiver):
         msg = message()
         webhook(receiver).deliver(msg)
-        assert receiver.bodies == [msg.wire]
+        assert receiver.bodies == [msg]
 
     def test_bad_request_is_terminal(self, receiver):
         receiver.status = 400
         with pytest.raises(PayloadRejected):
             webhook(receiver).deliver(message())
-        assert attempt_delivery(message(), webhook(receiver), 3) == \
+        assert attempt_delivery(message(), 0, webhook(receiver), 3) == \
             ("Failed", 1, True)
 
     def test_unavailable_is_retried(self, receiver):
         receiver.status = 503
         with pytest.raises(SinkUnreachable):
             webhook(receiver).deliver(message())
-        assert attempt_delivery(message(), webhook(receiver), 3) == \
+        assert attempt_delivery(message(), 0, webhook(receiver), 3) == \
             ("Failed", 1, False)
 
     def test_closed_port_is_retried(self):
@@ -293,11 +291,27 @@ class TestWebhookSink:
         sink = WebhookSink(f"http://127.0.0.1:{port}/hook", timeout=5)
         with pytest.raises(SinkUnreachable):
             sink.deliver(message())
-        assert attempt_delivery(message(), sink, 3) == ("Failed", 1, False)
+        assert attempt_delivery(message(), 0, sink, 3) == ("Failed", 1, False)
 
     def test_malformed_url_is_retried(self):
         sink = WebhookSink("http://[::1/hook", timeout=5)
-        assert attempt_delivery(message(), sink, 3) == ("Failed", 1, False)
+        assert attempt_delivery(message(), 0, sink, 3) == ("Failed", 1, False)
+
+
+class TestSharedWire:
+    """A sink is handed the outbox's wire dict itself, the one its event
+    carries (see `test_a_message_is_its_events_wire_dict`): it sends that
+    dict and leaves it as it is."""
+
+    def test_no_sink_mutates_the_wire(self, tmp_path, receiver):
+        wire = message()
+        before = list(wire.items())
+        file_sink = FileSink(tmp_path)
+        for sink in (file_sink, MemorySink(), webhook(receiver)):
+            sink.deliver(wire)
+            assert list(wire.items()) == before
+        file_sink.close()
+        assert receiver.bodies == [wire]
 
 
 def channel_lines(directory) -> dict[str, list[str]]:

@@ -116,8 +116,8 @@ class TestReopen:
 
 class TestDefaults:
     def test_sla_defaults_by_priority(self):
-        high = new_ticket("T1-9", "T1", "r1", T0, Priority.HIGH)
-        low = new_ticket("T1-10", "T1", "r1", T0, Priority.LOW)
+        high = new_ticket("T1-9", "r1", T0, Priority.HIGH)
+        low = new_ticket("T1-10", "r1", T0, Priority.LOW)
         assert (high.sla_deadline - T0).days == 3
         assert (low.sla_deadline - T0).days == 28  # 20 business days
 
@@ -186,9 +186,9 @@ def same_instance(built, expected):
 def test_new_ticket_equals_the_dataclass_init(priority, labels,
                                               explicit_sla):
     sla = at(50) if explicit_sla else None
-    built = new_ticket("T1-5", "T1", "r1", at(1), priority, sla, labels)
+    built = new_ticket("T1-5", "r1", at(1), priority, sla, labels)
     same_instance(built, Ticket(
-        id="T1-5", board_id="T1", reporter="r1", created_at=at(1),
+        id="T1-5", reporter="r1", created_at=at(1),
         sla_deadline=built.sla_deadline, priority=priority,
         state_entered_at=at(1), labels=labels))
 
