@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import statistics
 from collections import Counter
@@ -9,7 +10,7 @@ from datetime import timedelta
 import pytest
 
 from dispatchbot.assignment import POLICY_LEAST_OPEN, POLICY_MANUAL
-from dispatchbot.eventlog import replay
+from dispatchbot.eventlog import encode_event, replay
 from dispatchbot.sim import (
     SIM_EPOCH,
     SimConfig,
@@ -166,6 +167,23 @@ class TestRunSimulation:
         run = run_simulation(SMALL)
         assert run.last_cycle_at >= horizon_end(SMALL)
         assert run.cycle_reports[0].now == SIM_EPOCH
+
+    def test_reminder_log_is_pinned(self):
+        # A backlogged two-engineer desk whose reminders escalate: the
+        # sha256 of the bytes a file-backed log of its events would hold.
+        run = run_simulation(SimConfig(
+            seed=5, horizon_days=12, arrival_rate=12, roster_size=2,
+            service_median_hours=(6.0, 6.0), service_sigma=0.0,
+            reassign_prob=0.2, reminders_enabled=True,
+            stuck_threshold_hours=8, reminder_period_hours=4,
+            cycle_period_hours=2))
+        kinds = Counter(e["reminder_kind"] for e in run.events
+                        if e["kind"] == "ReminderSent")
+        assert set(kinds) == {"StuckState", "SlaImminent", "SlaBreached"}
+        assert len(run.events) == 5676
+        lines = "".join(encode_event(e) + "\n" for e in run.events)
+        assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == \
+            "88db418e26bd9ee2be65403a4c322c4d767e66685740c3c95e0fd7d122f86752"
 
 
 class TestExperiment:
