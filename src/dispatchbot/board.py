@@ -71,9 +71,9 @@ from .notify import (
 )
 from .reminders import (
     DEFAULT_STUCK_HOURS,
+    REMINDER_KIND_VALUE,
     ThresholdPolicy,
     due_reminders,
-    next_reminder_at,
 )
 from .roster import EngineerRoster, RosterEntry
 from .timeutil import iso, parse_date
@@ -585,22 +585,25 @@ class BoardRuntime:
                 tickets.append(self.snapshot.tickets[tid])
             else:
                 next_due.pop(tid, None)
+        # One pass per ticket gives both its due reminders and its next
+        # boundary; a reminder sent changes neither the ticket nor that.
+        boundaries: dict[str, datetime] = {}
         for reminder in due_reminders(tickets, now, policy,
-                                      self.snapshot.reminder_ledger):
+                                      self.snapshot.reminder_ledger,
+                                      boundaries):
             self._commit(KIND_REMINDER_SENT, now, {
                 "ticket": reminder.ticket_id,
-                "reminder_kind": reminder.kind.value,
+                "reminder_kind": REMINDER_KIND_VALUE[reminder.kind],
                 "index": reminder.escalation_index,
                 "recipients": list(reminder.recipients),
                 "messages": route_reminder(reminder, self.config.binding,
                                            self._make_msg_id()),
             })
             report.reminders_sent += 1
-        for ticket in tickets:
-            instant = next_reminder_at(ticket, now, policy)
-            if next_due.get(ticket.id) != instant:
-                next_due[ticket.id] = instant
-                heapq.heappush(heap, (instant, ticket.id))
+        for tid, instant in boundaries.items():
+            if next_due.get(tid) != instant:
+                next_due[tid] = instant
+                heapq.heappush(heap, (instant, tid))
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
         outbox = self.snapshot.outbox

@@ -61,11 +61,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.now:
         try:
             now = parse_ts(args.now)
-        except ValueError as exc:
+        # OverflowError: a date that leaves datetime's range in UTC.
+        except (ValueError, OverflowError) as exc:
             return _fail(EXIT_VALIDATION, f"bad --now {args.now!r}: {exc}")
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file is in the way, or no permission
+        return _fail(EXIT_RUNTIME, f"cannot create output directory: {exc}")
     try:
         log = EventLog(out_dir / f"{config.board_id}.events.ndjson")
         runtime = BoardRuntime(config, log=log)
@@ -129,6 +133,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                          f"experiment config not found: {path}")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                raise ValueError("root must be an object")
             if args.seed is not None:
                 raw.setdefault("pre", {})["seed"] = args.seed
                 raw.setdefault("post", {})["seed"] = args.seed
@@ -173,6 +179,12 @@ def _replay_log(log: str) -> tuple[list[dict], BoardSnapshot] | int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    split = None
+    if args.split:
+        try:
+            split = parse_ts(args.split)
+        except (ValueError, OverflowError) as exc:
+            return _fail(EXIT_VALIDATION, f"bad --split {args.split!r}: {exc}")
     replayed = _replay_log(args.log)
     if type(replayed) is int:
         return replayed
@@ -180,7 +192,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     tickets = list(snapshot.tickets.values())
     team = snapshot.board_id or "board"
-    split = parse_ts(args.split) if args.split else None
 
     def period_of(ticket) -> str:
         if split is None:

@@ -20,14 +20,14 @@ import json
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
 from typing import Protocol, TextIO
 
 from .assignment import AssignmentDecision
-from .reminders import Reminder
+from .reminders import REMINDER_KIND_VALUE, Reminder
 from .timeutil import iso
 from .workflow import WorkflowState
 
@@ -78,6 +78,9 @@ class ChannelBinding:
     #: enabled channel -> endpoint descriptor (file path or webhook URL)
     endpoints: dict[Channel, str]
     review_channel: Channel
+    #: The wire values of `enabled()`, which every reminder goes to, built
+    #: once.
+    fan_out: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.endpoints:
@@ -88,6 +91,8 @@ class ChannelBinding:
         if self.review_channel not in CHAT_CHANNELS:
             raise BindingError(
                 f"team {self.team_id}: review channel must be a chat channel")
+        object.__setattr__(self, "fan_out",
+                           tuple(c.value for c in self.enabled()))
 
     def enabled(self) -> list[Channel]:
         return [c for c in CHANNEL_ORDER if c in self.endpoints]
@@ -114,7 +119,8 @@ def state_change_text(ticket_id: str, from_state: WorkflowState,
 
 
 def reminder_text(reminder: Reminder) -> str:
-    return (f"REMIND {reminder.ticket_id} {reminder.kind.value} "
+    return (f"REMIND {reminder.ticket_id} "
+            f"{REMINDER_KIND_VALUE[reminder.kind]} "
             f"#{reminder.escalation_index} at {iso(reminder.generated_at)}")
 
 
@@ -122,42 +128,45 @@ def reminder_text(reminder: Reminder) -> str:
 # Routing
 # ---------------------------------------------------------------------------
 
-def _wire(make_id, binding: ChannelBinding, channel: Channel, kind: str,
-          ticket_id: str, text: str, at: datetime) -> dict:
+def _wire(make_id, binding: ChannelBinding, channel: str, kind: str,
+          ticket_id: str, text: str, ts: str) -> dict:
     return {
         "msg_id": make_id(),
         "team": binding.team_id,
-        "channel": channel.value,
+        "channel": channel,
         "kind": kind,
         "ticket": ticket_id,
         "text": text,
-        "ts": iso(at),
+        "ts": ts,
     }
 
 
 def route_reminder(reminder: Reminder, binding: ChannelBinding,
                    make_id) -> list[dict]:
-    """One message per enabled channel."""
-    return [_wire(make_id, binding, channel, reminder.kind.value,
-                  reminder.ticket_id, reminder_text(reminder),
-                  reminder.generated_at)
-            for channel in binding.enabled()]
+    """One message per enabled channel, each with the same text."""
+    kind = REMINDER_KIND_VALUE[reminder.kind]
+    text = reminder_text(reminder)
+    ts = iso(reminder.generated_at)
+    return [_wire(make_id, binding, channel, kind, reminder.ticket_id, text,
+                  ts)
+            for channel in binding.fan_out]
 
 
 def announce_assignment(decision: AssignmentDecision, binding: ChannelBinding,
                         make_id) -> dict:
     """Exactly one message, to the team's review channel."""
-    return _wire(make_id, binding, binding.review_channel, "Assignment",
-                 decision.ticket_id, assignment_text(decision),
-                 decision.decided_at)
+    return _wire(make_id, binding, binding.review_channel.value,
+                 "Assignment", decision.ticket_id, assignment_text(decision),
+                 iso(decision.decided_at))
 
 
 def announce_state_change(ticket_id: str, from_state: WorkflowState,
                           to_state: WorkflowState, at: datetime,
                           binding: ChannelBinding, make_id) -> dict:
-    return _wire(make_id, binding, binding.review_channel, "StateChange",
-                 ticket_id, state_change_text(ticket_id, from_state,
-                                              to_state, at), at)
+    return _wire(make_id, binding, binding.review_channel.value,
+                 "StateChange", ticket_id,
+                 state_change_text(ticket_id, from_state, to_state, at),
+                 iso(at))
 
 
 # ---------------------------------------------------------------------------

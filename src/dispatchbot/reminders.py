@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .workflow import Priority, Ticket, WorkflowState
@@ -24,6 +25,9 @@ class ReminderKind(str, Enum):
 
 #: Each member by its wire value: a dict lookup, not an Enum call.
 REMINDER_KIND_BY_VALUE = {kind.value: kind for kind in ReminderKind}
+
+#: Each member's wire value: a dict lookup, not the `value` descriptor.
+REMINDER_KIND_VALUE = {kind: kind.value for kind in ReminderKind}
 
 #: Fallback stuck thresholds (hours) when a team configures nothing.
 #: Blocked gets a tighter leash; Done never triggers.
@@ -53,26 +57,39 @@ class ThresholdPolicy:
         default_factory=lambda: dict(DEFAULT_STUCK_HOURS))
     sla_warning_fraction: float = 0.2
     reminder_period_hours: float = 24.0
+    #: `timedelta(hours=reminder_period_hours)`, built once.
+    reminder_period: timedelta = field(init=False, repr=False, compare=False)
+    #: state -> priority -> stuck threshold, built once from the policy's
+    #: own copy of `stuck_hours`: a caller that later changes the mapping
+    #: it passed in changes neither.
+    _thresholds: Mapping[WorkflowState, Mapping[Priority, timedelta]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.sla_warning_fraction <= 1:
             raise ValueError("sla_warning_fraction must be in (0, 1]")
         _check_hours("reminder_period_hours", self.reminder_period_hours)
-        for state, hours in self.stuck_hours.items():
+        stuck_hours = dict(self.stuck_hours)
+        for state, hours in stuck_hours.items():
             if state is WorkflowState.DONE:
                 raise ValueError("Done has no stuck threshold")
             _check_hours(f"threshold for {state.value}", hours)
+        thresholds = {}
+        for state, default in DEFAULT_STUCK_HOURS.items():
+            hours = stuck_hours.get(state, default)
+            # High priority gets half the leash.
+            thresholds[state] = MappingProxyType({
+                priority: timedelta(hours=hours / 2.0
+                                    if priority is Priority.HIGH else hours)
+                for priority in Priority})
+        object.__setattr__(self, "stuck_hours", stuck_hours)
+        object.__setattr__(self, "reminder_period",
+                           timedelta(hours=self.reminder_period_hours))
+        object.__setattr__(self, "_thresholds", MappingProxyType(thresholds))
 
     def stuck_threshold(self, state: WorkflowState,
                         priority: Priority) -> timedelta:
-        hours = self.stuck_hours.get(state, DEFAULT_STUCK_HOURS[state])
-        if priority is Priority.HIGH:
-            hours /= 2.0
-        return timedelta(hours=hours)
-
-    @property
-    def reminder_period(self) -> timedelta:
-        return timedelta(hours=self.reminder_period_hours)
+        return self._thresholds[state][priority]
 
 
 @dataclass(frozen=True)
@@ -96,25 +113,44 @@ def _escalations_due(trigger: datetime, now: datetime,
     return -((trigger - now) // period)
 
 
-def _streams(ticket: Ticket, policy: ThresholdPolicy,
-             ) -> tuple[tuple[ReminderKind, datetime, datetime | None], ...]:
-    """The reminder streams of an open ticket as (kind, trigger, cap).
+#: Each stream's kind and its wire value, the ledger's key for it, in the
+#: order `_evaluate` counts them.
+_STREAM_KINDS = tuple((kind, kind.value) for kind in ReminderKind)
 
-    A stream's count at `now` is `_escalations_due(trigger, now, period)`,
-    with `now` held at `cap` when there is one: the imminent stream stops
-    at the deadline, where the breached stream takes over, so the
-    triggered set stays monotone in `now`.
+
+def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
+              ) -> tuple[tuple[int, int, int], datetime]:
+    """One pass over an open ticket's reminder streams at `now`: the
+    escalations each has due, in `_STREAM_KINDS` order, and the ticket's
+    next reminder boundary (see `next_reminder_at`).
+
+    Each stream has a trigger and may have a cap. Its count at `now` is
+    `_escalations_due(trigger, now, period)`, with `now` held at the cap
+    when there is one. The imminent stream, triggered when the warning
+    fraction of the SLA window remains, stops at the deadline, where the
+    breached stream takes over, so the triggered set stays monotone in
+    `now`. A stream's next boundary is its trigger plus its count at
+    (uncapped) `now` whole periods; a capped stream's counts only while
+    it lies before the cap.
     """
+    period = policy.reminder_period
     deadline = ticket.sla_deadline
-    window = deadline - ticket.created_at
-    return (
-        (ReminderKind.STUCK_STATE,
-         (ticket.state_entered_at or ticket.created_at)
-         + policy.stuck_threshold(ticket.state, ticket.priority), None),
-        (ReminderKind.SLA_IMMINENT,
-         deadline - policy.sla_warning_fraction * window, deadline),
-        (ReminderKind.SLA_BREACHED, deadline, None),
-    )
+    stuck_at = ((ticket.state_entered_at or ticket.created_at)
+                + policy._thresholds[ticket.state][ticket.priority])
+    stuck = _escalations_due(stuck_at, now, period)
+    breached = _escalations_due(deadline, now, period)
+    boundary = min(stuck_at + stuck * period, deadline + breached * period)
+    warning_at = (deadline
+                  - policy.sla_warning_fraction * (deadline - ticket.created_at))
+    if now < deadline:
+        imminent = _escalations_due(warning_at, now, period)
+        imminent_at = warning_at + imminent * period
+        if imminent_at < deadline and imminent_at < boundary:
+            boundary = imminent_at
+    else:
+        # Past the cap every boundary of the imminent stream is too.
+        imminent = _escalations_due(warning_at, deadline, period)
+    return (stuck, imminent, breached), boundary
 
 
 def next_reminder_at(ticket: Ticket, now: datetime,
@@ -127,13 +163,7 @@ def next_reminder_at(ticket: Ticket, now: datetime,
     after b misses no reminder, provided nothing about the ticket changes
     in between.
     """
-    period = policy.reminder_period
-    boundaries = []
-    for _, trigger, cap in _streams(ticket, policy):
-        boundary = trigger + _escalations_due(trigger, now, period) * period
-        if cap is None or boundary < cap:
-            boundaries.append(boundary)
-    return min(boundaries)
+    return _evaluate(ticket, now, policy)[1]
 
 
 def _recipients(ticket: Ticket, team_channel: str | None = None) -> tuple[str, ...]:
@@ -150,23 +180,29 @@ def due_reminders(
     now: datetime,
     policy: ThresholdPolicy,
     already_sent: Mapping[tuple[str, str], int],
+    next_due: dict[str, datetime] | None = None,
 ) -> list[Reminder]:
     """Reminders triggered at `now` past the last index `already_sent`
     holds for their (ticket id, kind value) stream: a stream n reminders
     due with k sent emits k + 1..n, so a long-escalated stream costs only
     its new reminders. Idempotent: with an updated ledger, a repeat call
     at the same instant emits nothing.
+
+    Given `next_due`, it also maps each open ticket's id to its
+    `next_reminder_at(ticket, now, policy)`, from the same single pass.
     """
-    period = policy.reminder_period
     out: list[Reminder] = []
     team_channel = f"team:{policy.team_id}"
     for t in tickets:
         if t.state is WorkflowState.DONE:
             continue
-        for kind, trigger, cap in _streams(t, policy):
-            count = _escalations_due(
-                trigger, now if cap is None else min(now, cap), period)
-            sent = already_sent.get((t.id, kind.value), 0) if count else 0
+        counts, boundary = _evaluate(t, now, policy)
+        if next_due is not None:
+            next_due[t.id] = boundary
+        for (kind, value), count in zip(_STREAM_KINDS, counts):
+            if not count:
+                continue
+            sent = already_sent.get((t.id, value), 0)
             if count > sent:
                 # Breach notifications additionally reach the team channel.
                 recipients = _recipients(

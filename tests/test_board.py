@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from dispatchbot import board
+from dispatchbot import board, reminders
 from dispatchbot.board import (
     BoardRuntime,
     ConfigError,
@@ -498,15 +498,29 @@ def scripted_config():
 class TestReminderSchedule:
     def test_nothing_due_after_any_cycle_of_an_overload_run(self,
                                                             monkeypatch):
+        # Each cycle also evaluates each ticket it hands to
+        # `due_reminders` exactly once: its due reminders and its next
+        # boundary come from one pass.
         inner = BoardRuntime.run_cycle
         sent = []
+        scanned = self.spy(monkeypatch)
+        evaluate = reminders._evaluate
+        evaluated = Counter()
+
+        def counting(ticket, now, policy):
+            evaluated[ticket.id] += 1
+            return evaluate(ticket, now, policy)
 
         def run_cycle(runtime, now):
+            scanned.clear()
+            evaluated.clear()
             report = inner(runtime, now)
+            assert evaluated == Counter(tid for ids in scanned for tid in ids)
             assert_nothing_due(runtime, report)
             sent.append(report.reminders_sent)
             return report
 
+        monkeypatch.setattr(reminders, "_evaluate", counting)
         monkeypatch.setattr(BoardRuntime, "run_cycle", run_cycle)
         run_simulation(SimConfig(
             seed=5, horizon_days=3, arrival_rate=16, roster_size=2,
@@ -544,9 +558,9 @@ class TestReminderSchedule:
         """Record the ticket ids each cycle hands to `due_reminders`."""
         scanned = []
 
-        def due(tickets, now, policy, ledger):
+        def due(tickets, now, policy, ledger, next_due=None):
             scanned.append([t.id for t in tickets])
-            return due_reminders(tickets, now, policy, ledger)
+            return due_reminders(tickets, now, policy, ledger, next_due)
 
         monkeypatch.setattr(board, "due_reminders", due)
         return scanned

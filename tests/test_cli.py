@@ -145,6 +145,26 @@ class TestRun:
         assert "bad --now 'yesterday'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_now_outside_the_utc_range_is_validation_error(self, team_files,
+                                                            capsys):
+        config, board, out = team_files
+        code = main(["run", "--config", str(config), "--board", str(board),
+                     "--out", str(out), "--now", "9999-12-31T23:59:59-05:00"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "bad --now '9999-12-31T23:59:59-05:00': ")
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_runtime_error(self, team_files, capsys):
+        config, board, out = team_files
+        out.write_text("not a directory\n")
+        code = main(["run", "--config", str(config), "--board", str(board),
+                     "--out", str(out), "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(
+            "cannot create output directory: ")
+        assert out.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize("change, error", [
         ({"reporter": None}, "missing value in field 'reporter'"),
         ({"labels": 5}, "bad value 5 in field 'labels'"),
@@ -458,6 +478,15 @@ class TestReport:
         out = capsys.readouterr().out
         assert "SIM,PreBot," in out and "SIM,PostBot," in out
 
+    @pytest.mark.parametrize("split", ["yesterday",
+                                       "9999-12-31T23:59:59-05:00"])
+    def test_bad_split_is_validation_error(self, sim_log, capsys, split):
+        assert main(["report", "--log", str(sim_log),
+                     "--split", split]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"bad --split {split!r}: ")
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_experiment_writes_outputs(self, tmp_path, capsys):
@@ -498,6 +527,21 @@ class TestSimulate:
         code = main(["simulate", "--experiment", str(experiment),
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("doc", [[1, 2], "pre", 5, None,
+                                     {"pre": [1], "post": {}},
+                                     {"pre": None, "post": {}}])
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]],
+                             ids=["no-seed", "seed"])
+    def test_experiment_of_another_shape_is_validation_error(
+            self, tmp_path, capsys, doc, seed):
+        experiment = tmp_path / "exp.json"
+        experiment.write_text(json.dumps(doc))
+        code = main(["simulate", "--experiment", str(experiment),
+                     "--out", str(tmp_path / "r"), *seed])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("experiment config: ")
+        assert not (tmp_path / "r").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         experiment = tmp_path / "exp.json"

@@ -9,12 +9,20 @@ from hypothesis import given, strategies as st
 from dispatchbot.reminders import (
     DEFAULT_STUCK_HOURS,
     MAX_HOURS,
+    Reminder,
     ReminderKind,
     ThresholdPolicy,
     due_reminders,
     next_reminder_at,
 )
-from dispatchbot.workflow import Priority, WorkflowState, apply_transition
+from dispatchbot.workflow import (
+    TRANSITIONS,
+    Priority,
+    ReopenMode,
+    WorkflowState,
+    apply_transition,
+    reopen,
+)
 
 from .conftest import at, ticket
 
@@ -217,3 +225,149 @@ class TestHourLimits:
         assert due_kinds(t, late, policy).count(ReminderKind.STUCK_STATE) == 1
         assert late < next_reminder_at(t, late, policy) <= \
             at(2 + 2 * MAX_HOURS)
+
+
+class TestThresholdTable:
+    @given(stuck=st.dictionaries(st.sampled_from(sorted(DEFAULT_STUCK_HOURS)),
+                                 st.floats(0.01, MAX_HOURS)),
+           period=st.floats(0.01, MAX_HOURS))
+    def test_equals_the_threshold_built_per_call(self, stuck, period):
+        policy = ThresholdPolicy(stuck_hours=stuck,
+                                 reminder_period_hours=period)
+        for state, default in DEFAULT_STUCK_HOURS.items():
+            for priority in Priority:
+                hours = stuck.get(state, default)
+                if priority is Priority.HIGH:
+                    hours /= 2.0
+                assert policy.stuck_threshold(state, priority) == \
+                    timedelta(hours=hours)
+        assert policy.reminder_period == timedelta(hours=period)
+
+    def test_changing_the_mapping_passed_in_changes_nothing(self):
+        stuck = {WorkflowState.BLOCKED: 10.0}
+        policy = ThresholdPolicy(team_id="team1", stuck_hours=stuck)
+        before = repr(policy)
+        stuck[WorkflowState.BLOCKED] = 1.0
+        stuck[WorkflowState.BACKLOG] = 2.0
+        assert policy == ThresholdPolicy(
+            team_id="team1", stuck_hours={WorkflowState.BLOCKED: 10.0})
+        assert repr(policy) == before
+        assert policy.stuck_threshold(WorkflowState.BLOCKED,
+                                      Priority.MEDIUM) == timedelta(hours=10)
+        assert policy.stuck_threshold(WorkflowState.BACKLOG,
+                                      Priority.MEDIUM) == timedelta(hours=120)
+
+    def test_repr_and_equality_show_only_the_configuration(self):
+        policy = ThresholdPolicy(team_id="team1", reminder_period_hours=4.0)
+        assert repr(policy) == (
+            "ThresholdPolicy(team_id='team1', stuck_hours="
+            f"{DEFAULT_STUCK_HOURS!r}, sla_warning_fraction=0.2, "
+            "reminder_period_hours=4.0)")
+        assert replace(policy, reminder_period_hours=2.0).reminder_period \
+            == timedelta(hours=2)
+        assert policy != replace(policy, reminder_period_hours=2.0)
+
+
+# The stream evaluation as it was written before it became one pass:
+# each stream's trigger built anew, with its threshold, per call.
+
+def reference_streams(t, policy):
+    hours = policy.stuck_hours.get(t.state, DEFAULT_STUCK_HOURS[t.state])
+    if t.priority is Priority.HIGH:
+        hours /= 2.0
+    deadline = t.sla_deadline
+    window = deadline - t.created_at
+    return (
+        (ReminderKind.STUCK_STATE,
+         (t.state_entered_at or t.created_at) + timedelta(hours=hours),
+         None),
+        (ReminderKind.SLA_IMMINENT,
+         deadline - policy.sla_warning_fraction * window, deadline),
+        (ReminderKind.SLA_BREACHED, deadline, None),
+    )
+
+
+def reference_count(trigger, now, period):
+    return 0 if now <= trigger else -((trigger - now) // period)
+
+
+def reference_next_reminder_at(t, now, policy):
+    period = timedelta(hours=policy.reminder_period_hours)
+    boundaries = []
+    for _, trigger, cap in reference_streams(t, policy):
+        boundary = trigger + reference_count(trigger, now, period) * period
+        if cap is None or boundary < cap:
+            boundaries.append(boundary)
+    return min(boundaries)
+
+
+def reference_due_reminders(tickets, now, policy, already_sent):
+    period = timedelta(hours=policy.reminder_period_hours)
+    out = []
+    for t in tickets:
+        for kind, trigger, cap in reference_streams(t, policy):
+            count = reference_count(
+                trigger, now if cap is None else min(now, cap), period)
+            sent = already_sent.get((t.id, kind.value), 0) if count else 0
+            names = {t.reporter} | ({t.assignee} if t.assignee else set())
+            if kind is ReminderKind.SLA_BREACHED:
+                names.add(f"team:{policy.team_id}")
+            out.extend(Reminder(t.id, kind, tuple(sorted(names)), index, now)
+                       for index in range(sent + 1, count + 1))
+    return out
+
+
+HOUR = 3600
+
+
+@st.composite
+def open_tickets(draw, tid, now):
+    """A ticket open at `now`: walked through the workflow, perhaps done
+    and reopened, with its SLA deadline past, at, near or far from `now`."""
+    created = now - timedelta(seconds=draw(st.integers(0, 300 * HOUR)))
+    deadline = now + timedelta(seconds=draw(
+        st.sampled_from([-1, 0, 1]) | st.integers(-200 * HOUR, 200 * HOUR)))
+    t = replace(ticket(tid, created=created, sla_deadline=deadline,
+                       priority=draw(st.sampled_from(Priority))),
+                assignee="e1")
+    clock = created
+    for _ in range(draw(st.integers(0, 4))):
+        clock += timedelta(seconds=draw(st.integers(1, 40 * HOUR)))
+        if clock > now:
+            break
+        t = apply_transition(
+            t, draw(st.sampled_from(sorted(TRANSITIONS[t.state]))), clock)
+    if t.state is WorkflowState.DONE:
+        t = reopen(t, draw(st.sampled_from(ReopenMode)),
+                   t.state_entered_at + timedelta(seconds=1))
+    if draw(st.booleans()) and t.state is WorkflowState.BACKLOG:
+        t = replace(t, assignee=None)
+    return t
+
+
+class TestSinglePass:
+    @given(data=st.data(),
+           period=st.sampled_from([1.0, 2.0, 24.0]) | st.floats(0.25, 48),
+           fraction=st.floats(0.01, 1),
+           stuck=st.dictionaries(st.sampled_from(sorted(DEFAULT_STUCK_HOURS)),
+                                 st.floats(0.5, 150)),
+           now=st.integers(0, 400 * HOUR))
+    def test_matches_the_per_stream_reference(self, data, period, fraction,
+                                               stuck, now):
+        policy = ThresholdPolicy(team_id="team1", stuck_hours=stuck,
+                                 sla_warning_fraction=fraction,
+                                 reminder_period_hours=period)
+        now = at(seconds=now)
+        tickets = [data.draw(open_tickets(f"T1-{n}", now))
+                   for n in range(data.draw(st.integers(1, 3)))]
+        ledger = data.draw(st.dictionaries(
+            st.tuples(st.sampled_from([t.id for t in tickets]),
+                      st.sampled_from([k.value for k in ReminderKind])),
+            st.integers(0, 6)))
+        next_due = {}
+        assert due_reminders(tickets, now, policy, ledger, next_due) == \
+            reference_due_reminders(tickets, now, policy, ledger)
+        assert next_due == {t.id: reference_next_reminder_at(t, now, policy)
+                            for t in tickets}
+        for t in tickets:
+            assert next_reminder_at(t, now, policy) == next_due[t.id]
