@@ -14,10 +14,11 @@ resumes each reminder stream after its last sent index and flushes
 the outbox, which holds only pending messages; the fold maintains all
 three in the snapshot. Reminders are evaluated only for the tickets that
 changed since their last evaluation or whose next reminder boundary has
-passed, found through a next-due min-heap. The reminder policy is
-configuration, not log state, so that schedule lives in the runtime
-rather than in the snapshot; a restart rebuilds it by evaluating every
-open ticket once.
+passed, found through a next-due min-heap, with one stream pass per
+visited ticket giving both its due reminders and its next boundary. The
+reminder policy is configuration, not log state, so that schedule lives
+in the runtime rather than in the snapshot; a restart rebuilds it by
+evaluating every open ticket once.
 """
 
 from __future__ import annotations
@@ -586,7 +587,7 @@ class BoardRuntime:
             else:
                 next_due.pop(tid, None)
         # One pass per ticket gives both its due reminders and its next
-        # boundary; a reminder sent changes neither the ticket nor that.
+        # boundary; committing a reminder changes neither.
         boundaries: dict[str, datetime] = {}
         for reminder in due_reminders(tickets, now, policy,
                                       self.snapshot.reminder_ledger,

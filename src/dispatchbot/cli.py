@@ -61,8 +61,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.now:
         try:
             now = parse_ts(args.now)
-        # OverflowError: a date that leaves datetime's range in UTC.
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:  # Overflow: out of range
             return _fail(EXIT_VALIDATION, f"bad --now {args.now!r}: {exc}")
 
     out_dir = Path(args.out)

@@ -78,8 +78,8 @@ class ChannelBinding:
     #: enabled channel -> endpoint descriptor (file path or webhook URL)
     endpoints: dict[Channel, str]
     review_channel: Channel
-    #: The wire values of `enabled()`, which every reminder goes to, built
-    #: once.
+    #: The wire values of the enabled channels in CHANNEL_ORDER, which
+    #: every reminder goes to, built once.
     fan_out: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -91,11 +91,8 @@ class ChannelBinding:
         if self.review_channel not in CHAT_CHANNELS:
             raise BindingError(
                 f"team {self.team_id}: review channel must be a chat channel")
-        object.__setattr__(self, "fan_out",
-                           tuple(c.value for c in self.enabled()))
-
-    def enabled(self) -> list[Channel]:
-        return [c for c in CHANNEL_ORDER if c in self.endpoints]
+        object.__setattr__(self, "fan_out", tuple(
+            c.value for c in CHANNEL_ORDER if c in self.endpoints))
 
 
 #: The keys of a message's wire dict.

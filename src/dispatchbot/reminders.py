@@ -129,9 +129,9 @@ def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
     when there is one. The imminent stream, triggered when the warning
     fraction of the SLA window remains, stops at the deadline, where the
     breached stream takes over, so the triggered set stays monotone in
-    `now`. A stream's next boundary is its trigger plus its count at
-    (uncapped) `now` whole periods; a capped stream's counts only while
-    it lies before the cap.
+    `now`. A stream's next boundary is its trigger plus as many whole
+    periods as its uncapped count at `now`; a capped stream's boundary
+    counts only while it lies before the cap.
     """
     period = policy.reminder_period
     deadline = ticket.sla_deadline
@@ -143,10 +143,10 @@ def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
     warning_at = (deadline
                   - policy.sla_warning_fraction * (deadline - ticket.created_at))
     if now < deadline:
+        # Here the breached stream's boundary is the deadline itself, so
+        # `boundary` already keeps the imminent stream's before its cap.
         imminent = _escalations_due(warning_at, now, period)
-        imminent_at = warning_at + imminent * period
-        if imminent_at < deadline and imminent_at < boundary:
-            boundary = imminent_at
+        boundary = min(boundary, warning_at + imminent * period)
     else:
         # Past the cap every boundary of the imminent stream is too.
         imminent = _escalations_due(warning_at, deadline, period)
