@@ -113,15 +113,10 @@ def _escalations_due(trigger: datetime, now: datetime,
     return -((trigger - now) // period)
 
 
-#: Each stream's kind and its wire value, the ledger's key for it, in the
-#: order `_evaluate` counts them.
-_STREAM_KINDS = tuple((kind, kind.value) for kind in ReminderKind)
-
-
 def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
               ) -> tuple[tuple[int, int, int], datetime]:
     """One pass over an open ticket's reminder streams at `now`: the
-    escalations each has due, in `_STREAM_KINDS` order, and the ticket's
+    escalations each has due, in `ReminderKind` order, and the ticket's
     next reminder boundary (see `next_reminder_at`).
 
     Each stream has a trigger and may have a cap. Its count at `now` is
@@ -199,7 +194,7 @@ def due_reminders(
         counts, boundary = _evaluate(t, now, policy)
         if next_due is not None:
             next_due[t.id] = boundary
-        for (kind, value), count in zip(_STREAM_KINDS, counts):
+        for (kind, value), count in zip(REMINDER_KIND_VALUE.items(), counts):
             if not count:
                 continue
             sent = already_sent.get((t.id, value), 0)
