@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .workflow import Priority, Ticket, WorkflowState
@@ -78,14 +77,14 @@ class ThresholdPolicy:
         for state, default in DEFAULT_STUCK_HOURS.items():
             hours = stuck_hours.get(state, default)
             # High priority gets half the leash.
-            thresholds[state] = MappingProxyType({
+            thresholds[state] = {
                 priority: timedelta(hours=hours / 2.0
                                     if priority is Priority.HIGH else hours)
-                for priority in Priority})
+                for priority in Priority}
         object.__setattr__(self, "stuck_hours", stuck_hours)
         object.__setattr__(self, "reminder_period",
                            timedelta(hours=self.reminder_period_hours))
-        object.__setattr__(self, "_thresholds", MappingProxyType(thresholds))
+        object.__setattr__(self, "_thresholds", thresholds)
 
     def stuck_threshold(self, state: WorkflowState,
                         priority: Priority) -> timedelta:

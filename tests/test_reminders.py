@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import replace
 from datetime import timedelta
 
@@ -256,6 +258,18 @@ class TestThresholdTable:
                                       Priority.MEDIUM) == timedelta(hours=10)
         assert policy.stuck_threshold(WorkflowState.BACKLOG,
                                       Priority.MEDIUM) == timedelta(hours=120)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_a_clone_keeps_the_derived_values(self, clone):
+        policy = ThresholdPolicy(team_id="team1", reminder_period_hours=4.0,
+                                 stuck_hours={WorkflowState.BLOCKED: 10.0})
+        twin = clone(policy)
+        assert twin == policy
+        assert twin.reminder_period == timedelta(hours=4)
+        assert twin.stuck_threshold(WorkflowState.BLOCKED, Priority.HIGH) \
+            == timedelta(hours=5)
 
     def test_repr_and_equality_show_only_the_configuration(self):
         policy = ThresholdPolicy(team_id="team1", reminder_period_hours=4.0)
