@@ -138,6 +138,8 @@ def load_team_config(path: str | Path) -> TeamConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
+    if path.is_dir():
+        raise ConfigError([f"config file is a directory: {path}"])
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON, bad UTF-8, an oversized integer

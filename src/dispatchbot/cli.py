@@ -12,10 +12,12 @@ import argparse
 import json
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 from .board import BoardRuntime, ConfigError, load_team_config
 from .eventlog import (
+    KIND_TRANSITIONED,
     BoardSnapshot,
     CorruptRecordError,
     DuplicateTicketError,
@@ -23,6 +25,7 @@ from .eventlog import (
     MalformedRecordError,
     SeqGapError,
     fold_event,
+    iter_event_log,
     read_event_log,
     replay,
 )
@@ -52,6 +55,15 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _unreadable(path: Path, what: str) -> str | None:
+    """Why the file `what` at `path` cannot be read, or None."""
+    if not path.exists():
+        return f"{what} not found: {path}"
+    if path.is_dir():
+        return f"{what} is a directory: {path}"
+    return None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_team_config(args.config)
@@ -77,9 +89,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.board:
         board_path = Path(args.board)
-        if not board_path.exists():
-            return _fail(EXIT_VALIDATION,
-                         f"board fixture not found: {board_path}")
+        if (problem := _unreadable(board_path, "board fixture")) is not None:
+            return _fail(EXIT_VALIDATION, problem)
         try:
             _inject_fixture(runtime, board_path)
         except (CorruptRecordError, ValueError) as exc:
@@ -127,9 +138,8 @@ def _inject_fixture(runtime: BoardRuntime, path: Path) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.experiment:
         path = Path(args.experiment)
-        if not path.exists():
-            return _fail(EXIT_VALIDATION,
-                         f"experiment config not found: {path}")
+        if (problem := _unreadable(path, "experiment config")) is not None:
+            return _fail(EXIT_VALIDATION, problem)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
@@ -164,15 +174,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _replay_log(log: str) -> tuple[list[dict], BoardSnapshot] | int:
-    """The events of the log file `log` and their snapshot, or the exit
-    code after saying on stderr why there are none."""
+def _replay_log(log: str, tap=None) -> BoardSnapshot | int:
+    """The snapshot the log file `log` folds to, or the exit code after
+    saying on stderr why there is none. The records stream from the file
+    through `tap`, if given, into the fold."""
     path = Path(log)
-    if not path.exists():
-        return _fail(EXIT_VALIDATION, f"event log not found: {path}")
+    if (problem := _unreadable(path, "event log")) is not None:
+        return _fail(EXIT_VALIDATION, problem)
     try:
-        events = read_event_log(path)
-        return events, replay(events)
+        with closing(iter_event_log(path)) as records:
+            return replay(records if tap is None else tap(records))
     except REPLAY_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"{path}: {exc}")
 
@@ -184,10 +195,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             split = parse_ts(args.split)
         except (ValueError, OverflowError) as exc:
             return _fail(EXIT_VALIDATION, f"bad --split {args.split!r}: {exc}")
-    replayed = _replay_log(args.log)
-    if type(replayed) is int:
-        return replayed
-    _, snapshot = replayed
+    snapshot = _replay_log(args.log)
+    if type(snapshot) is int:
+        return snapshot
 
     tickets = list(snapshot.tickets.values())
     team = snapshot.board_id or "board"
@@ -214,22 +224,31 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    replayed = _replay_log(args.log)
-    if type(replayed) is int:
-        return replayed
-    events, snapshot = replayed
-    print(f"replayed {len(events)} events, watermark {snapshot.watermark}, "
-          f"{len(snapshot.tickets)} tickets")
+    #: ticket id -> (to, ts) of its last Transitioned record.
+    moves: dict[str, tuple] = {}
+
+    def tap(records):
+        for record in records:
+            yield record
+            # Resumed only once the fold has accepted the record.
+            if record["kind"] == KIND_TRANSITIONED:
+                moves[record["ticket"]] = record["to"], record["ts"]
+
+    snapshot = _replay_log(args.log, tap)
+    if type(snapshot) is int:
+        return snapshot
+    # Each record folded raises the watermark by one, from 0.
+    print(f"replayed {snapshot.watermark} events, watermark "
+          f"{snapshot.watermark}, {len(snapshot.tickets)} tickets")
     if args.assert_consistency:
         # Each ticket against its last Transitioned record in the log.
-        moves = {e["ticket"]: e for e in events if e["kind"] == "Transitioned"}
         for ticket in snapshot.tickets.values():
-            move = moves.get(ticket.id)
-            if ticket.state.value != (move["to"] if move else "Backlog"):
+            to, ts = moves.get(ticket.id, ("Backlog", None))
+            if ticket.state.value != to:
                 return _fail(EXIT_RUNTIME,
                              f"{ticket.id}: state differs from the log")
             done = ticket.state is WorkflowState.DONE
-            if ticket.resolved_at != (parse_ts(move["ts"]) if done else None):
+            if ticket.resolved_at != (parse_ts(ts) if done else None):
                 return _fail(EXIT_RUNTIME,
                              f"{ticket.id}: resolved_at differs from the log")
         print("consistency ok")

@@ -17,15 +17,24 @@ with the event that announces it and leaves it with the
 `MessageDelivered` record that settles it (delivered, or failed for
 good); the snapshot keeps only the failed attempts of pending messages
 and a count of settled messages per channel and outcome.
+
+The log is read in batches of lines, each parsed by one JSON scan, so the
+records of a batch share one string per key. A batch that does not read
+as exactly one record per line is read again line by line, so an error
+names the same line and text either way. `iter_event_log` yields records
+as it reads them, and the `replay` and `report` commands fold that stream:
+they hold the board, not its history, and report the first line in file
+order that cannot be read or folded.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .notify import (
     CHANNEL_BY_VALUE,
@@ -362,13 +371,23 @@ class EventLog:
             expected += 1
         if self.path is not None:
             if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("a", encoding="utf-8")
+                self._open()
             for event in events:
                 self._fh.write(encode_event(event) + "\n")
         self.events.extend(events)
         self.watermark = expected - 1
         return self.watermark
+
+    def _open(self) -> None:
+        """Open the file for append. A last line whose newline was lost
+        gets it back first, so the next record starts a line of its own."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = self.path.open("a", encoding="utf-8")
+        if self._fh.tell():
+            with self.path.open("rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    self._fh.write("\n")
 
     def flush(self) -> None:
         """Hand every appended line to the OS, so that another reader of
@@ -389,32 +408,102 @@ class EventLog:
 
 
 #: Parses one JSON value at an index: `json.loads` without its wrapper.
+#: Keys are shared within one call, never across calls.
 _scan_json = json.JSONDecoder().scan_once
+
+#: Characters of log lines parsed with one scan, about 64 Ki.
+_BATCH_CHARS = 1 << 16
+
+#: The JSON string "\0", set between each two lines of a batch.
+_SENTINEL = '"\\u0000"'
+_JOIN = "\n," + _SENTINEL + "\n,"
+
+
+def _fault(value) -> str | None:
+    """Why the parsed line `value` is not a record, or None."""
+    if type(value) is not dict or "seq" not in value \
+            or "kind" not in value or "ts" not in value:
+        return "missing required fields"
+    if value["kind"] not in EVENT_KINDS:
+        return f"unknown kind {value['kind']!r}"
+    return None
+
+
+def _parse_line(line: str, line_no: int) -> dict:
+    """The record on one stripped, nonblank line."""
+    try:
+        event, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line):
+        # Not one JSON value: json.loads words the error.
+        try:
+            event = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise CorruptRecordError(line_no, f"invalid JSON: {exc}")
+    if (fault := _fault(event)) is not None:
+        raise CorruptRecordError(line_no, fault)
+    return event
+
+
+def _scan_batch(lines: list[str]) -> list[dict] | None:
+    r"""The records on `lines` (stripped, nonblank), one per line, from one
+    scan of the array `[line, "\u0000", line, ..., line]`, so that they
+    share one string per key; None when the batch must be read line by
+    line.
+
+    Accepting the array is exact. Strict JSON has no raw NUL in a string,
+    so the only text whose value is the string "\0" is the sentinel token
+    `"\u0000"`. The n - 1 odd values are such strings, in order, at the
+    top level of the array, so each is its own occurrence of the token.
+    The text holds n - 1 occurrences, the joins' own, so no line holds one
+    and the odd values are the joins' tokens. The commas next to each join
+    token then separate top-level values, and what lies between two joins,
+    one line, is exactly the one value between them. A value parses the
+    same wherever its text stands, so each record is the line read alone.
+    Without the count, a line `{A},"\u0000",{B}` could stand in for a join
+    while a record split over two lines takes that join's place.
+    """
+    n = len(lines)
+    text = "[" + _JOIN.join(lines) + "]"
+    if text.count(_SENTINEL) != n - 1:
+        return None
+    try:
+        values, end = _scan_json(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    records = values[0::2]
+    if end != len(text) or len(values) != 2 * n - 1 \
+            or values[1::2].count("\0") != n - 1 \
+            or any(map(_fault, records)):
+        return None
+    return records
+
+
+def iter_event_log(path: str | Path) -> Iterator[dict]:
+    """Yield the records of an ndjson log in file order. The first line
+    that is not one record raises `CorruptRecordError` with its line
+    number; blank lines are skipped but counted.
+
+    Lines come in batches of about `_BATCH_CHARS` characters, split as
+    iterating the file splits them, and a batch parses with one scan (see
+    `_scan_batch`). A batch that will not is read line by line, each
+    record yielded before the next line is read, so a consumer that folds
+    the stream meets the first line it cannot read or fold first."""
+    line_no = 0
+    with Path(path).open("r", encoding="utf-8") as fh:
+        while batch := fh.readlines(_BATCH_CHARS):
+            records = _scan_batch([line for line in map(str.strip, batch)
+                                   if line])
+            if records is None:
+                for line_no, line in enumerate(batch, line_no + 1):
+                    if line := line.strip():
+                        yield _parse_line(line, line_no)
+            else:
+                line_no += len(batch)
+                yield from records
 
 
 def read_event_log(path: str | Path) -> list[dict]:
-    """Parse an ndjson log, failing fast with the offending line number."""
-    events: list[dict] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event, end = _scan_json(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(line):
-                # Not one JSON value: json.loads words the error.
-                try:
-                    event = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise CorruptRecordError(line_no, f"invalid JSON: {exc}")
-            if type(event) is not dict or "seq" not in event \
-                    or "kind" not in event or "ts" not in event:
-                raise CorruptRecordError(line_no, "missing required fields")
-            if event["kind"] not in EVENT_KINDS:
-                raise CorruptRecordError(
-                    line_no, f"unknown kind {event['kind']!r}")
-            events.append(event)
-    return events
+    """Every record of an ndjson log, as `iter_event_log` yields them."""
+    return list(iter_event_log(path))

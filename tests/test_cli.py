@@ -221,6 +221,48 @@ class TestRun:
         assert "cannot rebuild board state: line 3:" in \
             capsys.readouterr().err
 
+    def test_log_whose_final_newline_was_lost_takes_the_next_run(
+            self, team_files, capsys):
+        config, board, out = team_files
+        args = ["run", "--config", str(config), "--board", str(board),
+                "--out", str(out), "--now", "2025-01-06T10:00:00Z"]
+        assert main(args) == EXIT_OK
+        log = out / "T1.events.ndjson"
+        text = log.read_text()
+        log.write_text(text.rstrip("\n"))
+        board.write_text(board.read_text().replace("T1-3", "T1-4"))
+        args[-1] = "2025-01-06T11:00:00Z"
+        assert main(args) == EXIT_OK
+        assert log.read_text().startswith(text)
+        records = eventlog.read_event_log(log)
+        assert [r["seq"] for r in records] == \
+            list(range(1, len(records) + 1))
+        assert any(r.get("ticket") == "T1-4" for r in records)
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log), "--assert"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("consistency ok\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--experiment", "{dir}", "--out", "{out}"],
+     "experiment config is a directory: {dir}"),
+    (["run", "--config", "{dir}", "--out", "{out}"],
+     "config error: config file is a directory: {dir}"),
+    (["run", "--config", "{config}", "--board", "{dir}", "--out", "{out}"],
+     "board fixture is a directory: {dir}"),
+    (["report", "--log", "{dir}"], "event log is a directory: {dir}"),
+    (["replay", "--log", "{dir}"], "event log is a directory: {dir}"),
+], ids=["simulate-experiment", "run-config", "run-board", "report-log",
+        "replay-log"])
+def test_path_naming_a_directory_is_validation_error(team_files, tmp_path,
+                                                     capsys, argv, message):
+    config, _, out = team_files
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"dir": folder, "out": out, "config": config}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == message.format(**paths) + "\n"
+
 
 #: A first log line for the records that need a known ticket.
 CREATED = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
@@ -347,6 +389,9 @@ class TestReplay:
          '"kind":"Created","ticket":["x"],"reporter":"r1"}',
          "seq 1: bad value ['x'] in field 'ticket'"),
         (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
+         '"kind":"Transitioned","ticket":["T1-1"],"to":"Done","actor":"e1"}',
+         "seq 2: unknown ticket ['T1-1'] in field 'ticket'"),
+        (CREATED + '{"seq":2,"ts":"2025-01-06T10:00:00Z","board":"T1",'
          '"kind":"Assigned","ticket":"T1-1","engineer":["e1"]}',
          "seq 2: bad value ['e1'] in field 'engineer'"),
         ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
@@ -407,7 +452,8 @@ class TestReplay:
             "unknown-reopen-mode", "message-ts", "event-ts",
             "message-not-object", "messages-int", "message-id",
             "message-settled-twice", "retries-string", "msg-id-list",
-            "message-id-reused", "ticket-list", "engineer-list",
+            "message-id-reused", "ticket-list", "transition-ticket-list",
+            "engineer-list",
             "labels-int", "labels-string", "reporter-int", "cursor-string",
             "reopen-to-mismatch", "seq-float", "seq-bool", "board-list",
             "board-other", "wire-text-int", "wire-ticket-list",

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispatchbot.cli import REPLAY_ERRORS
+from dispatchbot import eventlog
+from dispatchbot.cli import REPLAY_ERRORS, main
 from dispatchbot.eventlog import (
     BoardSnapshot,
+    EVENT_KINDS,
     CorruptRecordError,
     DuplicateTicketError,
     EventLog,
@@ -67,7 +71,8 @@ GOOD_LINE = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
              '"kind":"Created","ticket":"T1-1","reporter":"r1"}')
 
 
-@pytest.mark.parametrize("text, line_no, message", [
+#: (log text, line number, message) of a log that does not read.
+CORRUPT_LOGS = [
     # Blank lines are skipped but still counted.
     (GOOD_LINE + "\n\n   \n" + '{"seq":2' + "\n", 4,
      "invalid JSON: Expecting ',' delimiter: line 1 column 9 (char 8)"),
@@ -90,7 +95,10 @@ GOOD_LINE = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
      "unknown kind 'Exploded'"),
     ('{"seq":1,"ts":"x","kind":["Created"]}\n', 1,
      "unknown kind ['Created']"),
-])
+]
+
+
+@pytest.mark.parametrize("text, line_no, message", CORRUPT_LOGS)
 def test_corrupt_record_texts(tmp_path, text, line_no, message):
     path = tmp_path / "bad.ndjson"
     path.write_text(text, encoding="utf-8")
@@ -704,3 +712,213 @@ def test_any_json_object_on_a_line_folds_or_is_a_replay_error(
         replay(read_event_log(path))
     except REPLAY_ERRORS:
         pass
+
+
+def test_a_log_whose_final_newline_was_lost_takes_appends(tmp_path):
+    path = tmp_path / "x.ndjson"
+    first, second = _events(CREATED, dict(CREATED, ticket="T1-2"))
+    path.write_text(encode_event(first))
+    with EventLog(path) as log:
+        assert log.events == [first]
+        log.append([second])
+    assert path.read_text() == \
+        encode_event(first) + "\n" + encode_event(second) + "\n"
+    # A log that ends in its newline, or is empty, gets none added.
+    for text, event in (("", first), (encode_event(first) + "\n", second)):
+        path.write_text(text)
+        with EventLog(path) as log:
+            log.append([event])
+        assert path.read_text() == text + encode_event(event) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The batched reader
+# ---------------------------------------------------------------------------
+
+def _read_line_by_line(path) -> list[dict]:
+    """The reader the batched one must match: each line parsed alone."""
+    events = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise CorruptRecordError(line_no, f"invalid JSON: {exc}")
+            if type(event) is not dict \
+                    or not {"seq", "kind", "ts"} <= event.keys():
+                raise CorruptRecordError(line_no, "missing required fields")
+            if event["kind"] not in EVENT_KINDS:
+                raise CorruptRecordError(
+                    line_no, f"unknown kind {event['kind']!r}")
+            events.append(event)
+    return events
+
+
+def _outcome(read, path):
+    """The records `read` gets from `path`, or its error's line and text."""
+    try:
+        return read(path)
+    except CorruptRecordError as exc:
+        return exc.line_no, str(exc)
+
+
+#: A record whose two wires stand side by side.
+TWO_WIRES = dict(ASSIGNED, messages=[WIRE, dict(WIRE, msg_id="m000002")])
+#: Record lines the soups below are made of.
+SOUP_RECORDS = [encode_event(record) for record in _events(
+    CREATED, TWO_WIRES, dict(TWO_WIRES, kind="Reassigned"), REMINDED,
+    dict(MOVED, to="Done"), dict(CREATED, ticket="\u0000"),
+    dict(DELIVERED, note="x\u0000"))]
+SENTINEL = '"\\u0000"'
+
+
+def _bracket_commas(text: str) -> list[int]:
+    """Where `text` has a comma right after a closing bracket."""
+    return [i for i, c in enumerate(text) if c == "," and text[i - 1] in "}]"]
+
+
+@st.composite
+def _split_record(draw) -> list[str]:
+    """A record over two lines: split anywhere, or at a comma after a
+    closing bracket, which the split loses."""
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(SOUP_RECORDS))
+        i = draw(st.integers(1, len(text) - 1))
+        return [text[:i], text[i:]]
+    text = draw(st.sampled_from([t for t in SOUP_RECORDS
+                                 if _bracket_commas(t)]))
+    i = draw(st.sampled_from(_bracket_commas(text)))
+    return [text[:i], text[i + 1:]]
+
+
+@st.composite
+def _two_records(draw, between: list[str]) -> list[str]:
+    """Two records on one line, with one of `between` between them."""
+    first = draw(st.sampled_from(SOUP_RECORDS))
+    second = draw(st.sampled_from(SOUP_RECORDS))
+    return [first + draw(st.sampled_from(between)) + second]
+
+
+def _line(values: list[str]):
+    """One-line fragments: one of `values`."""
+    return st.sampled_from(values).map(lambda line: [line])
+
+
+FRAGMENTS = st.one_of(
+    _line(SOUP_RECORDS),
+    _line(["", " ", "\t", " \x0c ", "\x0b"]),
+    _line([SENTINEL, f" {SENTINEL},", f",{SENTINEL}"]),
+    _line(["[", "]", "{", "}", ","]),
+    _split_record(),
+    _two_records(["", ",", " "]),
+    # With a record split at a bracket comma, this forges a join.
+    _two_records([f",{SENTINEL},"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(soup=st.lists(FRAGMENTS, max_size=10),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       last_newline=st.booleans(),
+       batch_chars=st.integers(1, 600) | st.just(1 << 16))
+def test_batched_reading_matches_reading_line_by_line(
+        tmp_path_factory, soup, newline, last_newline, batch_chars):
+    # The lines of any run of fragments, as one batch, read as they read
+    # alone, or the batch is refused.
+    for start in range(len(soup)):
+        for stop in range(start + 1, len(soup) + 1):
+            lines = [line.strip() for fragment in soup[start:stop]
+                     for line in fragment if line.strip()]
+            records = eventlog._scan_batch(lines) if lines else None
+            if records is not None:
+                assert records == [json.loads(line) for line in lines]
+    lines = [line for fragment in soup for line in fragment]
+    path = tmp_path_factory.getbasetemp() / "soup.ndjson"
+    path.write_text(newline.join(lines) + newline * last_newline,
+                    encoding="utf-8", newline="")
+    with mock.patch.object(eventlog, "_BATCH_CHARS", batch_chars):
+        assert _outcome(read_event_log, path) == \
+            _outcome(_read_line_by_line, path)
+
+
+def test_a_line_that_forges_a_join_is_read_alone(tmp_path):
+    first, second, third = (encode_event(record) for record in _events(
+        CREATED, dict(CREATED, ticket="T1-2"), TWO_WIRES))
+    head, tail = third.split("},{", 1)
+    lines = [f"{first},{SENTINEL},{second}", head + "}", "{" + tail]
+    # As one array the three lines give three records with a sentinel
+    # between each two; only the count of sentinel tokens tells.
+    values = json.loads("[" + eventlog._JOIN.join(lines) + "]")
+    assert values[1::2] == ["\0", "\0"] and len(values) == 5
+    assert all(type(value) is dict for value in values[0::2])
+    path = tmp_path / "forged.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRecordError) as err:
+        read_event_log(path)
+    assert str(err.value) == _outcome(_read_line_by_line, path)[1] == \
+        f"line 1: invalid JSON: Extra data: line 1 column " \
+        f"{len(first) + 1} (char {len(first)})"
+
+
+#: Good lines mixed with blank ones, more than two batches of them.
+GOOD_BATCHES = (GOOD_LINE + "\n\n \n") * (2 * eventlog._BATCH_CHARS // 100)
+
+
+@pytest.mark.parametrize("text, line_no, message", CORRUPT_LOGS)
+def test_corrupt_record_texts_after_whole_batches(tmp_path, text, line_no,
+                                                  message):
+    path = tmp_path / "bad.ndjson"
+    path.write_text(GOOD_BATCHES + text, encoding="utf-8")
+    line_no += GOOD_BATCHES.count("\n")
+    with pytest.raises(CorruptRecordError) as err:
+        read_event_log(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_records_of_a_batch_share_their_keys(tmp_path):
+    path = tmp_path / "log.ndjson"
+    path.write_text(GOOD_LINE + "\n\n" + GOOD_LINE + "\n")
+    first, second = read_event_log(path)
+    assert first == second
+    assert all(a is b for a, b in zip(first, second))
+
+
+def _long_log(path, tickets: int, rounds: int) -> int:
+    """Write a log where each of `tickets` tickets starts work, is handed
+    over `rounds` times and is done; return its number of records."""
+    records = [dict(record, ticket=f"T1-{i}") for i in range(tickets)
+               for record in (CREATED, ASSIGNED,
+                              dict(MOVED, to="WorkInProgress"))]
+    records += [dict(ASSIGNED, kind="Reassigned", ticket=f"T1-{i}",
+                     engineer=f"e{r % 2}")
+                for r in range(rounds) for i in range(tickets)]
+    records += [dict(MOVED, ticket=f"T1-{i}", to="Done")
+                for i in range(tickets)]
+    with path.open("w", encoding="utf-8") as fh:
+        for seq, record in enumerate(records, start=1):
+            fh.write(encode_event(dict(
+                record, seq=seq, board="T1",
+                ts=f"2025-01-06T{9 + seq // 3600:02d}:{seq // 60 % 60:02d}:"
+                   f"{seq % 60:02d}Z")) + "\n")
+    return len(records)
+
+
+def test_replay_assert_streams_the_log(tmp_path, capsys):
+    path = tmp_path / "long.ndjson"
+    count = _long_log(path, tickets=100, rounds=200)
+    assert count >= 20_000
+    tracemalloc.start()
+    try:
+        code = main(["replay", "--log", str(path), "--assert"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == (
+        f"replayed {count} events, watermark {count}, 100 tickets\n"
+        "consistency ok\n")
+    assert peak < 3 * 2 ** 20
