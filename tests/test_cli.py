@@ -524,6 +524,68 @@ class TestReport:
         out = capsys.readouterr().out
         assert "SIM,PreBot," in out and "SIM,PostBot," in out
 
+    @pytest.mark.parametrize("args, stdout", [
+        ([], """\
+team SIM
+period   #tickets  #engg   median    max      avg      std  resolution
+All            15      4     3.50      7     3.75     2.17      1d:03h
+"""),
+        (["--format", "csv"], """\
+team,period,tickets,engineers,median,max,avg,std
+SIM,All,15,4,3.50,7.00,3.75,2.17
+team,period,avg_hours,formatted
+SIM,All,27.26,1d:03h
+"""),
+        (["--split", "2025-01-07T12:00:00Z"], """\
+team SIM
+period   #tickets  #engg   median    max      avg      std  resolution
+PostBot         9      4     2.50      3     2.25     0.83      1d:03h
+PreBot          6      3     1.00      4     2.00     1.41      1d:02h
+"""),
+        (["--split", "2025-01-07T12:00:00Z", "--format", "csv"], """\
+team,period,tickets,engineers,median,max,avg,std
+SIM,PostBot,9,4,2.50,3.00,2.25,0.83
+SIM,PreBot,6,3,1.00,4.00,2.00,1.41
+team,period,avg_hours,formatted
+SIM,PostBot,27.78,1d:03h
+SIM,PreBot,26.48,1d:02h
+"""),
+        (["--split", "2025-01-01T00:00:00Z"], """\
+team SIM
+period   #tickets  #engg   median    max      avg      std  resolution
+PostBot        15      4     3.50      7     3.75     2.17      1d:03h
+"""),
+    ], ids=["table", "csv", "split-table", "split-csv", "split-before-all"])
+    def test_report_output_is_pinned(self, tmp_path, capsys, args, stdout):
+        # Manual assignment leaves the engineers' counts uneven, and one
+        # engineer resolves no ticket created before the split.
+        run_simulation(SimConfig(seed=5, horizon_days=4, arrival_rate=6,
+                                 roster_size=4, policy="Manual",
+                                 manual_delay_days=1), tmp_path)
+        log = tmp_path / "SIM.events.ndjson"
+        assert main(["report", "--log", str(log), *args]) == EXIT_OK
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("args, stdout", [
+        ([], """\
+team board
+period   #tickets  #engg   median    max      avg      std  resolution
+All             0      1     0.00      0     0.00     0.00      0d:00h
+"""),
+        (["--format", "csv"], """\
+team,period,tickets,engineers,median,max,avg,std
+board,All,0,1,0.00,0.00,0.00,0.00
+team,period,avg_hours,formatted
+board,All,0.00,0d:00h
+"""),
+    ], ids=["table", "csv"])
+    def test_report_of_an_empty_log_is_pinned(self, tmp_path, capsys, args,
+                                              stdout):
+        log = tmp_path / "empty.ndjson"
+        log.write_text("")
+        assert main(["report", "--log", str(log), *args]) == EXIT_OK
+        assert capsys.readouterr().out == stdout
+
     @pytest.mark.parametrize("split", ["yesterday",
                                        "9999-12-31T23:59:59-05:00"])
     def test_bad_split_is_validation_error(self, sim_log, capsys, split):
