@@ -13,8 +13,7 @@ from .board import BoardRuntime, CycleReport, TeamConfig, load_team_config
 from .eventlog import BoardSnapshot, EventLog, read_event_log, replay
 from .metrics import (
     ComparisonReport,
-    DistributionReport,
-    ResolutionReport,
+    PeriodReport,
     compare_periods,
     distribution_stats,
     format_duration,

@@ -531,18 +531,15 @@ class BoardRuntime:
         report = CycleReport(now=now)
         assigned_now: set[str] = set()
 
-        for ticket in poll_new_unassigned(self.snapshot):
-            if report.empty_pool:
-                report.unassigned_pending += 1
-                continue
+        polled = poll_new_unassigned(self.snapshot)
+        for ticket in polled:
             try:
                 decision = self._decide(ticket, now)
             except EmptyPoolError:
+                # The pool depends on `now` alone: empty for every ticket.
                 report.empty_pool = True
-                report.unassigned_pending += 1
-                continue
+                break
             if decision is None:
-                report.unassigned_pending += 1
                 continue
             wire = announce_assignment(decision, self.config.binding,
                                        self._make_msg_id())
@@ -556,6 +553,7 @@ class BoardRuntime:
             report.assigned += 1
             report.assignments.append((ticket.id, decision.engineer_id))
             assigned_now.add(ticket.id)
+        report.unassigned_pending = len(polled) - report.assigned
 
         if self.config.thresholds is not None:
             self._remind(now, assigned_now, report)

@@ -30,12 +30,10 @@ from .eventlog import (
     replay,
 )
 from .metrics import (
-    build_distribution_report,
-    build_resolution_report,
     distribution_csv,
+    period_report,
     render_table,
     resolution_csv,
-    resolved_counts,
 )
 from .sim import SimConfig, default_experiment_configs, run_experiment
 from .timeutil import parse_ts, utc_now
@@ -43,7 +41,7 @@ from .workflow import TransitionError, WorkflowState
 
 #: A log that cannot be read, or records a history the fold rejects.
 REPLAY_ERRORS = (CorruptRecordError, SeqGapError, DuplicateTicketError,
-                 MalformedRecordError, TransitionError, UnicodeDecodeError)
+                 MalformedRecordError, TransitionError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -76,6 +74,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         except (ValueError, OverflowError) as exc:  # Overflow: out of range
             return _fail(EXIT_VALIDATION, f"bad --now {args.now!r}: {exc}")
 
+    created = []
+    if args.board:
+        board_path = Path(args.board)
+        if (problem := _unreadable(board_path, "board fixture")) is not None:
+            return _fail(EXIT_VALIDATION, problem)
+        try:
+            created = _read_fixture(board_path)
+        except (CorruptRecordError, ValueError) as exc:
+            return _fail(EXIT_VALIDATION, f"board fixture: {exc}")
+
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -86,16 +94,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         runtime = BoardRuntime(config, log=log)
     except Exception as exc:
         return _fail(EXIT_RUNTIME, f"cannot rebuild board state: {exc}")
-
-    if args.board:
-        board_path = Path(args.board)
-        if (problem := _unreadable(board_path, "board fixture")) is not None:
-            return _fail(EXIT_VALIDATION, problem)
-        try:
-            _inject_fixture(runtime, board_path)
-        except (CorruptRecordError, ValueError) as exc:
-            log.close()
-            return _fail(EXIT_VALIDATION, f"board fixture: {exc}")
+    _inject_fixture(runtime, created)
 
     report = runtime.run_cycle(now or utc_now())
     print(report.render())
@@ -111,16 +110,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _inject_fixture(runtime: BoardRuntime, path: Path) -> None:
-    """Feed Created records from a fixture file into the board, skipping
-    tickets the log already knows. Each record is first folded alone, so
-    the fold checks its fields as it would a log's, and a bad record
-    leaves the board untouched."""
+def _read_fixture(path: Path) -> list[dict]:
+    """The Created records of a fixture file. Each is folded alone, so the
+    fold checks its fields as it would a log's, and a bad record is found
+    before the board is touched."""
     created = [r for r in read_event_log(path) if r["kind"] == "Created"]
     for record in created:
         seq = record["seq"] if type(record["seq"]) is int else 1
         fold_event(BoardSnapshot("", watermark=seq - 1),
                    dict(record, seq=seq, board=""))
+    return created
+
+
+def _inject_fixture(runtime: BoardRuntime, created: list[dict]) -> None:
+    """Feed checked Created records into the board, skipping tickets the
+    log already knows."""
     for record in created:
         if record["ticket"] in runtime.snapshot.tickets:
             continue
@@ -157,17 +161,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     try:
-        pre_result, post_result, comparison = run_experiment(pre, post,
-                                                             out_dir)
+        _, _, comparison = run_experiment(pre, post, out_dir)
     except Exception as exc:
         return _fail(EXIT_RUNTIME, f"simulation failed: {exc}")
 
-    (out_dir / "distribution.csv").write_text(
-        distribution_csv([pre_result.distribution,
-                          post_result.distribution]), encoding="utf-8")
-    (out_dir / "resolution.csv").write_text(
-        resolution_csv([pre_result.resolution, post_result.resolution]),
-        encoding="utf-8")
+    reports = [comparison.pre, comparison.post]
+    (out_dir / "distribution.csv").write_text(distribution_csv(reports),
+                                              encoding="utf-8")
+    (out_dir / "resolution.csv").write_text(resolution_csv(reports),
+                                            encoding="utf-8")
     table = comparison.render()
     (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
@@ -199,27 +201,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     if type(snapshot) is int:
         return snapshot
 
-    tickets = list(snapshot.tickets.values())
     team = snapshot.board_id or "board"
-
-    def period_of(ticket) -> str:
-        if split is None:
-            return "All"
-        return "PreBot" if ticket.created_at < split else "PostBot"
-
-    periods = sorted({period_of(t) for t in tickets}) or ["All"]
-    dists, resos = [], []
-    for period in periods:
-        subset = [t for t in tickets if period_of(t) == period]
-        per_engineer = resolved_counts(subset) or {"(none)": 0}
-        dists.append(build_distribution_report(team, period, per_engineer))
-        resos.append(build_resolution_report(team, period, subset))
+    periods: dict[str, list] = {}
+    for ticket in snapshot.tickets.values():
+        period = ("All" if split is None else
+                  "PreBot" if ticket.created_at < split else "PostBot")
+        periods.setdefault(period, []).append(ticket)
+    reports = [period_report(team, period, periods.get(period, ()))
+               for period in sorted(periods) or ["All"]]
 
     if args.format == "csv":
-        print(distribution_csv(dists), end="")
-        print(resolution_csv(resos), end="")
+        print(distribution_csv(reports), end="")
+        print(resolution_csv(reports), end="")
     else:
-        print(render_table(team, zip(dists, resos)))
+        print(render_table(team, reports))
     return EXIT_OK
 
 

@@ -429,8 +429,22 @@ def _fault(value) -> str | None:
     return None
 
 
+def _not_utf8(text: str) -> str | None:
+    """Why `text`, decoded with `surrogateescape`, was not UTF-8, or None.
+    The flag `isascii` reads is stored, so an ASCII text costs nothing."""
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    return None
+
+
 def _parse_line(line: str, line_no: int) -> dict:
     """The record on one stripped, nonblank line."""
+    if (fault := _not_utf8(line)) is not None:
+        raise CorruptRecordError(line_no, fault)
     try:
         event, end = _scan_json(line, 0)
     except (StopIteration, ValueError, RecursionError):
@@ -450,7 +464,7 @@ def _scan_batch(lines: list[str]) -> list[dict] | None:
     r"""The records on `lines` (stripped, nonblank), one per line, from one
     scan of the array `[line, "\u0000", line, ..., line]`, so that they
     share one string per key; None when the batch must be read line by
-    line.
+    line, as it must when it holds bytes that are not UTF-8.
 
     Accepting the array is exact. Strict JSON has no raw NUL in a string,
     so the only text whose value is the string "\0" is the sentinel token
@@ -466,7 +480,7 @@ def _scan_batch(lines: list[str]) -> list[dict] | None:
     """
     n = len(lines)
     text = "[" + _JOIN.join(lines) + "]"
-    if text.count(_SENTINEL) != n - 1:
+    if text.count(_SENTINEL) != n - 1 or _not_utf8(text) is not None:
         return None
     try:
         values, end = _scan_json(text, 0)
@@ -489,9 +503,12 @@ def iter_event_log(path: str | Path) -> Iterator[dict]:
     iterating the file splits them, and a batch parses with one scan (see
     `_scan_batch`). A batch that will not is read line by line, each
     record yielded before the next line is read, so a consumer that folds
-    the stream meets the first line it cannot read or fold first."""
+    the stream meets the first line it cannot read or fold first. Bytes
+    that are not UTF-8 decode to lone surrogates, so the line that holds
+    them is the one named."""
     line_no = 0
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8",
+                         errors="surrogateescape") as fh:
         while batch := fh.readlines(_BATCH_CHARS):
             records = _scan_batch([line for line in map(str.strip, batch)
                                    if line])

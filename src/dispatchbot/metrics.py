@@ -68,128 +68,95 @@ def parse_duration(raw: str) -> timedelta:
     return timedelta(days=int(days_part[:-1]), hours=int(hours_part[:-1]))
 
 
-def resolved_counts(tickets: Iterable[Ticket],
-                    engineers: Iterable[str] = ()) -> dict[str, int]:
-    """Resolved-ticket counts per final assignee, starting from a zero
-    count for each of `engineers` in their order."""
-    counts = dict.fromkeys(engineers, 0)
-    for t in tickets:
-        if t.state is WorkflowState.DONE and t.assignee is not None:
-            counts[t.assignee] = counts.get(t.assignee, 0) + 1
-    return counts
-
-
 @dataclass(frozen=True)
-class DistributionReport:
+class PeriodReport:
+    """One period's row of the evaluation table: resolved tickets per
+    final assignee, their distribution statistics and the average
+    resolution time."""
+
     team_id: str
     period: str
-    tickets_total: int
-    engineers: int
     per_engineer: dict[str, int]
     median: float
     max: float
     avg: float
     std: float
-
-
-@dataclass(frozen=True)
-class ResolutionReport:
-    team_id: str
-    period: str
     avg_resolution: timedelta
-    formatted: str
+
+    @property
+    def tickets_total(self) -> int:
+        return sum(self.per_engineer.values())
+
+    @property
+    def engineers(self) -> int:
+        return len(self.per_engineer)
+
+    @property
+    def formatted(self) -> str:
+        return format_duration(self.avg_resolution)
 
 
-def build_distribution_report(team_id: str, period: str,
-                              per_engineer: dict[str, int]) -> DistributionReport:
-    counts = list(per_engineer.values())
-    median, mx, avg, std = distribution_stats(counts)
-    return DistributionReport(
-        team_id=team_id,
-        period=period,
-        tickets_total=sum(counts),
-        engineers=len(counts),
-        per_engineer=dict(per_engineer),
-        median=median,
-        max=mx,
-        avg=avg,
-        std=std,
-    )
-
-
-def build_resolution_report(team_id: str, period: str,
-                            tickets: Iterable[Ticket]) -> ResolutionReport:
-    tickets = list(tickets)
-    resolved = [t for t in tickets
-                if t.state is WorkflowState.DONE and t.resolved_at is not None]
-    if resolved:
-        total = sum((resolution_time(t) for t in resolved), timedelta(0))
-        avg = total / len(resolved)
-    else:
-        avg = timedelta(0)
-    return ResolutionReport(
-        team_id=team_id,
-        period=period,
-        avg_resolution=avg,
-        formatted=format_duration(avg),
-    )
+def period_report(team_id: str, period: str, tickets: Iterable[Ticket],
+                  engineers: Iterable[str] = ()) -> PeriodReport:
+    """The report over one period's tickets. Counts start from a zero for
+    each of `engineers`, in their order; with none given and nothing
+    resolved, one `(none)` engineer with a zero count stands in. With
+    nothing resolved, the average resolution time is zero."""
+    per_engineer = dict.fromkeys(engineers, 0)
+    total, resolved = timedelta(0), 0
+    for t in tickets:
+        if t.state is not WorkflowState.DONE:
+            continue
+        if t.assignee is not None:
+            per_engineer[t.assignee] = per_engineer.get(t.assignee, 0) + 1
+        if t.resolved_at is not None:
+            total += resolution_time(t)
+            resolved += 1
+    per_engineer = per_engineer or {"(none)": 0}
+    return PeriodReport(team_id, period, per_engineer,
+                        *distribution_stats(list(per_engineer.values())),
+                        total / resolved if resolved else timedelta(0))
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    team_id: str
-    pre_dist: DistributionReport
-    post_dist: DistributionReport
-    pre_res: ResolutionReport
-    post_res: ResolutionReport
-    std_delta: float
-    avg_delta: float
-    resolution_delta: timedelta
-    std_reduced: bool
-    resolution_reduced: bool
+    pre: PeriodReport
+    post: PeriodReport
+
+    @property
+    def std_reduced(self) -> bool:
+        return self.post.std < self.pre.std
+
+    @property
+    def resolution_reduced(self) -> bool:
+        return self.post.avg_resolution < self.pre.avg_resolution
 
     def render(self) -> str:
-        table = render_table(self.team_id, [(self.pre_dist, self.pre_res),
-                                            (self.post_dist, self.post_res)])
+        table = render_table(self.pre.team_id, [self.pre, self.post])
         flags = (f"std_reduced={str(self.std_reduced).lower()} "
                  f"resolution_reduced={str(self.resolution_reduced).lower()}")
         return f"{table}\n{flags}"
 
 
-def render_table(team_id: str,
-                 rows: Iterable[tuple[DistributionReport, ResolutionReport]],
-                 ) -> str:
+def render_table(team_id: str, reports: Iterable[PeriodReport]) -> str:
     """One line per period: distribution statistics and average resolution
     time under a fixed-width header."""
     lines = [f"team {team_id}",
              f"{'period':8} {'#tickets':>8} {'#engg':>6} {'median':>8} "
              f"{'max':>6} {'avg':>8} {'std':>8} {'resolution':>11}"]
-    for dist, res in rows:
+    for r in reports:
         lines.append(
-            f"{dist.period:8} {dist.tickets_total:>8} "
-            f"{dist.engineers:>6} {round2(dist.median):>8.2f} "
-            f"{dist.max:>6.0f} {round2(dist.avg):>8.2f} "
-            f"{round2(dist.std):>8.2f} {res.formatted:>11}")
+            f"{r.period:8} {r.tickets_total:>8} "
+            f"{r.engineers:>6} {round2(r.median):>8.2f} "
+            f"{r.max:>6.0f} {round2(r.avg):>8.2f} "
+            f"{round2(r.std):>8.2f} {r.formatted:>11}")
     return "\n".join(lines)
 
 
-def compare_periods(pre_dist: DistributionReport, pre_res: ResolutionReport,
-                    post_dist: DistributionReport,
-                    post_res: ResolutionReport) -> ComparisonReport:
-    if pre_dist.team_id != post_dist.team_id:
+def compare_periods(pre: PeriodReport, post: PeriodReport) -> ComparisonReport:
+    if pre.team_id != post.team_id:
         raise ValueError("reports compare different teams")
-    return ComparisonReport(
-        team_id=pre_dist.team_id,
-        pre_dist=pre_dist,
-        post_dist=post_dist,
-        pre_res=pre_res,
-        post_res=post_res,
-        std_delta=post_dist.std - pre_dist.std,
-        avg_delta=post_dist.avg - pre_dist.avg,
-        resolution_delta=post_res.avg_resolution - pre_res.avg_resolution,
-        std_reduced=post_dist.std < pre_dist.std,
-        resolution_reduced=post_res.avg_resolution < pre_res.avg_resolution,
-    )
+    return ComparisonReport(pre, post)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +167,7 @@ DISTRIBUTION_CSV_HEADER = "team,period,tickets,engineers,median,max,avg,std"
 RESOLUTION_CSV_HEADER = "team,period,avg_hours,formatted"
 
 
-def distribution_csv(reports: Iterable[DistributionReport]) -> str:
+def distribution_csv(reports: Iterable[PeriodReport]) -> str:
     out = io.StringIO()
     out.write(DISTRIBUTION_CSV_HEADER + "\n")
     for r in reports:
@@ -210,7 +177,7 @@ def distribution_csv(reports: Iterable[DistributionReport]) -> str:
     return out.getvalue()
 
 
-def resolution_csv(reports: Iterable[ResolutionReport]) -> str:
+def resolution_csv(reports: Iterable[PeriodReport]) -> str:
     out = io.StringIO()
     out.write(RESOLUTION_CSV_HEADER + "\n")
     for r in reports:

@@ -22,12 +22,9 @@ from .board import BoardRuntime, CycleReport, TeamConfig
 from .eventlog import BoardSnapshot, EventLog
 from .metrics import (
     ComparisonReport,
-    DistributionReport,
-    ResolutionReport,
-    build_distribution_report,
-    build_resolution_report,
+    PeriodReport,
     compare_periods,
-    resolved_counts,
+    period_report,
 )
 from .notify import Channel, ChannelBinding, FileSink, MemorySink
 from .reminders import DEFAULT_STUCK_HOURS, ThresholdPolicy
@@ -316,45 +313,28 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
 # Experiments
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentResult:
-    label: str
-    config: SimConfig
-    run: SimRun
-    distribution: DistributionReport
-    resolution: ResolutionReport
-
-
-def build_reports(run: SimRun, label: str) -> tuple[DistributionReport,
-                                                    ResolutionReport]:
-    """Metrics over a run's event log: resolved-ticket counts per final
-    assignee (zeros kept for the whole roster) and resolution times."""
-    tickets = list(run.snapshot.tickets.values())
-    per_engineer = resolved_counts(tickets, engineer_ids(run.config))
-    dist = build_distribution_report(run.config.team_id, label, per_engineer)
-    res = build_resolution_report(run.config.team_id, label, tickets)
-    return dist, res
+def build_reports(run: SimRun, label: str) -> PeriodReport:
+    """The report over a run's tickets, zero counts kept for the whole
+    roster."""
+    return period_report(run.config.team_id, label,
+                         run.snapshot.tickets.values(),
+                         engineer_ids(run.config))
 
 
 def run_experiment(
     pre_config: SimConfig,
     post_config: SimConfig,
     out_dir: str | Path | None = None,
-) -> tuple[ExperimentResult, ExperimentResult, ComparisonReport]:
+) -> tuple[SimRun, SimRun, ComparisonReport]:
     """Run the pre-bot and post-bot simulations and compare them."""
     out_path = Path(out_dir) if out_dir is not None else None
     pre_run = run_simulation(
         pre_config, out_path / "pre" if out_path else None)
     post_run = run_simulation(
         post_config, out_path / "post" if out_path else None)
-    pre_dist, pre_res = build_reports(pre_run, "PreBot")
-    post_dist, post_res = build_reports(post_run, "PostBot")
-    comparison = compare_periods(pre_dist, pre_res, post_dist, post_res)
-    return (
-        ExperimentResult("PreBot", pre_config, pre_run, pre_dist, pre_res),
-        ExperimentResult("PostBot", post_config, post_run, post_dist, post_res),
-        comparison,
-    )
+    comparison = compare_periods(build_reports(pre_run, "PreBot"),
+                                 build_reports(post_run, "PostBot"))
+    return pre_run, post_run, comparison
 
 
 def default_experiment_configs(seed: int) -> tuple[SimConfig, SimConfig]:

@@ -321,6 +321,20 @@ class TestRunCycle:
         assert report.unassigned_pending == 2
         assert report.empty_pool
 
+    def test_manual_plan_not_yet_due_reports_pending(self, memory_runtime):
+        runtime = memory_runtime(
+            team_config(policy="Manual"),
+            manual_plan={"T1-1": ("e2", at(1)), "T1-2": ("e1", at(3))})
+        for i in (1, 2, 3):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
+        report = runtime.run_cycle(at(2))
+        assert report.assignments == [("T1-1", "e2")]
+        assert (report.assigned, report.unassigned_pending) == (1, 2)
+        assert not report.empty_pool
+        report = runtime.run_cycle(at(3))
+        assert report.assignments == [("T1-2", "e1")]
+        assert (report.assigned, report.unassigned_pending) == (1, 1)
+
     def test_cycle_idempotence(self, memory_runtime):
         runtime = memory_runtime(team_config(
             thresholds=ThresholdPolicy(team_id="team1")))

@@ -187,8 +187,18 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == \
             f"board fixture: seq 2: {error}\n"
-        # No record of the fixture reached the board.
-        assert not (out / "T1.events.ndjson").exists()
+        # Checked before the output directory or the log is made.
+        assert not out.exists()
+
+    def test_missing_fixture_is_validation_error(self, team_files, capsys):
+        config, board, out = team_files
+        missing = board.with_name("nope.ndjson")
+        code = main(["run", "--config", str(config), "--board", str(missing),
+                     "--out", str(out), "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"board fixture not found: {missing}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("good, bad, error", [
         ('"seq":1', '"seq":1.0', "seq 1.0: bad value 1.0 in field 'seq'"),
@@ -294,7 +304,8 @@ class TestReplay:
          "the limit (4300 digits) for integer string conversion"),
         (b'{"a":%s}' % (b"[" * 100_000), "line 2: invalid JSON: maximum "
          "recursion depth exceeded"),
-        (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+        (b"\xff", "line 2: 'utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte"),
     ], ids=["int-too-long", "too-deep", "not-utf-8"])
     def test_unreadable_line_is_runtime_error(self, tmp_path, capsys, line,
                                               error):
@@ -302,6 +313,16 @@ class TestReplay:
         log.write_bytes(CREATED.encode() + line + b"\n")
         assert main(["replay", "--log", str(log)]) == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(f"{log}: {error}")
+
+    @pytest.mark.parametrize("command", ["replay", "report"])
+    def test_error_before_a_line_that_is_not_utf8_is_named(
+            self, tmp_path, capsys, command):
+        log = tmp_path / "log.ndjson"
+        log.write_bytes(CREATED.encode()
+                        + CREATED.replace("T1-1", "T1-2").replace(
+                            '"seq":1', '"seq":3').encode() + b"\xff\n")
+        assert main([command, "--log", str(log)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"{log}: expected seq 2, found 3\n"
 
     def test_seq_gap_is_runtime_error(self, tmp_path):
         run_simulation(SimConfig(seed=3, horizon_days=2, arrival_rate=4,

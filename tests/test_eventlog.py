@@ -4,6 +4,7 @@ import copy
 import json
 import tracemalloc
 from collections import Counter
+from contextlib import closing
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from dispatchbot.eventlog import (
     SeqGapError,
     encode_event,
     fold_event,
+    iter_event_log,
     read_event_log,
     replay,
 )
@@ -885,6 +887,38 @@ def test_records_of_a_batch_share_their_keys(tmp_path):
     first, second = read_event_log(path)
     assert first == second
     assert all(a is b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("before, bad", [
+    (b"", b"\xff"),
+    (GOOD_LINE.encode() + b"\n\n", b"\xff"),
+    (GOOD_BATCHES.encode(), b"\xff"),
+    # Inside a JSON string the batch would scan; the check reads it alone.
+    (b"", GOOD_LINE.encode().replace(b'"r1"', b'"r\xff"')),
+    (GOOD_BATCHES.encode(), GOOD_LINE.encode().replace(b'"r1"', b'"r\xff"')),
+], ids=["first", "third", "after-batches", "in-string",
+        "in-string-after-batches"])
+def test_a_line_that_is_not_utf8_is_named(tmp_path, before, bad):
+    path = tmp_path / "bad.ndjson"
+    path.write_bytes(before + bad + b"\n" + GOOD_LINE.encode() + b"\n")
+    line_no, position = before.count(b"\n") + 1, bad.index(b"\xff")
+    # Every record before the line is yielded first.
+    with closing(iter_event_log(path)) as records:
+        for _ in range(before.count(b"{")):
+            assert next(records) == json.loads(GOOD_LINE)
+        with pytest.raises(CorruptRecordError) as err:
+            next(records)
+    assert err.value.line_no == line_no
+    assert str(err.value) == (
+        f"line {line_no}: 'utf-8' codec can't decode byte 0xff in position "
+        f"{position}: invalid start byte")
+
+
+def test_a_line_of_utf8_beyond_ascii_reads(tmp_path):
+    path = tmp_path / "log.ndjson"
+    line = GOOD_LINE.replace('"r1"', '"r\u00e9\u2028"')
+    path.write_text(line + "\n" + line + "\n", encoding="utf-8")
+    assert read_event_log(path) == [json.loads(line)] * 2
 
 
 def _long_log(path, tickets: int, rounds: int) -> int:

@@ -14,13 +14,12 @@ from dispatchbot.metrics import (
     RESOLUTION_CSV_HEADER,
     EmptyInputError,
     NotResolvedError,
-    build_distribution_report,
-    build_resolution_report,
     compare_periods,
     distribution_csv,
     distribution_stats,
     format_duration,
     parse_duration,
+    period_report,
     resolution_csv,
     resolution_time,
     round2,
@@ -142,49 +141,56 @@ class TestResolutionTime:
         assert resolution_time(t) == timedelta(hours=30)
 
 
+def report(period, counts, hours, team="team1"):
+    """A period whose engineers resolved `counts` tickets, each in
+    `hours`."""
+    return period_report(team, period,
+                         [resolved(f"T1-{e}-{i}", e, hours)
+                          for e, n in counts.items() for i in range(n)])
+
+
 class TestReports:
     def pre(self):
-        return (build_distribution_report("team1", "pre",
-                                          {"e1": 30, "e2": 2, "e3": 1}),
-                build_resolution_report("team1", "pre",
-                                        [resolved("T1-1", "e1", 285)]))
+        return report("pre", {"e1": 30, "e2": 2, "e3": 1}, 285)
 
     def post(self):
-        return (build_distribution_report("team1", "post",
-                                          {"e1": 11, "e2": 11, "e3": 11}),
-                build_resolution_report("team1", "post",
-                                        [resolved("T1-2", "e2", 170)]))
+        return report("post", {"e1": 11, "e2": 11, "e3": 11}, 170)
 
     def test_comparison_flags(self):
-        cmp = compare_periods(*self.pre(), *self.post())
+        cmp = compare_periods(self.pre(), self.post())
         assert cmp.std_reduced and cmp.resolution_reduced
-        assert cmp.resolution_delta == timedelta(hours=-115)
+        assert cmp.post.avg_resolution - cmp.pre.avg_resolution == \
+            timedelta(hours=-115)
 
     def test_comparison_rejects_team_mismatch(self):
-        other = build_distribution_report("team2", "post", {"e1": 1})
+        other = report("post", {"e1": 1}, 170, team="team2")
         with pytest.raises(ValueError):
-            compare_periods(*self.pre(), other, self.post()[1])
+            compare_periods(self.pre(), other)
 
     def test_render_contains_table_and_flags(self):
-        text = compare_periods(*self.pre(), *self.post()).render()
+        text = compare_periods(self.pre(), self.post()).render()
         assert "11d:21h" in text and "7d:02h" in text
         assert "std_reduced=true" in text
         assert "resolution_reduced=true" in text
 
     def test_distribution_csv(self):
-        report = build_distribution_report("team1", "pre",
-                                           {"e1": 1, "e2": 2, "e3": 3})
-        lines = distribution_csv([report]).splitlines()
+        lines = distribution_csv(
+            [report("pre", {"e1": 1, "e2": 2, "e3": 3}, 285)]).splitlines()
         assert lines[0] == DISTRIBUTION_CSV_HEADER
         assert lines[1] == "team1,pre,6,3,2.00,3.00,2.00,0.82"
 
     def test_resolution_csv(self):
-        report = build_resolution_report("team1", "pre",
-                                         [resolved("T1-1", "e1", 285)])
-        lines = resolution_csv([report]).splitlines()
+        lines = resolution_csv([report("pre", {"e1": 1}, 285)]).splitlines()
         assert lines[0] == RESOLUTION_CSV_HEADER
         assert lines[1] == "team1,pre,285.00,11d:21h"
 
     def test_no_resolved_tickets_reports_zero(self):
-        report = build_resolution_report("team1", "pre", [ticket()])
-        assert report.formatted == "0d:00h"
+        r = period_report("team1", "pre", [ticket()])
+        assert r.formatted == "0d:00h"
+        assert r.per_engineer == {"(none)": 0}
+
+    def test_roster_engineers_count_from_zero(self):
+        r = period_report("team1", "pre", [resolved("T1-1", "e3")],
+                          engineers=["e1", "e2", "e3"])
+        assert r.per_engineer == {"e1": 0, "e2": 0, "e3": 1}
+        assert (r.tickets_total, r.engineers) == (1, 3)

@@ -192,9 +192,9 @@ class TestExperiment:
         # shrink for test speed; direction is unaffected
         pre_cfg = replace(pre_cfg, horizon_days=15)
         post_cfg = replace(post_cfg, horizon_days=15)
-        pre, post, cmp = run_experiment(pre_cfg, post_cfg, tmp_path)
+        _, _, cmp = run_experiment(pre_cfg, post_cfg, tmp_path)
         assert cmp.std_reduced and cmp.resolution_reduced
-        assert pre.distribution.std > post.distribution.std
+        assert cmp.pre.std > cmp.post.std
         assert (tmp_path / "pre" / "SIM.events.ndjson").exists()
         assert (tmp_path / "post" / "SIM.events.ndjson").exists()
 
@@ -203,7 +203,7 @@ class TestExperiment:
         _, _, cmp = run_experiment(cfg, cfg)
         assert not cmp.std_reduced
         assert not cmp.resolution_reduced
-        assert cmp.std_delta == 0.0
+        assert cmp.post.std == cmp.pre.std
 
     def test_file_channels_receive_wire_messages(self, tmp_path):
         run_simulation(SMALL, tmp_path)

@@ -10,6 +10,7 @@ through it.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -74,6 +75,17 @@ CALLED = {
 }
 
 
+#: What `dispatchbot simulate` must call through the traced name: the
+#: tracer's `metrics.report` span.
+REPORTED = {
+    (sim, "build_reports"),
+    (sim, "compare_periods"),
+    (metrics.ComparisonReport, "render"),
+    (cli, "distribution_csv"),
+    (cli, "resolution_csv"),
+}
+
+
 def _name(owner, attr: str) -> str:
     return f"{owner.__name__}.{attr}"
 
@@ -84,7 +96,8 @@ def test_each_traced_name_is_defined_where_it_is_looked_up(owner, attr):
     assert callable(owner.__dict__[attr])
 
 
-def test_the_program_calls_through_the_traced_names(tmp_path, monkeypatch):
+def _count_calls(monkeypatch, names) -> Counter:
+    """Wrap each (owner, attribute) of `names` to count its calls."""
     calls: Counter = Counter()
 
     def counting(key, fn):
@@ -93,9 +106,14 @@ def test_the_program_calls_through_the_traced_names(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for owner, attr in CALLED:
+    for owner, attr in names:
         monkeypatch.setattr(owner, attr,
                             counting((owner, attr), owner.__dict__[attr]))
+    return calls
+
+
+def test_the_program_calls_through_the_traced_names(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, CALLED)
     sim.run_simulation(SimConfig(seed=4, horizon_days=3, arrival_rate=6,
                                  roster_size=3, reminders_enabled=True,
                                  stuck_threshold_hours=4,
@@ -105,3 +123,16 @@ def test_the_program_calls_through_the_traced_names(tmp_path, monkeypatch):
     assert type(events) is list and events
     eventlog.replay(events)
     assert sorted(_name(*key) for key in CALLED if not calls[key]) == []
+
+
+def test_simulate_calls_through_the_report_names(tmp_path, monkeypatch,
+                                                 capsys):
+    calls = _count_calls(monkeypatch, REPORTED)
+    experiment = tmp_path / "exp.json"
+    small = {"horizon_days": 2, "arrival_rate": 4, "roster_size": 2}
+    experiment.write_text(json.dumps({"pre": dict(small, policy="Manual"),
+                                      "post": small}))
+    assert cli.main(["simulate", "--experiment", str(experiment),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out
+    assert sorted(_name(*key) for key in REPORTED if not calls[key]) == []
