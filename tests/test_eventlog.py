@@ -893,7 +893,7 @@ def test_records_of_a_batch_share_their_keys(tmp_path):
     (b"", b"\xff"),
     (GOOD_LINE.encode() + b"\n\n", b"\xff"),
     (GOOD_BATCHES.encode(), b"\xff"),
-    # Inside a JSON string the batch would scan; the check reads it alone.
+    # Inside a JSON string the byte scans, so its batch must go line by line.
     (b"", GOOD_LINE.encode().replace(b'"r1"', b'"r\xff"')),
     (GOOD_BATCHES.encode(), GOOD_LINE.encode().replace(b'"r1"', b'"r\xff"')),
 ], ids=["first", "third", "after-batches", "in-string",
