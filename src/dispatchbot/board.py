@@ -78,7 +78,7 @@ from .reminders import (
 )
 from .roster import EngineerRoster, RosterEntry
 from .timeutil import iso, parse_date
-from .workflow import ReopenMode, Ticket, WorkflowState
+from .workflow import STATE_VALUE, ReopenMode, Ticket, WorkflowState
 
 DEFAULT_CYCLE_PERIOD_MINUTES = 15
 
@@ -466,8 +466,8 @@ class BoardRuntime:
                                      self.config.binding, self._make_msg_id())
         self._commit(KIND_TRANSITIONED, at, {
             "ticket": ticket_id,
-            "from": ticket.state.value,
-            "to": to.value,
+            "from": STATE_VALUE[ticket.state],
+            "to": STATE_VALUE[to],
             "messages": [wire],
             **fields,
         })

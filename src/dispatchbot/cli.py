@@ -207,7 +207,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         period = ("All" if split is None else
                   "PreBot" if ticket.created_at < split else "PostBot")
         periods.setdefault(period, []).append(ticket)
-    reports = [period_report(team, period, periods.get(period, ()))
+    # Every engineer the log names as an assignee, in every period, so
+    # one who resolved nothing in a period counts there as a zero.
+    engineers = sorted(set(snapshot.assign_counts).union(
+        t.assignee for t in snapshot.tickets.values()
+        if t.assignee is not None))
+    reports = [period_report(team, period, periods.get(period, ()), engineers)
                for period in sorted(periods) or ["All"]]
 
     if args.format == "csv":

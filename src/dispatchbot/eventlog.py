@@ -5,6 +5,11 @@ Each board persists as one newline-delimited JSON file; every record is
 over the records, so any prefix of the log replays to a consistent
 snapshot and live state always equals replay of what was written.
 
+`fold_event` checks what every record shares (its seq, board, `ts` and
+the messages it announces), then hands the record to the one handler for
+its kind, found in a table keyed by kind: the board's live commit and
+every rebuild fold through that one path.
+
 The fold also keeps derived indexes (open tickets, the unassigned
 backlog) so that a cycle reads only what is new, never the whole history.
 They hold nothing the log does not: `replay` rebuilds them, and snapshot
@@ -33,6 +38,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -46,11 +52,12 @@ from .notify import (
 from .reminders import REMINDER_KIND_BY_VALUE
 from .timeutil import parse_ts
 from .workflow import (
+    BACKLOG,
+    DONE,
     PRIORITY_BY_VALUE,
     REOPEN_BY_VALUE,
     STATE_BY_VALUE,
     Ticket,
-    WorkflowState,
     apply_transition,
     evolve,
     new_ticket,
@@ -129,15 +136,16 @@ class BoardSnapshot:
 
 
 def _reindex(snapshot: BoardSnapshot, ticket: Ticket) -> None:
-    snapshot.tickets[ticket.id] = ticket
-    if ticket.state is WorkflowState.DONE:
-        snapshot.open_tickets.discard(ticket.id)
+    tid, state = ticket.id, ticket.state
+    snapshot.tickets[tid] = ticket
+    if state is DONE:
+        snapshot.open_tickets.discard(tid)
     else:
-        snapshot.open_tickets.add(ticket.id)
-    if ticket.state is WorkflowState.BACKLOG and ticket.assignee is None:
-        snapshot.unassigned_backlog.add(ticket.id)
+        snapshot.open_tickets.add(tid)
+    if state is BACKLOG and ticket.assignee is None:
+        snapshot.unassigned_backlog.add(tid)
     else:
-        snapshot.unassigned_backlog.discard(ticket.id)
+        snapshot.unassigned_backlog.discard(tid)
 
 
 def _timestamp(seq: int, name: str, raw):
@@ -150,10 +158,9 @@ def _timestamp(seq: int, name: str, raw):
     raise MalformedRecordError(seq, name, f"bad timestamp {raw!r}")
 
 
-def _want(ok: bool, seq: int, name: str, raw) -> None:
-    """Reject `raw`, read from field `name`, unless `ok`."""
-    if not ok:
-        raise MalformedRecordError(seq, name, f"bad value {raw!r}")
+def _bad(seq: int, name: str, raw) -> MalformedRecordError:
+    """The error for `raw`, read from field `name`, when it is invalid."""
+    return MalformedRecordError(seq, name, f"bad value {raw!r}")
 
 
 def _member(seq: int, name: str, by_value: dict, raw):
@@ -180,25 +187,26 @@ def _messages(seq: int, wires, event_ts: str, counter: int) -> int:
         if type(wire) is not dict:
             raise MalformedRecordError(seq, f"messages[{i}]",
                                        f"not an object: {wire!r}")
-        channel = wire.get("channel")
-        if type(channel) is not str or channel not in CHANNEL_BY_VALUE \
-                or not WIRE_FIELDS <= wire.keys():
-            missing = sorted(WIRE_FIELDS - wire.keys())
-            if missing:
-                name, detail = missing[0], "missing value"
-            else:
-                name = "channel"
-                detail = f"unknown channel {wire['channel']!r}"
-            raise MalformedRecordError(seq, f"messages[{i}].{name}", detail)
-        msg_id = wire["msg_id"]
+        try:
+            channel, msg_id, ts, team, kind, ticket, text = (
+                wire["channel"], wire["msg_id"], wire["ts"], wire["team"],
+                wire["kind"], wire["ticket"], wire["text"])
+        except KeyError:
+            raise MalformedRecordError(
+                seq, f"messages[{i}].{min(WIRE_FIELDS - wire.keys())}",
+                "missing value") from None
+        if type(channel) is not str or channel not in CHANNEL_BY_VALUE:
+            raise MalformedRecordError(seq, f"messages[{i}].channel",
+                                       f"unknown channel {channel!r}")
         if type(msg_id) is not str or not _MSG_ID(msg_id):
             raise MalformedRecordError(seq, f"messages[{i}].msg_id",
                                        f"bad message id {msg_id!r}")
-        if wire["ts"] != event_ts:
-            _timestamp(seq, f"messages[{i}].ts", wire["ts"])
-        for name in ("team", "kind", "ticket", "text"):
-            if type(wire[name]) is not str:
-                _want(False, seq, f"messages[{i}].{name}", wire[name])
+        if ts != event_ts:
+            _timestamp(seq, f"messages[{i}].ts", ts)
+        if not (type(team) is type(kind) is type(ticket) is type(text) is str):
+            name = next(name for name in ("team", "kind", "ticket", "text")
+                        if type(wire[name]) is not str)
+            raise _bad(seq, f"messages[{i}].{name}", wire[name])
         if (number := int(msg_id[1:])) <= counter:
             raise MalformedRecordError(seq, f"messages[{i}].msg_id",
                                        f"reused message id {msg_id!r}")
@@ -219,119 +227,154 @@ def _ticket(snapshot: BoardSnapshot, event: dict) -> Ticket:
 def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
     """Apply one event in place, all or nothing: a seq gap, an illegal
     transition, an unknown or duplicate ticket, an unknown message or a
-    missing or malformed field raises before the snapshot changes."""
+    missing or malformed field raises before the snapshot changes. The
+    checks every record shares come first, then its kind's handler."""
     seq = event["seq"]
     # A bool is an int to Python, but not a seq.
-    _want(type(seq) is int, seq, "seq", seq)
+    if type(seq) is not int:
+        raise _bad(seq, "seq", seq)
     if seq != snapshot.watermark + 1:
         raise SeqGapError(snapshot.watermark + 1, seq)
     try:
-        _apply(snapshot, event, seq)
+        kind, board = event["kind"], event["board"]
+        if board != snapshot.board_id:
+            raise MalformedRecordError(seq, "board", f"expected board "
+                                       f"{snapshot.board_id!r}, got "
+                                       f"{board!r}")
+        ts = _timestamp(seq, "ts", event["ts"])
+        wires = event.get("messages", ())
+        msg_counter = (_messages(seq, wires, event["ts"], snapshot.msg_counter)
+                       if "messages" in event else snapshot.msg_counter)
+        try:
+            fold = _FOLDS[kind]
+        except (KeyError, TypeError):  # TypeError: a list or an object
+            raise ValueError(f"unknown event kind: {kind}") from None
+        fold(snapshot, event, seq, ts)
     except KeyError as exc:
         # Every field is read before anything changes.
         raise MalformedRecordError(seq, exc.args[0], "missing value") \
             from None
     except OverflowError:  # a default SLA deadline past the year 9999
         raise MalformedRecordError(seq, "ts", "date out of range") from None
-    snapshot.watermark = seq
-
-
-def _apply(snapshot: BoardSnapshot, event: dict, seq: int) -> None:
-    kind, board = event["kind"], event["board"]
-    if board != snapshot.board_id:
-        raise MalformedRecordError(seq, "board", f"expected board "
-                                   f"{snapshot.board_id!r}, got {board!r}")
-    ts = _timestamp(seq, "ts", event["ts"])
-    wires = event.get("messages", ())
-    msg_counter = (_messages(seq, wires, event["ts"], snapshot.msg_counter)
-                   if "messages" in event else snapshot.msg_counter)
-
-    if kind == KIND_CREATED:
-        tid, reporter = event["ticket"], event["reporter"]
-        labels = event.get("labels", [])
-        _want(type(tid) is str, seq, "ticket", tid)
-        if tid in snapshot.tickets:
-            raise DuplicateTicketError(tid)
-        _want(type(reporter) is str, seq, "reporter", reporter)
-        _want(type(labels) is list and all(type(x) is str for x in labels),
-              seq, "labels", labels)
-        ticket = new_ticket(
-            ticket_id=tid,
-            reporter=reporter,
-            created_at=ts,
-            priority=_member(seq, "priority", PRIORITY_BY_VALUE,
-                             event.get("priority", "Medium")),
-            sla_deadline=(_timestamp(seq, "sla_deadline",
-                                     event["sla_deadline"])
-                          if "sla_deadline" in event else None),
-            labels=tuple(labels),
-        )
-        _reindex(snapshot, ticket)
-    elif kind == KIND_TRANSITIONED:
-        ticket = _ticket(snapshot, event)
-        to = _member(seq, "to", STATE_BY_VALUE, event["to"])
-        if "reopen_mode" in event:
-            mode = _member(seq, "reopen_mode", REOPEN_BY_VALUE,
-                           event["reopen_mode"])
-            ticket = reopen(ticket, mode, ts)
-            # The record names the state its reopen mode leads to.
-            _want(ticket.state is to, seq, "to", event["to"])
-        else:
-            ticket = apply_transition(ticket, to, ts)
-        _reindex(snapshot, ticket)
-        # A state change resets the stuck clock, so the next spell's
-        # escalations restart at index 1.
-        snapshot.reminder_ledger.pop((ticket.id, "StuckState"), None)
-    elif kind == KIND_ASSIGNED:
-        ticket, eng = _ticket(snapshot, event), event["engineer"]
-        cursor_after = event.get("cursor_after")
-        _want(type(eng) is str, seq, "engineer", eng)
-        _want(cursor_after is None or type(cursor_after) is int
-              and cursor_after >= 0, seq, "cursor_after", cursor_after)
-        _reindex(snapshot, evolve(ticket, assignee=eng))
-        if cursor_after is not None:
-            snapshot.cursor_position = cursor_after
-        snapshot.assign_counts[eng] = snapshot.assign_counts.get(eng, 0) + 1
-    elif kind == KIND_REASSIGNED:
-        ticket, eng = _ticket(snapshot, event), event["engineer"]
-        _want(type(eng) is str, seq, "engineer", eng)
-        _reindex(snapshot, evolve(ticket, assignee=eng))
-    elif kind == KIND_REMINDER_SENT:
-        kind_value = event["reminder_kind"]
-        _member(seq, "reminder_kind", REMINDER_KIND_BY_VALUE, kind_value)
-        stream = (_ticket(snapshot, event).id, kind_value)
-        index = event["index"]
-        # Each stream counts up from 1, one index per record.
-        expected = snapshot.reminder_ledger.get(stream, 0) + 1
-        if type(index) is not int or index != expected:
-            raise MalformedRecordError(
-                seq, "index", f"expected index {expected}, got {index!r}")
-        snapshot.reminder_ledger[stream] = index
-    elif kind == KIND_MESSAGE_DELIVERED:
-        msg_id, state, retries, terminal = (
-            event["msg_id"], event["state"], event["retries"],
-            event["terminal"])
-        _want(state in (STATE_DELIVERED, STATE_FAILED), seq, "state", state)
-        _want(type(retries) is int and retries >= 0, seq, "retries", retries)
-        _want(type(terminal) is bool, seq, "terminal", terminal)
-        wire = snapshot.outbox.get(msg_id) if type(msg_id) is str else None
-        if wire is None:
-            # Never announced, or settled already.
-            raise MalformedRecordError(seq, "msg_id",
-                                       f"unknown message {msg_id!r}")
-        if state == STATE_DELIVERED or terminal:
-            del snapshot.outbox[msg_id]
-            snapshot.retries.pop(msg_id, None)
-            key = (wire["channel"], state)
-            snapshot.settled[key] = snapshot.settled.get(key, 0) + 1
-        else:
-            snapshot.retries[msg_id] = retries
-    else:
-        raise ValueError(f"unknown event kind: {kind}")
-
     for wire in wires:
         snapshot.outbox[wire["msg_id"]] = wire
     snapshot.msg_counter = msg_counter
+    snapshot.watermark = seq
+
+
+def _fold_created(snapshot: BoardSnapshot, event: dict, seq: int,
+                  ts: datetime) -> None:
+    tid, reporter = event["ticket"], event["reporter"]
+    labels = event.get("labels", [])
+    if type(tid) is not str:
+        raise _bad(seq, "ticket", tid)
+    if tid in snapshot.tickets:
+        raise DuplicateTicketError(tid)
+    if type(reporter) is not str:
+        raise _bad(seq, "reporter", reporter)
+    if type(labels) is not list or not all(type(x) is str for x in labels):
+        raise _bad(seq, "labels", labels)
+    _reindex(snapshot, new_ticket(
+        ticket_id=tid,
+        reporter=reporter,
+        created_at=ts,
+        priority=_member(seq, "priority", PRIORITY_BY_VALUE,
+                         event.get("priority", "Medium")),
+        sla_deadline=(_timestamp(seq, "sla_deadline", event["sla_deadline"])
+                      if "sla_deadline" in event else None),
+        labels=tuple(labels),
+    ))
+
+
+def _fold_transitioned(snapshot: BoardSnapshot, event: dict, seq: int,
+                       ts: datetime) -> None:
+    ticket = _ticket(snapshot, event)
+    to = _member(seq, "to", STATE_BY_VALUE, event["to"])
+    if "reopen_mode" in event:
+        mode = _member(seq, "reopen_mode", REOPEN_BY_VALUE,
+                       event["reopen_mode"])
+        ticket = reopen(ticket, mode, ts)
+        # The record names the state its reopen mode leads to.
+        if ticket.state is not to:
+            raise _bad(seq, "to", event["to"])
+    else:
+        ticket = apply_transition(ticket, to, ts)
+    _reindex(snapshot, ticket)
+    # A state change resets the stuck clock, so the next spell's
+    # escalations restart at index 1.
+    snapshot.reminder_ledger.pop((ticket.id, "StuckState"), None)
+
+
+def _fold_assigned(snapshot: BoardSnapshot, event: dict, seq: int,
+                   ts: datetime) -> None:
+    ticket, eng = _ticket(snapshot, event), event["engineer"]
+    cursor_after = event.get("cursor_after")
+    if type(eng) is not str:
+        raise _bad(seq, "engineer", eng)
+    if cursor_after is not None and (type(cursor_after) is not int
+                                     or cursor_after < 0):
+        raise _bad(seq, "cursor_after", cursor_after)
+    _reindex(snapshot, evolve(ticket, assignee=eng))
+    if cursor_after is not None:
+        snapshot.cursor_position = cursor_after
+    snapshot.assign_counts[eng] = snapshot.assign_counts.get(eng, 0) + 1
+
+
+def _fold_reassigned(snapshot: BoardSnapshot, event: dict, seq: int,
+                     ts: datetime) -> None:
+    ticket, eng = _ticket(snapshot, event), event["engineer"]
+    if type(eng) is not str:
+        raise _bad(seq, "engineer", eng)
+    _reindex(snapshot, evolve(ticket, assignee=eng))
+
+
+def _fold_reminder_sent(snapshot: BoardSnapshot, event: dict, seq: int,
+                        ts: datetime) -> None:
+    kind_value = event["reminder_kind"]
+    _member(seq, "reminder_kind", REMINDER_KIND_BY_VALUE, kind_value)
+    stream = (_ticket(snapshot, event).id, kind_value)
+    index = event["index"]
+    # Each stream counts up from 1, one index per record.
+    expected = snapshot.reminder_ledger.get(stream, 0) + 1
+    if type(index) is not int or index != expected:
+        raise MalformedRecordError(
+            seq, "index", f"expected index {expected}, got {index!r}")
+    snapshot.reminder_ledger[stream] = index
+
+
+def _fold_message_delivered(snapshot: BoardSnapshot, event: dict, seq: int,
+                            ts: datetime) -> None:
+    msg_id, state, retries, terminal = (
+        event["msg_id"], event["state"], event["retries"], event["terminal"])
+    if state not in (STATE_DELIVERED, STATE_FAILED):
+        raise _bad(seq, "state", state)
+    if type(retries) is not int or retries < 0:
+        raise _bad(seq, "retries", retries)
+    if type(terminal) is not bool:
+        raise _bad(seq, "terminal", terminal)
+    wire = snapshot.outbox.get(msg_id) if type(msg_id) is str else None
+    if wire is None:
+        # Never announced, or settled already.
+        raise MalformedRecordError(seq, "msg_id",
+                                   f"unknown message {msg_id!r}")
+    if state == STATE_DELIVERED or terminal:
+        del snapshot.outbox[msg_id]
+        snapshot.retries.pop(msg_id, None)
+        key = (wire["channel"], state)
+        snapshot.settled[key] = snapshot.settled.get(key, 0) + 1
+    else:
+        snapshot.retries[msg_id] = retries
+
+
+#: One handler per record kind.
+_FOLDS = {
+    KIND_CREATED: _fold_created,
+    KIND_TRANSITIONED: _fold_transitioned,
+    KIND_ASSIGNED: _fold_assigned,
+    KIND_REASSIGNED: _fold_reassigned,
+    KIND_REMINDER_SENT: _fold_reminder_sent,
+    KIND_MESSAGE_DELIVERED: _fold_message_delivered,
+}
 
 
 def replay(events: Iterable[dict],
@@ -342,7 +385,8 @@ def replay(events: Iterable[dict],
     for event in events:
         if snapshot is None:
             board = event.get("board", "")  # missing: the fold says so
-            _want(type(board) is str, event["seq"], "board", board)
+            if type(board) is not str:
+                raise _bad(event["seq"], "board", board)
             snapshot = BoardSnapshot(board)
         fold_event(snapshot, event)
     return snapshot if snapshot is not None else BoardSnapshot("")

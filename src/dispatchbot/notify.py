@@ -29,7 +29,7 @@ from typing import Protocol, TextIO
 from .assignment import AssignmentDecision
 from .reminders import REMINDER_KIND_VALUE, Reminder
 from .timeutil import iso
-from .workflow import WorkflowState
+from .workflow import STATE_VALUE, WorkflowState
 
 DEFAULT_MAX_RETRIES = 3
 
@@ -60,6 +60,9 @@ class Channel(str, Enum):
 
 #: Each channel by its wire value: a dict lookup, not an Enum call.
 CHANNEL_BY_VALUE = {channel.value: channel for channel in Channel}
+
+#: Each channel's wire value: a dict lookup, not the `value` descriptor.
+CHANNEL_VALUE = {channel: channel.value for channel in Channel}
 
 #: Stable fan-out order for reminders.
 CHANNEL_ORDER = (Channel.CHAT_A, Channel.CHAT_B, Channel.EMAIL)
@@ -111,8 +114,8 @@ def assignment_text(decision: AssignmentDecision) -> str:
 
 def state_change_text(ticket_id: str, from_state: WorkflowState,
                       to_state: WorkflowState, at: datetime) -> str:
-    return (f"STATE {ticket_id} {from_state.value} -> {to_state.value} "
-            f"at {iso(at)}")
+    return (f"STATE {ticket_id} {STATE_VALUE[from_state]} -> "
+            f"{STATE_VALUE[to_state]} at {iso(at)}")
 
 
 def reminder_text(reminder: Reminder) -> str:
@@ -152,7 +155,7 @@ def route_reminder(reminder: Reminder, binding: ChannelBinding,
 def announce_assignment(decision: AssignmentDecision, binding: ChannelBinding,
                         make_id) -> dict:
     """Exactly one message, to the team's review channel."""
-    return _wire(make_id, binding, binding.review_channel.value,
+    return _wire(make_id, binding, CHANNEL_VALUE[binding.review_channel],
                  "Assignment", decision.ticket_id, assignment_text(decision),
                  iso(decision.decided_at))
 
@@ -160,7 +163,7 @@ def announce_assignment(decision: AssignmentDecision, binding: ChannelBinding,
 def announce_state_change(ticket_id: str, from_state: WorkflowState,
                           to_state: WorkflowState, at: datetime,
                           binding: ChannelBinding, make_id) -> dict:
-    return _wire(make_id, binding, binding.review_channel.value,
+    return _wire(make_id, binding, CHANNEL_VALUE[binding.review_channel],
                  "StateChange", ticket_id,
                  state_change_text(ticket_id, from_state, to_state, at),
                  iso(at))

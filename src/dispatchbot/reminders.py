@@ -13,7 +13,7 @@ from datetime import datetime, timedelta
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .workflow import Priority, Ticket, WorkflowState
+from .workflow import DONE, Priority, Ticket, WorkflowState
 
 
 class ReminderKind(str, Enum):
@@ -188,7 +188,7 @@ def due_reminders(
     out: list[Reminder] = []
     team_channel = f"team:{policy.team_id}"
     for t in tickets:
-        if t.state is WorkflowState.DONE:
+        if t.state is DONE:
             continue
         counts, boundary = _evaluate(t, now, policy)
         if next_due is not None:

@@ -39,6 +39,12 @@ STATE_BY_VALUE = {state.value: state for state in WorkflowState}
 PRIORITY_BY_VALUE = {priority.value: priority for priority in Priority}
 REOPEN_BY_VALUE = {mode.value: mode for mode in ReopenMode}
 
+#: Each state's wire value, and the states each record is compared with:
+#: the `value` descriptor, and before 3.12 a member read off its Enum
+#: class, cost several times as much as a dict lookup or a module global.
+STATE_VALUE = {state: state.value for state in WorkflowState}
+BACKLOG, DONE = WorkflowState.BACKLOG, WorkflowState.DONE
+
 _S = WorkflowState
 
 #: Legal moves out of each state. ReadyToStart is optional and may be
@@ -155,9 +161,9 @@ def apply_transition(ticket: Ticket, to: WorkflowState,
         raise TransitionError(ticket.id, ticket.state, to, MISSING_ASSIGNEE)
 
     resolved_at = ticket.resolved_at
-    if to is WorkflowState.DONE:
+    if to is DONE:
         resolved_at = at
-    elif ticket.state is WorkflowState.DONE:
+    elif ticket.state is DONE:
         resolved_at = None
     return evolve(ticket, state=to, state_entered_at=at,
                   resolved_at=resolved_at)

@@ -15,7 +15,9 @@ import dispatchbot
 from dispatchbot import eventlog
 from dispatchbot.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from dispatchbot.eventlog import encode_event
-from dispatchbot.sim import SimConfig, run_simulation
+from dispatchbot.metrics import period_report, round2
+from dispatchbot.sim import SimConfig, engineer_ids, run_simulation
+from dispatchbot.timeutil import parse_ts
 from dispatchbot.workflow import WorkflowState, evolve
 
 TEAM_DOC = {
@@ -545,6 +547,29 @@ class TestReport:
         out = capsys.readouterr().out
         assert "SIM,PreBot," in out and "SIM,PostBot," in out
 
+    def test_split_counts_every_assigned_engineer_in_each_period(
+            self, tmp_path, capsys):
+        # Before the split two tickets are resolved: two of the four
+        # engineers, every one of them assigned in the run, resolve none.
+        config = SimConfig(seed=5, horizon_days=4, arrival_rate=6,
+                           roster_size=4)
+        run = run_simulation(config, tmp_path)
+        assert sorted(run.snapshot.assign_counts) == engineer_ids(config)
+        split = "2025-01-06T14:00:00Z"
+        assert main(["report", "--log", str(tmp_path / "SIM.events.ndjson"),
+                     "--split", split, "--format", "csv"]) == EXIT_OK
+        distribution = capsys.readouterr().out.split("\nteam,")[0]
+        rows = {row[1]: row[3:] for row in (
+            line.split(",") for line in distribution.splitlines()[1:])}
+        for period in ("PreBot", "PostBot"):
+            tickets = [t for t in run.snapshot.tickets.values()
+                       if (t.created_at < parse_ts(split))
+                       == (period == "PreBot")]
+            r = period_report("SIM", period, tickets, engineer_ids(config))
+            assert rows[period][0] == "4"
+            assert rows[period][3:] == [f"{round2(r.avg):.2f}",
+                                        f"{round2(r.std):.2f}"]
+
     @pytest.mark.parametrize("args, stdout", [
         ([], """\
 team SIM
@@ -561,12 +586,12 @@ SIM,All,27.26,1d:03h
 team SIM
 period   #tickets  #engg   median    max      avg      std  resolution
 PostBot         9      4     2.50      3     2.25     0.83      1d:03h
-PreBot          6      3     1.00      4     2.00     1.41      1d:02h
+PreBot          6      4     1.00      4     1.50     1.50      1d:02h
 """),
         (["--split", "2025-01-07T12:00:00Z", "--format", "csv"], """\
 team,period,tickets,engineers,median,max,avg,std
 SIM,PostBot,9,4,2.50,3.00,2.25,0.83
-SIM,PreBot,6,3,1.00,4.00,2.00,1.41
+SIM,PreBot,6,4,1.00,4.00,1.50,1.50
 team,period,avg_hours,formatted
 SIM,PostBot,27.78,1d:03h
 SIM,PreBot,26.48,1d:02h
@@ -579,7 +604,8 @@ PostBot        15      4     3.50      7     3.75     2.17      1d:03h
     ], ids=["table", "csv", "split-table", "split-csv", "split-before-all"])
     def test_report_output_is_pinned(self, tmp_path, capsys, args, stdout):
         # Manual assignment leaves the engineers' counts uneven, and one
-        # engineer resolves no ticket created before the split.
+        # engineer resolves no ticket created before the split: PreBot
+        # counts that engineer as a zero.
         run_simulation(SimConfig(seed=5, horizon_days=4, arrival_rate=6,
                                  roster_size=4, policy="Manual",
                                  manual_delay_days=1), tmp_path)

@@ -470,6 +470,41 @@ def test_unknown_value_or_bad_timestamp_changes_nothing(event, field, text):
     assert vars(snapshot) == vars(replay([CREATED]))
 
 
+#: A well-formed record of each kind, to fold after `ANNOUNCED`.
+WELL_FORMED = {
+    "Created": NEW,
+    "Transitioned": dict(MOVED, to="ReadyToStart"),
+    "Assigned": dict(ASSIGNED, messages=[dict(WIRE, msg_id="m000002")]),
+    "Reassigned": dict(ASSIGNED, kind="Reassigned", engineer="e2"),
+    "ReminderSent": REMINDED,
+    "MessageDelivered": DELIVERED,
+}
+ANNOUNCED = [CREATED, {"seq": 2, "ts": "2025-01-06T10:00:00Z", "board": "T1",
+                       **ASSIGNED, "messages": [WIRE]}]
+
+
+@pytest.mark.parametrize("kind", EVENT_KINDS)
+def test_a_well_formed_record_of_each_kind_folds(kind):
+    snapshot = replay(ANNOUNCED)
+    fold_event(snapshot, {"seq": 3, "ts": "2025-01-06T11:00:00Z",
+                          "board": "T1", **WELL_FORMED[kind]})
+    assert snapshot.watermark == 3
+    assert snapshot != replay(ANNOUNCED)
+
+
+@pytest.mark.parametrize("kind", ["Exploded", ["Created"], {"Created": 1}],
+                         ids=["unknown", "list", "object"])
+def test_a_record_of_no_known_kind_changes_nothing(kind):
+    snapshot = replay([CREATED])
+    event = {"seq": 2, "ts": "2025-01-06T10:00:00Z", "board": "T1", **NEW,
+             "kind": kind, "messages": [WIRE]}
+    with pytest.raises(ValueError) as err:
+        fold_event(snapshot, event)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"unknown event kind: {kind}"
+    assert vars(snapshot) == vars(replay([CREATED]))
+
+
 def test_a_message_may_carry_another_timestamp_than_its_event():
     earlier = dict(WIRE, ts="2025-01-06T09:30:00+00:00")
     snapshot = replay([CREATED, {"seq": 2, "ts": "2025-01-06T10:00:00Z",
