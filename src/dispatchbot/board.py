@@ -72,15 +72,19 @@ from .notify import (
 )
 from .reminders import (
     DEFAULT_STUCK_HOURS,
+    MAX_HOURS,
     REMINDER_KIND_VALUE,
     ThresholdPolicy,
     due_reminders,
 )
 from .roster import EngineerRoster, RosterEntry
 from .timeutil import iso, parse_date
-from .workflow import STATE_VALUE, ReopenMode, Ticket, WorkflowState
+from .workflow import (REOPEN_STATE, STATE_VALUE, ReopenMode, Ticket,
+                       WorkflowState)
 
 DEFAULT_CYCLE_PERIOD_MINUTES = 15
+#: 100 years, as for reminder hours; `run --loop` sleeps this long.
+MAX_CYCLE_PERIOD_MINUTES = int(MAX_HOURS * 60)
 
 
 class ConfigError(Exception):
@@ -165,10 +169,12 @@ def _number(value, name: str) -> float:
 
 
 def _count_field(raw: dict, key: str, default: int, least: int,
-                 errors: list[str]) -> int:
+                 errors: list[str], most: int | None = None) -> int:
     value = raw.get(key, default)
     if type(value) is not int or value < least:
         errors.append(f"{key}: must be an integer >= {least}, got {value!r}")
+    elif most is not None and value > most:
+        errors.append(f"{key}: must be an integer <= {most}, got {value!r}")
     return value
 
 
@@ -307,7 +313,8 @@ def parse_team_config(raw) -> TeamConfig:
             label_tags=dict(labels))
 
     cycle_period = _count_field(raw, "cycle_period_minutes",
-                                DEFAULT_CYCLE_PERIOD_MINUTES, 1, errors)
+                                DEFAULT_CYCLE_PERIOD_MINUTES, 1, errors,
+                                MAX_CYCLE_PERIOD_MINUTES)
     max_retries = _count_field(raw, "max_retries", DEFAULT_MAX_RETRIES, 0,
                                errors)
 
@@ -388,18 +395,6 @@ class BoardRuntime:
         self._due_heap: list[tuple[datetime, str]] = []
         self._next_due: dict[str, datetime] = {}
 
-    @property
-    def sinks(self) -> dict[Channel, Sink]:
-        return self._sinks
-
-    @sinks.setter
-    def sinks(self, sinks: dict[Channel, Sink]) -> None:
-        self._sinks = sinks
-        # Sinks that hold resources for one flush, each once; a board of
-        # memory or webhook sinks has none.
-        self._closers = list({id(sink): sink.close for sink in sinks.values()
-                              if hasattr(sink, "close")}.values())
-
     # -- event plumbing ----------------------------------------------------
 
     def _commit(self, kind: str, ts: datetime, payload: dict) -> dict:
@@ -454,9 +449,7 @@ class BoardRuntime:
 
     def reopen_ticket(self, ticket_id: str, mode: ReopenMode, at: datetime,
                       actor: str = "reopen") -> Ticket:
-        to = (WorkflowState.BACKLOG if mode is ReopenMode.TO_BACKLOG
-              else WorkflowState.WORK_IN_PROGRESS)
-        return self._transition(ticket_id, to, at,
+        return self._transition(ticket_id, REOPEN_STATE[mode], at,
                                 {"actor": actor, "reopen_mode": mode.value})
 
     def _transition(self, ticket_id: str, to: WorkflowState, at: datetime,
@@ -616,7 +609,7 @@ class BoardRuntime:
             for msg_id, wire in list(outbox.items()):
                 state, retries, terminal = attempt_delivery(
                     wire, self.snapshot.retries.get(msg_id, 0),
-                    self._sinks.get(wire["channel"]),
+                    self.sinks.get(wire["channel"]),
                     self.config.max_retries)
                 self._commit(KIND_MESSAGE_DELIVERED, now, {
                     "msg_id": msg_id,
@@ -629,5 +622,7 @@ class BoardRuntime:
                 else:
                     report.messages_failed += 1
         finally:
-            for close in self._closers:
-                close()
+            # Sinks that hold resources for one flush, each once.
+            for sink in set(self.sinks.values()):
+                if hasattr(sink, "close"):
+                    sink.close()

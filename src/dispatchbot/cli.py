@@ -3,7 +3,9 @@
 Commands: `run` a bot cycle against a file-backed board, `simulate` a
 pre/post experiment, `report` over an event log, `replay` a log with
 consistency checks. Exit codes: 0 success, 1 validation error, 2 runtime
-error. No environment variables are consulted.
+error. dispatchbot reads no environment variable itself, but the webhook
+sink's `urllib.request.urlopen` honours the standard proxy variables
+(`http_proxy`, `https_proxy`, `no_proxy`).
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ _encode = json.encoder.c_make_encoder(
 
 
 def compact_json(value) -> str:
-    """Compact, key-sorted JSON: the bytes of an event-log line and of a
-    channel-file line."""
+    """Compact, key-sorted JSON: the bytes of an event-log line, of a
+    channel-file line and of a webhook body."""
     return "".join(_encode(value, 0))
 
 
@@ -237,14 +237,15 @@ class FileSink:
 
 
 class WebhookSink:
-    """POSTs the wire payload as JSON: 2xx delivered, 4xx rejected."""
+    """POSTs the wire payload as JSON, the bytes of its channel-file
+    line: 2xx delivered, 4xx rejected."""
 
     def __init__(self, url: str, timeout: float = 10.0):
         self.url = url
         self.timeout = timeout
 
     def deliver(self, wire: dict) -> None:
-        body = json.dumps(wire).encode("utf-8")
+        body = compact_json(wire).encode("utf-8")
         try:
             request = urllib.request.Request(
                 self.url, data=body, method="POST",

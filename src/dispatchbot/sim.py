@@ -11,6 +11,7 @@ manual assignment with a Zipf-skewed engineer preference.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, fields, replace
@@ -27,7 +28,7 @@ from .metrics import (
     period_report,
 )
 from .notify import Channel, ChannelBinding, FileSink, MemorySink
-from .reminders import DEFAULT_STUCK_HOURS, ThresholdPolicy
+from .reminders import DEFAULT_STUCK_HOURS, MAX_HOURS, ThresholdPolicy
 from .roster import EngineerRoster, RosterEntry
 from .timeutil import UTC, SECOND, business_days
 from .workflow import WorkflowState
@@ -76,6 +77,11 @@ class SimConfig:
             raise ValueError("manual_skew must be >= 0")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy}")
+        # At least `run`'s one minute, so every cycle advances the clock.
+        # Written so that NaN fails too.
+        if not 1 / 60 <= self.cycle_period_hours <= MAX_HOURS:
+            raise ValueError(f"cycle_period_hours must be in [1/60, "
+                             f"{MAX_HOURS:g}], got {self.cycle_period_hours!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
@@ -245,32 +251,26 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
 
     end = horizon_end(config)
     period = timedelta(hours=config.cycle_period_hours)
-    pending: list[tuple[datetime, int, str, WorkflowState, str]] = []
-    tie = 0
-    si = 0
+    # The outside world: (instant, 0 for an arrival or 1 for an engineer
+    # move, order made, what). At one instant arrivals come first, and
+    # each group keeps the order it was made in. The stream is sorted by
+    # instant, so its entries already form a heap.
+    made = itertools.count()
+    world: list[tuple] = [(item["ts"], 0, next(made), item)
+                          for item in stream]
     now = SIM_EPOCH
     reports: list[CycleReport] = []
 
     while True:
-        # Replay the outside world (arrivals and engineer transitions) due
-        # by this cycle, merged in timestamp order.
-        batch: list[tuple[datetime, int, object]] = []
-        while si < len(stream) and stream[si]["ts"] <= now:
-            batch.append((stream[si]["ts"], 0, stream[si]))
-            si += 1
-        while pending and pending[0][0] <= now:
-            item = heapq.heappop(pending)
-            batch.append((item[0], 1, item))
-        batch.sort(key=lambda b: (b[0], b[1]))
-        for _, tag, item in batch:
-            if tag == 0:
-                runtime.inject_ticket(
-                    ticket_id=item["ticket"], reporter=item["reporter"],
-                    at=item["ts"], priority=item["priority"])
+        while world and world[0][0] <= now:
+            at, move, _, what = heapq.heappop(world)
+            if move:
+                tid, to_state, engineer = what
+                runtime.apply_external_transition(tid, to_state, at, engineer)
             else:
-                _, _, tid, to_state, actor = item
-                runtime.apply_external_transition(tid, to_state, item[0],
-                                                  actor)
+                runtime.inject_ticket(
+                    ticket_id=what["ticket"], reporter=what["reporter"],
+                    at=at, priority=what["priority"])
 
         report = runtime.run_cycle(now)
         reports.append(report)
@@ -289,16 +289,14 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
             service = timedelta(seconds=max(1, round(service_h * 3600)))
             created = runtime.snapshot.tickets[tid].created_at
             start = max(now + SECOND, busy_until[engineer], created + SECOND)
-            tie += 1
-            heapq.heappush(pending, (start, tie, tid,
-                                     WorkflowState.WORK_IN_PROGRESS, engineer))
+            heapq.heappush(world, (start, 1, next(made), (
+                tid, WorkflowState.WORK_IN_PROGRESS, engineer)))
             busy_until[engineer] = start + service
             held = (engineer in gamers
                     and proc_rng.random() < config.gamer_hold_fraction)
             if not held:
-                tie += 1
-                heapq.heappush(pending, (start + service, tie, tid,
-                                         WorkflowState.DONE, engineer))
+                heapq.heappush(world, (start + service, 1, next(made), (
+                    tid, WorkflowState.DONE, engineer)))
 
         if now >= end:
             break

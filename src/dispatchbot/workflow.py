@@ -59,6 +59,10 @@ TRANSITIONS: dict[WorkflowState, frozenset[WorkflowState]] = {
     _S.DONE: frozenset({_S.BACKLOG, _S.WORK_IN_PROGRESS}),
 }
 
+#: The state each reopen mode moves a Done ticket to.
+REOPEN_STATE = {ReopenMode.TO_BACKLOG: _S.BACKLOG,
+                ReopenMode.TO_SAME_ENGINEER: _S.WORK_IN_PROGRESS}
+
 #: A ticket must carry an assignee before entering these states.
 ASSIGNED_STATES = frozenset({_S.WORK_IN_PROGRESS, _S.READY_FOR_REVIEW})
 
@@ -175,10 +179,8 @@ def reopen(ticket: Ticket, mode: ReopenMode, at: datetime) -> Ticket:
     ToBacklog returns it to the unassigned queue; ToSameEngineer puts it
     straight back in progress with the prior assignee retained.
     """
-    if ticket.state is not WorkflowState.DONE:
-        raise TransitionError(ticket.id, ticket.state, WorkflowState.BACKLOG,
-                              ILLEGAL_EDGE)
-    if mode is ReopenMode.TO_BACKLOG:
-        out = apply_transition(ticket, WorkflowState.BACKLOG, at)
-        return evolve(out, assignee=None)
-    return apply_transition(ticket, WorkflowState.WORK_IN_PROGRESS, at)
+    to = REOPEN_STATE[mode]
+    if ticket.state is not DONE:
+        raise TransitionError(ticket.id, ticket.state, to, ILLEGAL_EDGE)
+    out = apply_transition(ticket, to, at)
+    return evolve(out, assignee=None) if to is BACKLOG else out

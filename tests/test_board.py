@@ -119,6 +119,12 @@ class TestTeamConfig:
         (dict(CONFIG_DOC, channels=["ChatA"]), "channels: must be an object"),
         (dict(CONFIG_DOC, cycle_period_minutes="30"),
          "cycle_period_minutes: must be an integer >= 1, got '30'"),
+        (dict(CONFIG_DOC, cycle_period_minutes=10 ** 18),
+         "cycle_period_minutes: must be an integer <= 52596000, "
+         "got 1000000000000000000"),
+        (dict(CONFIG_DOC, cycle_period_minutes=52_596_001),
+         "cycle_period_minutes: must be an integer <= 52596000, "
+         "got 52596001"),
     ])
     def test_malformed_shape_is_field_error(self, doc, error):
         with pytest.raises(ConfigError) as err:
@@ -418,6 +424,26 @@ def delivery_records(runtime):
 
 def settles(record):
     return record["state"] == STATE_DELIVERED or record["terminal"]
+
+
+def test_each_sink_closed_once_per_flush(memory_runtime):
+    """Sinks assigned after construction are the ones closed, each once
+    at the end of a flush, however many channels share it."""
+    closed = []
+
+    class ClosingSink(MemorySink):
+        def close(self):
+            closed.append(self)
+
+    runtime = memory_runtime()
+    shared = ClosingSink()
+    runtime.sinks = {c: shared for c in runtime.sinks}
+    runtime.sinks[Channel.EMAIL] = MemorySink()
+    runtime.inject_ticket("T1-1", "r1", at(0))
+    runtime.run_cycle(at(1))
+    assert closed == [shared] and len(shared.delivered) == 1
+    runtime.run_cycle(at(2))  # nothing pending: no flush, no close
+    assert closed == [shared]
 
 
 class TestPendingOutbox:

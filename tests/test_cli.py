@@ -114,6 +114,19 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert "must be a number" in capsys.readouterr().err
 
+    def test_huge_cycle_period_is_validation_error(self, tmp_path, capsys):
+        # `run --loop` once ran a cycle, then `time.sleep` overflowed.
+        bad = tmp_path / "team.json"
+        bad.write_text(json.dumps(dict(TEAM_DOC,
+                                       cycle_period_minutes=10 ** 18)))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path),
+                     "--now", "2025-01-06T10:00:00Z", "--loop"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == ("config error: cycle_period_minutes: must be an "
+                       "integer <= 52596000, got 1000000000000000000\n")
+        assert not (tmp_path / "T1.events.ndjson").exists()
+
     def test_bad_webhook_url_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "team.json"
         channels = {"ChatA": "http://[::1/hook", "Email": "out"}

@@ -230,11 +230,13 @@ class TestDelivery:
 
 class Receiver(BaseHTTPRequestHandler):
     """Answers every POST with the server's `status` and keeps the
-    decoded bodies in the server's `bodies`."""
+    bodies, decoded in the server's `bodies` and raw in its `raw`."""
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        self.server.bodies.append(json.loads(self.rfile.read(length)))
+        body = self.rfile.read(length)
+        self.server.raw.append(body)
+        self.server.bodies.append(json.loads(body))
         self.send_response(self.server.status)
         self.send_header("Content-Length", "0")
         self.end_headers()
@@ -246,7 +248,7 @@ class Receiver(BaseHTTPRequestHandler):
 @pytest.fixture
 def receiver():
     server = HTTPServer(("127.0.0.1", 0), Receiver)
-    server.bodies, server.status = [], 204
+    server.bodies, server.raw, server.status = [], [], 204
     thread = threading.Thread(target=server.serve_forever, args=(0.05,),
                               daemon=True)
     thread.start()
@@ -265,10 +267,16 @@ class TestWebhookSink:
         assert attempt_delivery(message(), 0, webhook(receiver), 3) == \
             ("Delivered", 0, False)
 
-    def test_body_is_the_wire_payload(self, receiver):
+    def test_body_is_the_wire_payload(self, receiver, tmp_path):
         msg = message()
         webhook(receiver).deliver(msg)
         assert receiver.bodies == [msg]
+        # The same bytes as the message's channel-file line.
+        sink = FileSink(tmp_path)
+        sink.deliver(msg)
+        sink.close()
+        line = (tmp_path / f"{msg['channel']}.ndjson").read_bytes()
+        assert receiver.raw == [line.rstrip(b"\n")]
 
     def test_bad_request_is_terminal(self, receiver):
         receiver.status = 400

@@ -11,6 +11,7 @@ import pytest
 
 from dispatchbot.assignment import POLICY_LEAST_OPEN, POLICY_MANUAL
 from dispatchbot.eventlog import encode_event, replay
+from dispatchbot.reminders import MAX_HOURS
 from dispatchbot.sim import (
     SIM_EPOCH,
     SimConfig,
@@ -222,6 +223,21 @@ class TestConfig:
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError):
             SimConfig.from_dict({"sneed": 3})
+
+    @pytest.mark.parametrize("hours", [0, -1, 1e-12, 0.0166, float("nan"),
+                                       float("inf"), MAX_HOURS * 1.001])
+    def test_cycle_period_must_advance_the_clock(self, hours):
+        # Each of these once ran `run_simulation` forever, or would sleep
+        # `run --loop` past what `time.sleep` takes.
+        with pytest.raises(ValueError, match="cycle_period_hours must be in"):
+            SimConfig(cycle_period_hours=hours)
+        with pytest.raises(ValueError, match="cycle_period_hours must be in"):
+            SimConfig.from_dict({"cycle_period_hours": hours})
+
+    def test_cycle_period_bounds_are_accepted(self):
+        assert SimConfig(cycle_period_hours=1 / 60).cycle_period_hours == 1 / 60
+        assert SimConfig(cycle_period_hours=MAX_HOURS).cycle_period_hours \
+            == MAX_HOURS
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,17 @@ class TestReopen:
         with pytest.raises(TransitionError) as err:
             reopen(ticket(), ReopenMode.TO_BACKLOG, at(1))
         assert err.value.reason == ILLEGAL_EDGE
+        # The error names the state the mode leads to.
+        started = apply_transition(replace(ticket(), assignee="e3"),
+                                   S.WORK_IN_PROGRESS, at(1))
+        for mode, to in [(ReopenMode.TO_BACKLOG, S.BACKLOG),
+                         (ReopenMode.TO_SAME_ENGINEER, S.WORK_IN_PROGRESS)]:
+            with pytest.raises(TransitionError) as err:
+                reopen(started, mode, at(2))
+            assert err.value.reason == ILLEGAL_EDGE
+            assert err.value.to_state is to
+            assert str(err.value) == \
+                f"IllegalEdge: T1-1 WorkInProgress -> {to.value}"
 
 
 class TestDefaults:
