@@ -251,26 +251,26 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
 
     end = horizon_end(config)
     period = timedelta(hours=config.cycle_period_hours)
-    # The outside world: (instant, 0 for an arrival or 1 for an engineer
-    # move, order made, what). At one instant arrivals come first, and
-    # each group keeps the order it was made in. The stream is sorted by
-    # instant, so its entries already form a heap.
+    # Outside events, arrivals first at one instant, each kind in the order
+    # made: the next arrival (instant, 0, stream index), whose pop pushes
+    # the one after, and engineer moves (instant, 1, order, tid, state, who).
     made = itertools.count()
-    world: list[tuple] = [(item["ts"], 0, next(made), item)
-                          for item in stream]
+    world: list[tuple] = [(stream[0]["ts"], 0, 0)] if stream else []
     now = SIM_EPOCH
     reports: list[CycleReport] = []
 
     while True:
         while world and world[0][0] <= now:
-            at, move, _, what = heapq.heappop(world)
-            if move:
-                tid, to_state, engineer = what
+            entry = heapq.heappop(world)
+            if entry[1]:
+                at, _, _, tid, to_state, engineer = entry
                 runtime.apply_external_transition(tid, to_state, at, engineer)
-            else:
-                runtime.inject_ticket(
-                    ticket_id=what["ticket"], reporter=what["reporter"],
-                    at=at, priority=what["priority"])
+                continue
+            i = entry[2]
+            runtime.inject_ticket(stream[i]["ticket"], stream[i]["reporter"],
+                                  entry[0], stream[i]["priority"])
+            if i + 1 < len(stream):
+                heapq.heappush(world, (stream[i + 1]["ts"], 0, i + 1))
 
         report = runtime.run_cycle(now)
         reports.append(report)
@@ -289,14 +289,14 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
             service = timedelta(seconds=max(1, round(service_h * 3600)))
             created = runtime.snapshot.tickets[tid].created_at
             start = max(now + SECOND, busy_until[engineer], created + SECOND)
-            heapq.heappush(world, (start, 1, next(made), (
-                tid, WorkflowState.WORK_IN_PROGRESS, engineer)))
+            heapq.heappush(world, (start, 1, next(made), tid,
+                                   WorkflowState.WORK_IN_PROGRESS, engineer))
             busy_until[engineer] = start + service
             held = (engineer in gamers
                     and proc_rng.random() < config.gamer_hold_fraction)
             if not held:
-                heapq.heappush(world, (start + service, 1, next(made), (
-                    tid, WorkflowState.DONE, engineer)))
+                heapq.heappush(world, (start + service, 1, next(made), tid,
+                                       WorkflowState.DONE, engineer))
 
         if now >= end:
             break
