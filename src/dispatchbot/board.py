@@ -385,43 +385,70 @@ class BoardRuntime:
                      for channel, endpoint in config.binding.endpoints.items()}
         self.sinks = sinks
         self.manual_plan = manual_plan or {}
-        # The reminder schedule. An open ticket whose reminders may be due
-        # is either touched (changed since its last visit) or has a live
-        # entry in the min-heap of (next boundary, ticket id); `_next_due`
-        # holds each live entry's instant, and an entry that disagrees
-        # with it is stale. Derived from the log and the policy alone, so
-        # a restart rebuilds it by touching every open ticket.
+        self._reschedule()
+        #: The running cycle's message-id allocator; see `_cycle_ids`.
+        self._ids = None
+
+    def _reschedule(self) -> None:
+        """Start the reminder schedule afresh from the snapshot.
+
+        An open ticket whose reminders may be due is either touched
+        (changed since its last visit) or has a live entry in the min-heap
+        of (next boundary, ticket id); `_next_due` holds each live entry's
+        instant, and an entry that disagrees with it is stale. Derived from
+        the log and the policy alone, so a restart rebuilds it by touching
+        every open ticket.
+        """
         self._touched: set[str] = set(self.snapshot.open_tickets)
         self._due_heap: list[tuple[datetime, str]] = []
         self._next_due: dict[str, datetime] = {}
 
     # -- event plumbing ----------------------------------------------------
 
-    def _commit(self, kind: str, ts: datetime, payload: dict) -> dict:
+    def _fold(self, kind: str, ts: str, payload: dict) -> dict:
+        """Fold the record of `kind` at `ts` into the live snapshot and
+        return it. A rejected record raises before it changes anything."""
         event = {
-            "seq": self.log.watermark + 1,
-            "ts": iso(ts),
+            "seq": self.snapshot.watermark + 1,
+            "ts": ts,
             "board": self.config.board_id,
             "kind": kind,
         }
         event.update(payload)
-        # Fold first: a rejected event raises before it changes the
-        # snapshot or reaches the log.
         fold_event(self.snapshot, event)
-        try:
-            self.log.append([event])
-        except BaseException:
-            # Live state must not run ahead of the log.
-            self.snapshot = replay(self.log.events, self.config.board_id)
-            raise
         if kind in _TICKET_CHANGES:
             self._touched.add(payload["ticket"])
         return event
 
+    def _append(self, events: list[dict]) -> None:
+        """Append records already folded into the snapshot to the log."""
+        try:
+            self.log.append(events)
+        except BaseException:
+            # Live state must not run ahead of the log: rebuild it, and the
+            # reminder schedule with it, as a restart would.
+            self.snapshot = replay(self.log.events, self.config.board_id)
+            self._reschedule()
+            raise
+
+    def _commit(self, kind: str, ts: datetime, payload: dict) -> dict:
+        """Fold an external command's record and append it at once."""
+        event = self._fold(kind, iso(ts), payload)
+        self._append([event])
+        return event
+
     def _make_msg_id(self):
-        # Allocates ids ahead of the fold that will bump msg_counter.
+        # Allocates ids ahead of the folds that bump msg_counter past each.
         return map("m{:06d}".format,
                    itertools.count(self.snapshot.msg_counter + 1)).__next__
+
+    def _cycle_ids(self):
+        """The running cycle's message-id allocator, made on first use.
+        One serves every announcement of the cycle, as each fold moves
+        msg_counter up to the id it just used."""
+        if self._ids is None:
+            self._ids = self._make_msg_id()
+        return self._ids
 
     # -- external board writes --------------------------------------------
 
@@ -520,45 +547,56 @@ class BoardRuntime:
         reminders (skipping tickets assigned this very cycle), then flush
         the outbox through the sinks, and flush the log. Sink failures
         never abort the cycle.
+
+        Each record is folded into the snapshot as it is made, and the
+        cycle's records reach the log in one append at its end, also when
+        the cycle raises: the log then holds every record folded before
+        the error.
         """
         report = CycleReport(now=now)
         assigned_now: set[str] = set()
+        records: list[dict] = []
+        self._ids = None
+        try:
+            polled = poll_new_unassigned(self.snapshot)
+            for ticket in polled:
+                try:
+                    decision = self._decide(ticket, now)
+                except EmptyPoolError:
+                    # The pool depends on `now` alone: empty for every
+                    # ticket.
+                    report.empty_pool = True
+                    break
+                if decision is None:
+                    continue
+                wire = announce_assignment(decision, self.config.binding,
+                                           self._cycle_ids())
+                records.append(self._fold(KIND_ASSIGNED, iso(now), {
+                    "ticket": ticket.id,
+                    "engineer": decision.engineer_id,
+                    "policy": decision.policy,
+                    "cursor_after": decision.cursor_after,
+                    "messages": [wire],
+                }))
+                report.assigned += 1
+                report.assignments.append((ticket.id, decision.engineer_id))
+                assigned_now.add(ticket.id)
+            report.unassigned_pending = len(polled) - report.assigned
 
-        polled = poll_new_unassigned(self.snapshot)
-        for ticket in polled:
-            try:
-                decision = self._decide(ticket, now)
-            except EmptyPoolError:
-                # The pool depends on `now` alone: empty for every ticket.
-                report.empty_pool = True
-                break
-            if decision is None:
-                continue
-            wire = announce_assignment(decision, self.config.binding,
-                                       self._make_msg_id())
-            self._commit(KIND_ASSIGNED, now, {
-                "ticket": ticket.id,
-                "engineer": decision.engineer_id,
-                "policy": decision.policy,
-                "cursor_after": decision.cursor_after,
-                "messages": [wire],
-            })
-            report.assigned += 1
-            report.assignments.append((ticket.id, decision.engineer_id))
-            assigned_now.add(ticket.id)
-        report.unassigned_pending = len(polled) - report.assigned
+            if self.config.thresholds is not None:
+                self._remind(now, assigned_now, report, records)
+            else:
+                self._touched.clear()
 
-        if self.config.thresholds is not None:
-            self._remind(now, assigned_now, report)
-        else:
-            self._touched.clear()
-
-        self._flush_outbox(now, report)
+            self._flush_outbox(now, report, records)
+        finally:
+            if records:
+                self._append(records)
         self.log.flush()
         return report
 
     def _remind(self, now: datetime, assigned_now: set[str],
-                report: CycleReport) -> None:
+                report: CycleReport, records: list[dict]) -> None:
         """Evaluate reminders for the tickets that may have one due: those
         touched since their last visit and those whose next boundary lies
         strictly before `now`. Tickets assigned this cycle are skipped and
@@ -585,38 +623,42 @@ class BoardRuntime:
         for reminder in due_reminders(tickets, now, policy,
                                       self.snapshot.reminder_ledger,
                                       boundaries):
-            self._commit(KIND_REMINDER_SENT, now, {
+            records.append(self._fold(KIND_REMINDER_SENT, iso(now), {
                 "ticket": reminder.ticket_id,
                 "reminder_kind": REMINDER_KIND_VALUE[reminder.kind],
                 "index": reminder.escalation_index,
                 "recipients": list(reminder.recipients),
                 "messages": route_reminder(reminder, self.config.binding,
-                                           self._make_msg_id()),
-            })
+                                           self._cycle_ids()),
+            }))
             report.reminders_sent += 1
         for tid, instant in boundaries.items():
             if next_due.get(tid) != instant:
                 next_due[tid] = instant
                 heapq.heappush(heap, (instant, tid))
 
-    def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
-        outbox = self.snapshot.outbox
+    def _flush_outbox(self, now: datetime, report: CycleReport,
+                      records: list[dict]) -> None:
+        snapshot = self.snapshot
+        outbox = snapshot.outbox
         if not outbox:
             return
+        ts, board = iso(now), self.config.board_id
         try:
             # Each settling record removes its message from the outbox.
             # A Channel is a str Enum: the wire's value finds its sink.
             for msg_id, wire in list(outbox.items()):
                 state, retries, terminal = attempt_delivery(
-                    wire, self.snapshot.retries.get(msg_id, 0),
+                    wire, snapshot.retries.get(msg_id, 0),
                     self.sinks.get(wire["channel"]),
                     self.config.max_retries)
-                self._commit(KIND_MESSAGE_DELIVERED, now, {
-                    "msg_id": msg_id,
-                    "state": state,
-                    "retries": retries,
-                    "terminal": terminal,
-                })
+                # Delivery records change no ticket: no `_fold` bookkeeping.
+                event = {"seq": snapshot.watermark + 1, "ts": ts,
+                         "board": board, "kind": KIND_MESSAGE_DELIVERED,
+                         "msg_id": msg_id, "state": state,
+                         "retries": retries, "terminal": terminal}
+                fold_event(snapshot, event)
+                records.append(event)
                 if state == STATE_DELIVERED:
                     report.messages_delivered += 1
                 else:

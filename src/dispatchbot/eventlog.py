@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -172,8 +171,8 @@ def _member(seq: int, name: str, by_value: dict, raw):
                                    f"unknown value {raw!r}") from None
 
 
-#: Matches a whole msg id: "m" and up to 18 ASCII digits, which `int` reads.
-_MSG_ID = re.compile(r"m[0-9]{1,18}\Z").match
+#: Most digits a msg id may have after its "m".
+_MSG_DIGITS = 18
 
 
 def _messages(seq: int, wires, event_ts: str, counter: int) -> int:
@@ -198,7 +197,12 @@ def _messages(seq: int, wires, event_ts: str, counter: int) -> int:
         if type(channel) is not str or channel not in CHANNEL_BY_VALUE:
             raise MalformedRecordError(seq, f"messages[{i}].channel",
                                        f"unknown channel {channel!r}")
-        if type(msg_id) is not str or not _MSG_ID(msg_id):
+        # "m" and 1 to 18 ASCII digits: `isdigit` alone takes other
+        # scripts' digits, which `int` reads too.
+        digits = (msg_id[1:] if type(msg_id) is str and msg_id[:1] == "m"
+                  else "")
+        if not (0 < len(digits) <= _MSG_DIGITS and digits.isascii()
+                and digits.isdigit()):
             raise MalformedRecordError(seq, f"messages[{i}].msg_id",
                                        f"bad message id {msg_id!r}")
         if ts != event_ts:
@@ -207,7 +211,7 @@ def _messages(seq: int, wires, event_ts: str, counter: int) -> int:
             name = next(name for name in ("team", "kind", "ticket", "text")
                         if type(wire[name]) is not str)
             raise _bad(seq, f"messages[{i}].{name}", wire[name])
-        if (number := int(msg_id[1:])) <= counter:
+        if (number := int(digits)) <= counter:
             raise MalformedRecordError(seq, f"messages[{i}].msg_id",
                                        f"reused message id {msg_id!r}")
         counter = number

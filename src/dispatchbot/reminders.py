@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .workflow import DONE, Priority, Ticket, WorkflowState
 
@@ -91,25 +91,12 @@ class ThresholdPolicy:
         return self._thresholds[state][priority]
 
 
-@dataclass(frozen=True)
-class Reminder:
+class Reminder(NamedTuple):
     ticket_id: str
     kind: ReminderKind
     recipients: tuple[str, ...]
     escalation_index: int
     generated_at: datetime
-
-
-def _escalations_due(trigger: datetime, now: datetime,
-                     period: timedelta) -> int:
-    """How many escalations are due strictly after `trigger`.
-
-    The boundary is strict on both ends: nothing fires at the trigger
-    instant, and exactly n reminders are due n periods past it.
-    """
-    if now <= trigger:
-        return 0
-    return -((trigger - now) // period)
 
 
 def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
@@ -119,31 +106,52 @@ def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
     next reminder boundary (see `next_reminder_at`).
 
     Each stream has a trigger and may have a cap. Its count at `now` is
-    `_escalations_due(trigger, now, period)`, with `now` held at the cap
-    when there is one. The imminent stream, triggered when the warning
-    fraction of the SLA window remains, stops at the deadline, where the
-    breached stream takes over, so the triggered set stays monotone in
-    `now`. A stream's next boundary is its trigger plus as many whole
-    periods as its uncapped count at `now`; a capped stream's boundary
-    counts only while it lies before the cap.
+    the number of escalations due strictly after its trigger, with `now`
+    held at the cap when there is one: none at the trigger instant, and
+    exactly n once n whole periods have passed, that is
+    `-((trigger - now) // period)` for `now` past the trigger. The
+    imminent stream, triggered when the warning fraction of the SLA
+    window remains, stops at the deadline, where the breached stream
+    takes over, so the triggered set stays monotone in `now`. A stream's
+    next boundary is its trigger plus as many whole periods as its
+    uncapped count at `now`; a capped stream's boundary counts only while
+    it lies before the cap.
     """
     period = policy.reminder_period
     deadline = ticket.sla_deadline
     stuck_at = ((ticket.state_entered_at or ticket.created_at)
                 + policy._thresholds[ticket.state][ticket.priority])
-    stuck = _escalations_due(stuck_at, now, period)
-    breached = _escalations_due(deadline, now, period)
-    boundary = min(stuck_at + stuck * period, deadline + breached * period)
+    if now > stuck_at:
+        stuck = -((stuck_at - now) // period)
+        boundary = stuck_at + stuck * period
+    else:
+        stuck, boundary = 0, stuck_at
     warning_at = (deadline
                   - policy.sla_warning_fraction * (deadline - ticket.created_at))
     if now < deadline:
-        # Here the breached stream's boundary is the deadline itself, so
-        # `boundary` already keeps the imminent stream's before its cap.
-        imminent = _escalations_due(warning_at, now, period)
-        boundary = min(boundary, warning_at + imminent * period)
+        # The breached stream's boundary is the deadline itself, which
+        # also keeps the imminent stream's boundary before its cap.
+        breached = 0
+        if deadline < boundary:
+            boundary = deadline
+        if now > warning_at:
+            imminent = -((warning_at - now) // period)
+            warning_at += imminent * period
+        else:
+            imminent = 0
+        if warning_at < boundary:
+            boundary = warning_at
     else:
         # Past the cap every boundary of the imminent stream is too.
-        imminent = _escalations_due(warning_at, deadline, period)
+        if now > deadline:
+            breached = -((deadline - now) // period)
+            breach_at = deadline + breached * period
+        else:
+            breached, breach_at = 0, deadline
+        if breach_at < boundary:
+            boundary = breach_at
+        imminent = (-((warning_at - deadline) // period)
+                    if deadline > warning_at else 0)
     return (stuck, imminent, breached), boundary
 
 
@@ -161,12 +169,11 @@ def next_reminder_at(ticket: Ticket, now: datetime,
 
 
 def _recipients(ticket: Ticket, team_channel: str | None = None) -> tuple[str, ...]:
-    names = {ticket.reporter}
-    if ticket.assignee:
-        names.add(ticket.assignee)
-    if team_channel:
-        names.add(team_channel)
-    return tuple(sorted(names))
+    # A missing assignee or channel falls back to the reporter, whom the
+    # set holds already.
+    reporter = ticket.reporter
+    return tuple(sorted({reporter, ticket.assignee or reporter,
+                         team_channel or reporter}))
 
 
 def due_reminders(

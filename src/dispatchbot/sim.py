@@ -39,6 +39,33 @@ SIM_EPOCH = datetime(2025, 1, 6, tzinfo=UTC)
 ARRIVAL_WINDOW_START_H = 9
 ARRIVAL_WINDOW_END_H = 18
 
+# Upper bounds of the numeric `SimConfig` fields whose arithmetic has
+# none of its own. They keep one field from breaking a run; an extreme
+# mix of fields can still push the virtual clock past the year 9999,
+# which `simulate` reports as a failed run (exit 2).
+#: About 100 years of business days, as for the longest reminder period.
+MAX_HORIZON_DAYS = 26_000
+#: `_poisson` needs `exp(-rate)` to be a normal float: it is subnormal
+#: past 708 and 0 past 745.
+MAX_ARRIVAL_RATE = 700.0
+MAX_ROSTER_SIZE = 10_000
+MAX_SIGMA = 10.0
+#: Here the second-ranked engineer already weighs 2^-100 of the first.
+MAX_SKEW = 100.0
+
+
+def _check_range(name: str, value, least: float, most: float, *,
+                 integer: bool = False, above: bool = False) -> None:
+    """Raise ValueError unless `value` is an int (when `integer`) or a
+    finite number in [least, most], or in (least, most] when `above`. A
+    bool is neither; NaN fails every comparison."""
+    number = type(value) is int or (not integer and type(value) is float)
+    if not (number and (least < value if above else least <= value)
+            and value <= most):
+        low = "(" if above else "["
+        raise ValueError(f"{name} must be {'an integer ' * integer}in "
+                         f"{low}{least:g}, {most:g}], got {value!r}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -63,25 +90,48 @@ class SimConfig:
     board_id: str = "SIM"
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be > 0")
-        if self.horizon_days <= 0:
-            raise ValueError("horizon_days must be > 0")
-        if self.roster_size < 1:
-            raise ValueError("roster_size must be >= 1")
-        if not 0 <= self.reassign_prob <= 1:
-            raise ValueError("reassign_prob must be in [0, 1]")
-        if not 0 <= self.gamer_fraction <= 1:
-            raise ValueError("gamer_fraction must be in [0, 1]")
-        if self.manual_skew < 0:
-            raise ValueError("manual_skew must be >= 0")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _check_range("horizon_days", self.horizon_days, 1, MAX_HORIZON_DAYS,
+                     integer=True)
+        _check_range("arrival_rate", self.arrival_rate, 0, MAX_ARRIVAL_RATE,
+                     above=True)
+        _check_range("roster_size", self.roster_size, 1, MAX_ROSTER_SIZE,
+                     integer=True)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy}")
+        medians = self.service_median_hours
+        if type(medians) is not tuple or len(medians) != 2:
+            raise ValueError(f"service_median_hours must be two numbers, "
+                             f"got {medians!r}")
+        for median in medians:
+            _check_range("service_median_hours", median, 0, MAX_HOURS,
+                         above=True)
+        if medians[0] > medians[1]:
+            raise ValueError(f"service_median_hours must be (low, high), "
+                             f"got {medians!r}")
+        _check_range("service_sigma", self.service_sigma, 0, MAX_SIGMA)
+        for name in ("reassign_prob", "gamer_fraction",
+                     "gamer_hold_fraction"):
+            _check_range(name, getattr(self, name), 0, 1)
+        _check_range("manual_skew", self.manual_skew, 0, MAX_SKEW)
+        _check_range("manual_delay_days", self.manual_delay_days, 0,
+                     MAX_HOURS / 24)
         # At least `run`'s one minute, so every cycle advances the clock.
-        # Written so that NaN fails too.
-        if not 1 / 60 <= self.cycle_period_hours <= MAX_HOURS:
-            raise ValueError(f"cycle_period_hours must be in [1/60, "
-                             f"{MAX_HOURS:g}], got {self.cycle_period_hours!r}")
+        _check_range("cycle_period_hours", self.cycle_period_hours, 1 / 60,
+                     MAX_HOURS)
+        if type(self.reminders_enabled) is not bool:
+            raise ValueError(f"reminders_enabled must be true or false, "
+                             f"got {self.reminders_enabled!r}")
+        # The reminder fields are checked with reminders off too, so a
+        # config that is valid stays valid when they are turned on.
+        if self.stuck_threshold_hours is not None:
+            _check_range("stuck_threshold_hours", self.stuck_threshold_hours,
+                         0, MAX_HOURS, above=True)
+        _check_range("reminder_period_hours", self.reminder_period_hours, 0,
+                     MAX_HOURS, above=True)
+        _check_range("sla_warning_fraction", self.sla_warning_fraction, 0, 1,
+                     above=True)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":

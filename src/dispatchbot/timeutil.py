@@ -54,11 +54,13 @@ def is_business_day(d: date) -> bool:
     return d.weekday() < 5
 
 
-#: weekday -> calendar days from that weekday to each of the next five
-#: business days.
+#: weekday -> the time from that weekday to each of the next five
+#: business days, built once.
 _BUSINESS_DAY_STEPS = tuple(
-    tuple(d for d in range(1, 10) if (weekday + d) % 7 < 5)[:5]
+    tuple(timedelta(d) for d in range(1, 10) if (weekday + d) % 7 < 5)[:5]
     for weekday in range(7))
+
+WEEK = timedelta(weeks=1)
 
 
 def add_business_days(start: datetime, days: int) -> datetime:
@@ -70,8 +72,8 @@ def add_business_days(start: datetime, days: int) -> datetime:
     # Any 7 consecutive days hold exactly 5 business days, so whole weeks
     # are a jump; the last 1 to 5 business days come from the table.
     weeks, rest = divmod(days - 1, 5)
-    steps = _BUSINESS_DAY_STEPS[start.weekday()]
-    return start + timedelta(7 * weeks + steps[rest])
+    end = start + _BUSINESS_DAY_STEPS[start.weekday()][rest]
+    return end + weeks * WEEK if weeks else end
 
 
 def business_days(start: date, count: int) -> list[date]:
