@@ -2,11 +2,14 @@
 scan-assign-remind cycle.
 
 One BoardRuntime owns one board: its snapshot, event log, cursor, reminder
-ledger and outbox. Every mutation goes through `_commit`, which folds a
-record into the live snapshot and then appends it to the log. The fold
-is all or nothing, so a rejected command leaves both untouched, and a
-failed append rebuilds the snapshot from the log: live state and replay
-never diverge.
+ledger and outbox. Every record is folded into the live snapshot before
+it reaches the log. An outside command appends its one record at once; a
+cycle folds each record as it makes it and appends all of the cycle's
+records in one call at its end, also when the cycle raises, so the log
+holds every record folded before the error. The fold is all or nothing,
+so a rejected record leaves both untouched, and a failed append rebuilds
+the snapshot, and the reminder schedule with it, from the log: live
+state and replay never diverge.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,

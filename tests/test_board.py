@@ -505,26 +505,32 @@ NEXT_STATE = {WorkflowState.BACKLOG: WorkflowState.WORK_IN_PROGRESS,
               WorkflowState.BLOCKED: WorkflowState.DONE}
 
 
+def scripted_commands(runtime, hour):
+    """The board's commands in `hour`: a ticket arrives (every fourth
+    High priority, deadlines 6-10 h out) and, by a fixed rule on ticket
+    number and hour, tickets move on, finish or are reopened."""
+    runtime.inject_ticket(
+        f"T1-{hour:03d}", "r1", at(hour),
+        priority="High" if hour % 4 == 0 else "Medium",
+        sla_deadline=at(hour + 6 + hour % 5))
+    for tid, ticket in sorted(runtime.snapshot.tickets.items()):
+        if (int(tid[3:]) + hour) % 7:
+            continue
+        if ticket.state is WorkflowState.DONE:
+            runtime.reopen_ticket(tid, ReopenMode.TO_BACKLOG,
+                                  at(hour, seconds=1))
+        elif ticket.assignee and ticket.state in NEXT_STATE:
+            runtime.apply_external_transition(
+                tid, NEXT_STATE[ticket.state], at(hour, seconds=1),
+                ticket.assignee)
+
+
 def scripted_hours(runtime, hours):
-    """Drive a board hour by hour: a ticket arrives each hour (every
-    fourth High priority, deadlines 6-10 h out) and, by a fixed rule on
-    ticket number and hour, tickets move on, finish or are reopened.
-    Checks the schedule after every cycle."""
+    """Drive a board hour by hour through `scripted_commands`, with a
+    cycle at the end of each hour. Checks the schedule after every
+    cycle."""
     for hour in hours:
-        runtime.inject_ticket(
-            f"T1-{hour:03d}", "r1", at(hour),
-            priority="High" if hour % 4 == 0 else "Medium",
-            sla_deadline=at(hour + 6 + hour % 5))
-        for tid, ticket in sorted(runtime.snapshot.tickets.items()):
-            if (int(tid[3:]) + hour) % 7:
-                continue
-            if ticket.state is WorkflowState.DONE:
-                runtime.reopen_ticket(tid, ReopenMode.TO_BACKLOG,
-                                      at(hour, seconds=1))
-            elif ticket.assignee and ticket.state in NEXT_STATE:
-                runtime.apply_external_transition(
-                    tid, NEXT_STATE[ticket.state], at(hour, seconds=1),
-                    ticket.assignee)
+        scripted_commands(runtime, hour)
         assert_nothing_due(runtime, runtime.run_cycle(at(hour, seconds=2)))
 
 
@@ -742,4 +748,120 @@ class TestAtomicCommit:
 
         runtime.inject_ticket("T1-2", "r1", at(4))
         assert runtime.run_cycle(at(5)).assignments == [("T1-2", "e2")]
+        assert replay(log.events) == runtime.snapshot
+
+
+class CountingLog(EventLog):
+    """An in-memory log that counts `append` calls; the call after
+    `fail_next` is set raises OSError and writes nothing."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+        self.fail_next = False
+
+    def append(self, events):
+        self.calls += 1
+        if self.fail_next:
+            self.fail_next = False
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().append(events)
+
+
+class BrokenSink(MemorySink):
+    """Raises RuntimeError, a bug rather than a delivery failure, on its
+    `fail_at`-th delivery attempt, counted from 1."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+        self.attempts = 0
+
+    def deliver(self, wire):
+        self.attempts += 1
+        if self.attempts == self.fail_at:
+            raise RuntimeError("sink bug")
+        super().deliver(wire)
+
+
+def announced(events):
+    """Every announced message's wire dict, in log order."""
+    return [wire for event in events for wire in event.get("messages", ())]
+
+
+class TestCycleAppend:
+    """A cycle folds each record as it is made and appends all of them in
+    one call at its end, also when it raises."""
+
+    @pytest.fixture
+    def board(self):
+        sink = MemorySink()
+        config = scripted_config()
+        return BoardRuntime(config, log=CountingLog(),
+                            sinks={c: sink for c in config.binding.endpoints})
+
+    def test_idle_cycle_appends_nothing_and_busy_cycle_once(self, board):
+        log = board.log
+        board.run_cycle(at(0))
+        assert log.calls == 0
+        board.inject_ticket("T1-1", "r1", at(0))
+        board.inject_ticket("T1-2", "r1", at(0, seconds=1))
+        assert log.calls == 2
+        report = board.run_cycle(at(1))
+        # Two assignments and their two deliveries, in one call.
+        assert report.assigned == report.messages_delivered == 2
+        assert (log.calls, len(log.events)) == (3, 6)
+        board.run_cycle(at(2))
+        assert log.calls == 3
+        # Stuck after 3 h: one reminder per ticket to both channels.
+        report = board.run_cycle(at(4, seconds=1))
+        assert report.reminders_sent == 2
+        assert (log.calls, len(log.events)) == (4, 6 + 2 + 6)
+        assert [e["seq"] for e in log.events] == list(range(1, 15))
+        assert replay(log.events) == board.snapshot
+
+    @given(fault=st.sampled_from(["sink", "append"]),
+           fail_at=st.integers(1, 40), hours=st.integers(8, 14))
+    def test_a_failed_cycle_leaves_live_state_with_the_log(
+            self, fault, fail_at, hours):
+        sink = BrokenSink(fail_at if fault == "sink" else 0)
+        config = scripted_config()
+        log = CountingLog()
+        runtime = BoardRuntime(
+            config, log=log, sinks={c: sink for c in config.binding.endpoints})
+        failed = None
+        for hour in range(hours):
+            scripted_commands(runtime, hour)
+            calls, watermark = log.calls, log.watermark
+            if fault == "append" and hour == fail_at % hours:
+                log.fail_next = True
+            try:
+                report = runtime.run_cycle(at(hour, seconds=2))
+            except (RuntimeError, OSError) as exc:
+                assert failed is None
+                failed = exc
+                # Every record folded before the error is in the log.
+                assert replay(log.events) == runtime.snapshot
+                assert log.calls == calls + 1
+                continue
+            assert log.calls == calls + (log.watermark > watermark)
+            assert_nothing_due(runtime, report)
+        if fault == "append" or fail_at <= sink.attempts:
+            assert isinstance(failed,
+                              OSError if fault == "append" else RuntimeError)
+        # A last cycle with no new commands redelivers what is pending.
+        sink.fail_at = 0
+        assert_nothing_due(runtime, runtime.run_cycle(at(hours)))
+        # The cycles after the failed one continued seq and message ids
+        # without a gap and settled every message the log announces.
+        assert [e["seq"] for e in log.events] == \
+            list(range(1, len(log.events) + 1))
+        wires = announced(log.events)
+        assert [w["msg_id"] for w in wires] == \
+            [f"m{n:06d}" for n in range(1, len(wires) + 1)]
+        assert not runtime.snapshot.outbox
+        # At least once: the last copy of each message the sink took is
+        # the one the log announced.
+        assert {w["msg_id"]: w for w in sink.delivered} == \
+            {w["msg_id"]: w for w in wires}
         assert replay(log.events) == runtime.snapshot

@@ -20,6 +20,8 @@ from dispatchbot.sim import SimConfig, engineer_ids, run_simulation
 from dispatchbot.timeutil import parse_ts
 from dispatchbot.workflow import WorkflowState, evolve
 
+NAN, INF = float("nan"), float("inf")
+
 TEAM_DOC = {
     "team_id": "team1",
     "board_id": "T1",
@@ -709,6 +711,41 @@ class TestSimulate:
                      "--out", str(tmp_path / "r"), *seed])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("experiment config: ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5),
+        ("horizon_days", 1.5),
+        ("horizon_days", NAN),
+        ("arrival_rate", NAN),
+        ("roster_size", 1.5),
+        ("policy", "Astrology"),
+        ("service_median_hours", [NAN, 2.0]),
+        ("service_sigma", NAN),
+        ("reassign_prob", -0.1),
+        ("gamer_fraction", 2),
+        ("gamer_hold_fraction", NAN),
+        ("manual_skew", INF),
+        ("manual_delay_days", -1),
+        ("cycle_period_hours", 0),
+        ("reminders_enabled", "yes"),
+        ("stuck_threshold_hours", 0),
+        ("reminder_period_hours", 0),
+        ("sla_warning_fraction", NAN),
+    ], ids=lambda v: str(v))
+    def test_each_bad_field_is_validation_error(self, tmp_path, capsys,
+                                                field, value):
+        # Reminders on, so the reminder fields would reach a run.
+        pre = {"horizon_days": 2, "arrival_rate": 4, "roster_size": 3,
+               "reminders_enabled": True, field: value}
+        experiment = tmp_path / "exp.json"
+        experiment.write_text(json.dumps({"pre": pre, "post": {}}))
+        code = main(["simulate", "--experiment", str(experiment),
+                     "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("experiment config: ")
+        assert field in err or field == "policy"
         assert not (tmp_path / "r").exists()
 
     def test_deterministic_outputs(self, tmp_path):

@@ -8,6 +8,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, strategies as st
 
+from dispatchbot import reminders
 from dispatchbot.reminders import (
     DEFAULT_STUCK_HOURS,
     MAX_HOURS,
@@ -385,3 +386,90 @@ class TestSinglePass:
                             for t in tickets}
         for t in tickets:
             assert next_reminder_at(t, now, policy) == next_due[t.id]
+
+
+# The stream arithmetic as it was written before its three streams were
+# worked out inline: each count through `escalations_due`.
+
+def escalations_due(trigger, now, period):
+    if now <= trigger:
+        return 0
+    return -((trigger - now) // period)
+
+
+def reference_evaluate(ticket, now, policy):
+    period = policy.reminder_period
+    deadline = ticket.sla_deadline
+    stuck_at = ((ticket.state_entered_at or ticket.created_at)
+                + policy._thresholds[ticket.state][ticket.priority])
+    stuck = escalations_due(stuck_at, now, period)
+    breached = escalations_due(deadline, now, period)
+    boundary = min(stuck_at + stuck * period, deadline + breached * period)
+    warning_at = (deadline
+                  - policy.sla_warning_fraction * (deadline - ticket.created_at))
+    if now < deadline:
+        imminent = escalations_due(warning_at, now, period)
+        boundary = min(boundary, warning_at + imminent * period)
+    else:
+        imminent = escalations_due(warning_at, deadline, period)
+    return (stuck, imminent, breached), boundary
+
+
+def triggers(t, policy):
+    """The stuck, imminent and breached triggers of `t` under `policy`."""
+    deadline = t.sla_deadline
+    return ((t.state_entered_at or t.created_at)
+            + policy.stuck_threshold(t.state, t.priority),
+            deadline - policy.sla_warning_fraction * (deadline - t.created_at),
+            deadline)
+
+
+@st.composite
+def evaluations(draw):
+    """A policy, a ticket whose deadline may lie before its creation, and
+    an instant."""
+    policy = ThresholdPolicy(
+        team_id="team1",
+        stuck_hours=draw(st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_STUCK_HOURS)),
+            st.sampled_from([1.0, 3.0, 72.0]) | st.floats(0.5, 150))),
+        sla_warning_fraction=draw(st.sampled_from([0.2, 1.0])
+                                  | st.floats(0.01, 1)),
+        reminder_period_hours=draw(st.sampled_from([1.0, 2.0, 24.0])
+                                   | st.floats(0.25, 48)))
+    created = at(seconds=draw(st.integers(0, 100 * HOUR)))
+    deadline = created + timedelta(seconds=draw(
+        st.sampled_from([-HOUR, -1, 0, 1]) | st.integers(-100 * HOUR,
+                                                         300 * HOUR)))
+    entered = draw(st.none() | st.integers(0, 100 * HOUR))
+    t = replace(ticket(created=created, sla_deadline=deadline,
+                       priority=draw(st.sampled_from(Priority))),
+                state=draw(st.sampled_from(sorted(DEFAULT_STUCK_HOURS))),
+                state_entered_at=None if entered is None
+                else created + timedelta(seconds=entered))
+    return t, at(seconds=draw(st.integers(0, 500 * HOUR))), policy
+
+
+TICK = timedelta(microseconds=1)
+
+
+class TestInlineArithmetic:
+    @given(evaluations())
+    def test_matches_the_per_stream_helper(self, case):
+        # At the drawn instant, and at each trigger, a whole number of
+        # periods past one, and a tick either side of those.
+        t, now, policy = case
+        period = policy.reminder_period
+        instants = [now] + [trigger + k * period + nudge
+                            for trigger in triggers(t, policy)
+                            for k in range(3) for nudge in (-TICK, 0 * TICK,
+                                                            TICK)]
+        for instant in instants:
+            expected = reference_evaluate(t, instant, policy)
+            assert reminders._evaluate(t, instant, policy) == expected
+            assert next_reminder_at(t, instant, policy) == expected[1]
+            # At the boundary itself the counts have not grown yet.
+            boundary = expected[1]
+            assert reminders._evaluate(t, boundary, policy) == \
+                reference_evaluate(t, boundary, policy)
+            assert reference_evaluate(t, boundary, policy)[0] == expected[0]

@@ -13,6 +13,11 @@ from dispatchbot.assignment import POLICY_LEAST_OPEN, POLICY_MANUAL
 from dispatchbot.eventlog import encode_event, replay
 from dispatchbot.reminders import MAX_HOURS
 from dispatchbot.sim import (
+    MAX_ARRIVAL_RATE,
+    MAX_HORIZON_DAYS,
+    MAX_ROSTER_SIZE,
+    MAX_SIGMA,
+    MAX_SKEW,
     SIM_EPOCH,
     SimConfig,
     default_experiment_configs,
@@ -238,6 +243,34 @@ class TestConfig:
         assert SimConfig(cycle_period_hours=1 / 60).cycle_period_hours == 1 / 60
         assert SimConfig(cycle_period_hours=MAX_HOURS).cycle_period_hours \
             == MAX_HOURS
+
+    def test_every_bound_is_accepted(self):
+        SimConfig(horizon_days=MAX_HORIZON_DAYS, arrival_rate=MAX_ARRIVAL_RATE,
+                  roster_size=MAX_ROSTER_SIZE,
+                  service_median_hours=(MAX_HOURS, MAX_HOURS),
+                  service_sigma=MAX_SIGMA, reassign_prob=1, gamer_fraction=1,
+                  gamer_hold_fraction=1, manual_skew=MAX_SKEW,
+                  manual_delay_days=MAX_HOURS / 24,
+                  stuck_threshold_hours=MAX_HOURS,
+                  reminder_period_hours=MAX_HOURS, sla_warning_fraction=1)
+        SimConfig(horizon_days=1, roster_size=1, service_sigma=0,
+                  reassign_prob=0, gamer_fraction=0, gamer_hold_fraction=0,
+                  manual_skew=0, manual_delay_days=0, seed=-3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon_days", MAX_HORIZON_DAYS + 1), ("horizon_days", 20.0),
+        ("horizon_days", True), ("arrival_rate", MAX_ARRIVAL_RATE * 1.01),
+        ("arrival_rate", 10 ** 400), ("roster_size", MAX_ROSTER_SIZE + 1),
+        ("service_median_hours", (2.0,)),
+        ("service_median_hours", (3.0, 2.0)),
+        ("service_median_hours", [1.0, 2.0]),
+        ("service_median_hours", (0, 2.0)),
+        ("service_sigma", MAX_SIGMA * 1.01), ("manual_skew", MAX_SKEW + 1),
+        ("manual_delay_days", float("inf")), ("seed", True),
+        ("reassign_prob", "0.5"), ("stuck_threshold_hours", -1.0)])
+    def test_out_of_range_values_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SimConfig(**{field: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):
