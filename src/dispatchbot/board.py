@@ -557,46 +557,50 @@ class BoardRuntime:
         the error.
         """
         report = CycleReport(now=now)
-        assigned_now: set[str] = set()
         records: list[dict] = []
         self._ids = None
         try:
-            polled = poll_new_unassigned(self.snapshot)
-            for ticket in polled:
-                try:
-                    decision = self._decide(ticket, now)
-                except EmptyPoolError:
-                    # The pool depends on `now` alone: empty for every
-                    # ticket.
-                    report.empty_pool = True
-                    break
-                if decision is None:
-                    continue
-                wire = announce_assignment(decision, self.config.binding,
-                                           self._cycle_ids())
-                records.append(self._fold(KIND_ASSIGNED, iso(now), {
-                    "ticket": ticket.id,
-                    "engineer": decision.engineer_id,
-                    "policy": decision.policy,
-                    "cursor_after": decision.cursor_after,
-                    "messages": [wire],
-                }))
-                report.assigned += 1
-                report.assignments.append((ticket.id, decision.engineer_id))
-                assigned_now.add(ticket.id)
-            report.unassigned_pending = len(polled) - report.assigned
-
+            assigned_now = self._assign(now, report, records)
             if self.config.thresholds is not None:
                 self._remind(now, assigned_now, report, records)
             else:
                 self._touched.clear()
-
             self._flush_outbox(now, report, records)
         finally:
             if records:
                 self._append(records)
         self.log.flush()
         return report
+
+    def _assign(self, now: datetime, report: CycleReport,
+                records: list[dict]) -> set[str]:
+        """Assign the unassigned backlog under the policy; return the ids
+        of the tickets assigned."""
+        assigned_now: set[str] = set()
+        polled = poll_new_unassigned(self.snapshot)
+        for ticket in polled:
+            try:
+                decision = self._decide(ticket, now)
+            except EmptyPoolError:
+                # The pool depends on `now` alone: empty for every ticket.
+                report.empty_pool = True
+                break
+            if decision is None:
+                continue
+            wire = announce_assignment(decision, self.config.binding,
+                                       self._cycle_ids())
+            records.append(self._fold(KIND_ASSIGNED, iso(now), {
+                "ticket": ticket.id,
+                "engineer": decision.engineer_id,
+                "policy": decision.policy,
+                "cursor_after": decision.cursor_after,
+                "messages": [wire],
+            }))
+            report.assigned += 1
+            report.assignments.append((ticket.id, decision.engineer_id))
+            assigned_now.add(ticket.id)
+        report.unassigned_pending = len(polled) - report.assigned
+        return assigned_now
 
     def _remind(self, now: datetime, assigned_now: set[str],
                 report: CycleReport, records: list[dict]) -> None:
