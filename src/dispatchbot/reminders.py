@@ -136,7 +136,7 @@ def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
             boundary = deadline
         if now > warning_at:
             imminent = -((warning_at - now) // period)
-            warning_at += imminent * period
+            warning_at += imminent * period  # now the stream's boundary
         else:
             imminent = 0
         if warning_at < boundary:

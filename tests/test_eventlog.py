@@ -360,6 +360,11 @@ DELIVERED = {"kind": "MessageDelivered", "msg_id": "m000001",
     (dict(ASSIGNED, messages=[dict(WIRE, msg_id="m" + "9" * 19)]),
      "messages[0].msg_id",
      f"seq 2: bad message id 'm{'9' * 19}' in field 'messages[0].msg_id'"),
+    *((dict(ASSIGNED, messages=[dict(WIRE, msg_id=bad)]),
+       "messages[0].msg_id",
+       f"seq 2: bad message id {bad!r} in field 'messages[0].msg_id'")
+      # `int` reads each of these; a message id holds ASCII digits alone.
+      for bad in ("m1\n", "m1_0", "m+1", "m 1", " m1", "M1", "m\u00b2")),
     (dict(ASSIGNED, messages=[WIRE, WIRE]), "messages[1].msg_id",
      "seq 2: reused message id 'm000001' in field 'messages[1].msg_id'"),
     (dict(ASSIGNED, messages=[dict(WIRE, msg_id="m000002"), WIRE]),
@@ -445,6 +450,9 @@ DELIVERED = {"kind": "MessageDelivered", "msg_id": "m000001",
         "messages-int", "messages-object", "messages-null", "message-id",
         "message-id-int", "message-id-no-digits",
         "message-id-non-ascii-digit", "message-id-too-long",
+        "message-id-newline", "message-id-underscore", "message-id-plus",
+        "message-id-space", "message-id-leading-space",
+        "message-id-capital", "message-id-superscript",
         "message-id-repeated",
         "message-id-falling", "delivered-msg-id-list", "delivered-state",
         "delivered-state-list", "delivered-retries-string",
