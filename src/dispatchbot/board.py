@@ -4,12 +4,14 @@ scan-assign-remind cycle.
 One BoardRuntime owns one board: its snapshot, event log, cursor, reminder
 ledger and outbox. Every record is folded into the live snapshot before
 it reaches the log. An outside command appends its one record at once; a
-cycle folds each record as it makes it and appends all of the cycle's
-records in one call at its end, also when the cycle raises, so the log
-holds every record folded before the error. The fold is all or nothing,
-so a rejected record leaves both untouched, and a failed append rebuilds
-the snapshot, and the reminder schedule with it, from the log: live
-state and replay never diverge.
+cycle folds each record as it makes it and appends its assignment and
+reminder records in one call before any sink sees a message, then its
+delivery records in a second, each also when its phase raises, so the
+log holds every record folded before the error and a message id a sink
+has seen is always logged. The fold is all or nothing, so a rejected
+record leaves both untouched, and a failed append rebuilds the snapshot,
+and the reminder schedule with it, from the log: live state and replay
+never diverge.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
@@ -19,6 +21,10 @@ three in the snapshot. Reminders are evaluated only for the tickets that
 changed since their last evaluation or whose next reminder boundary has
 passed, found through a next-due min-heap, with one stream pass per
 visited ticket giving both its due reminders and its next boundary. The
+schedule also keeps each visited open ticket's triggers, which depend
+only on the ticket and the policy, so a visit to an unchanged ticket
+pays only for what depends on the instant. The cycle builds each
+reminder and delivery record in place and folds it directly. The
 reminder policy is configuration, not log state, so that schedule lives
 in the runtime rather than in the snapshot; a restart rebuilds it by
 evaluating every open ticket once.
@@ -398,13 +404,15 @@ class BoardRuntime:
         An open ticket whose reminders may be due is either touched
         (changed since its last visit) or has a live entry in the min-heap
         of (next boundary, ticket id); `_next_due` holds each live entry's
-        instant, and an entry that disagrees with it is stale. Derived from
-        the log and the policy alone, so a restart rebuilds it by touching
-        every open ticket.
+        instant, and an entry that disagrees with it is stale. `_triggers`
+        holds each visited open ticket's `due_reminders` trigger entry.
+        Derived from the log and the policy alone, so a restart rebuilds
+        it by touching every open ticket.
         """
         self._touched: set[str] = set(self.snapshot.open_tickets)
         self._due_heap: list[tuple[datetime, str]] = []
         self._next_due: dict[str, datetime] = {}
+        self._triggers: dict[str, list] = {}
 
     # -- event plumbing ----------------------------------------------------
 
@@ -551,24 +559,35 @@ class BoardRuntime:
         the outbox through the sinks, and flush the log. Sink failures
         never abort the cycle.
 
-        Each record is folded into the snapshot as it is made, and the
-        cycle's records reach the log in one append at its end, also when
-        the cycle raises: the log then holds every record folded before
-        the error.
+        Each record is folded into the snapshot as it is made. The
+        assignment and reminder records reach the log, and its file, in
+        one append before any sink sees a message, so a message id a sink
+        has seen is never given to another message. The delivery records
+        follow in a second append. Each append happens also when its
+        phase raises: the log then holds every record folded before the
+        error.
         """
         report = CycleReport(now=now)
-        records: list[dict] = []
+        announced: list[dict] = []
         self._ids = None
         try:
-            assigned_now = self._assign(now, report, records)
+            assigned_now = self._assign(now, report, announced)
             if self.config.thresholds is not None:
-                self._remind(now, assigned_now, report, records)
+                self._remind(now, assigned_now, report, announced)
             else:
                 self._touched.clear()
-            self._flush_outbox(now, report, records)
         finally:
-            if records:
-                self._append(records)
+            if announced:
+                self._append(announced)
+        if announced:
+            self.log.flush()
+        if self.snapshot.outbox:
+            delivered: list[dict] = []
+            try:
+                self._flush_outbox(now, report, delivered)
+            finally:
+                if delivered:
+                    self._append(delivered)
         self.log.flush()
         return report
 
@@ -608,9 +627,9 @@ class BoardRuntime:
         touched since their last visit and those whose next boundary lies
         strictly before `now`. Tickets assigned this cycle are skipped and
         stay touched for the next one."""
-        policy = self.config.thresholds
+        policy, snapshot = self.config.thresholds, self.snapshot
         heap, next_due = self._due_heap, self._next_due
-        visit = self._touched
+        triggers, visit = self._triggers, self._touched
         while heap and heap[0][0] < now:
             instant, tid = heapq.heappop(heap)
             if next_due.get(tid) == instant:
@@ -618,27 +637,35 @@ class BoardRuntime:
                 visit.add(tid)
         self._touched = set(assigned_now)
         visit -= assigned_now
-        open_tickets, tickets = self.snapshot.open_tickets, []
+        open_tickets, tickets = snapshot.open_tickets, []
         for tid in sorted(visit):
             if tid in open_tickets:
-                tickets.append(self.snapshot.tickets[tid])
+                tickets.append(snapshot.tickets[tid])
             else:
                 next_due.pop(tid, None)
+                triggers.pop(tid, None)
         # One pass per ticket gives both its due reminders and its next
         # boundary; committing a reminder changes neither.
         boundaries: dict[str, datetime] = {}
-        for reminder in due_reminders(tickets, now, policy,
-                                      self.snapshot.reminder_ledger,
-                                      boundaries):
-            records.append(self._fold(KIND_REMINDER_SENT, iso(now), {
-                "ticket": reminder.ticket_id,
-                "reminder_kind": REMINDER_KIND_VALUE[reminder.kind],
-                "index": reminder.escalation_index,
-                "recipients": list(reminder.recipients),
-                "messages": route_reminder(reminder, self.config.binding,
-                                           self._cycle_ids()),
-            }))
-            report.reminders_sent += 1
+        reminders = due_reminders(tickets, now, policy,
+                                  snapshot.reminder_ledger, boundaries,
+                                  triggers)
+        if reminders:
+            ts, board = iso(now), self.config.board_id
+            binding, make_id = self.config.binding, self._cycle_ids()
+            # A sent reminder changes no ticket: no `_fold` bookkeeping.
+            for reminder in reminders:
+                event = {"seq": snapshot.watermark + 1, "ts": ts,
+                         "board": board, "kind": KIND_REMINDER_SENT,
+                         "ticket": reminder.ticket_id,
+                         "reminder_kind": REMINDER_KIND_VALUE[reminder.kind],
+                         "index": reminder.escalation_index,
+                         "recipients": list(reminder.recipients),
+                         "messages": route_reminder(reminder, binding,
+                                                    make_id)}
+                fold_event(snapshot, event)
+                records.append(event)
+            report.reminders_sent += len(reminders)
         for tid, instant in boundaries.items():
             if next_due.get(tid) != instant:
                 next_due[tid] = instant
@@ -646,10 +673,9 @@ class BoardRuntime:
 
     def _flush_outbox(self, now: datetime, report: CycleReport,
                       records: list[dict]) -> None:
+        """Attempt each message of the non-empty outbox once."""
         snapshot = self.snapshot
         outbox = snapshot.outbox
-        if not outbox:
-            return
         ts, board = iso(now), self.config.board_id
         try:
             # Each settling record removes its message from the outbox.

@@ -144,11 +144,11 @@ def _wire(make_id, binding: ChannelBinding, channel: str, kind: str,
 def route_reminder(reminder: Reminder, binding: ChannelBinding,
                    make_id) -> list[dict]:
     """One message per enabled channel, each with the same text."""
-    kind = REMINDER_KIND_VALUE[reminder.kind]
-    text = reminder_text(reminder)
+    kind, ticket_id = REMINDER_KIND_VALUE[reminder.kind], reminder.ticket_id
+    team, text = binding.team_id, reminder_text(reminder)
     ts = iso(reminder.generated_at)
-    return [_wire(make_id, binding, channel, kind, reminder.ticket_id, text,
-                  ts)
+    return [{"msg_id": make_id(), "team": team, "channel": channel,
+             "kind": kind, "ticket": ticket_id, "text": text, "ts": ts}
             for channel in binding.fan_out]
 
 

@@ -41,6 +41,10 @@ DEFAULT_STUCK_HOURS: dict[WorkflowState, float] = {
 #: Largest stuck threshold or reminder period accepted: 100 years.
 MAX_HOURS = 876_600.0
 
+#: Shortest reminder period accepted: one second, the log's time
+#: resolution. A shorter one may round to a zero `timedelta`.
+MIN_PERIOD_HOURS = 1 / 3600
+
 
 def _check_hours(name: str, hours: float) -> None:
     # Written so that NaN fails too: it compares false to everything.
@@ -67,7 +71,10 @@ class ThresholdPolicy:
     def __post_init__(self) -> None:
         if not 0 < self.sla_warning_fraction <= 1:
             raise ValueError("sla_warning_fraction must be in (0, 1]")
-        _check_hours("reminder_period_hours", self.reminder_period_hours)
+        if not MIN_PERIOD_HOURS <= self.reminder_period_hours <= MAX_HOURS:
+            raise ValueError(f"reminder_period_hours must be in [1/3600, "
+                             f"{MAX_HOURS:g}] hours, got "
+                             f"{self.reminder_period_hours!r}")
         stuck_hours = dict(self.stuck_hours)
         for state, hours in stuck_hours.items():
             if state is WorkflowState.DONE:
@@ -99,11 +106,30 @@ class Reminder(NamedTuple):
     generated_at: datetime
 
 
+def _triggers(ticket: Ticket, policy: ThresholdPolicy) -> list:
+    """A trigger entry for an open `ticket` under `policy`:
+    `[ticket, policy, stuck trigger, SLA-warning trigger, recipients,
+    breach recipients]`. Neither trigger depends on the instant, so the
+    entry holds for as long as the ticket and the policy are these very
+    objects. The two recipient tuples are None until a reminder of the
+    ticket falls due (see `due_reminders`)."""
+    deadline = ticket.sla_deadline
+    return [ticket, policy,
+            ((ticket.state_entered_at or ticket.created_at)
+             + policy._thresholds[ticket.state][ticket.priority]),
+            deadline - policy.sla_warning_fraction * (deadline
+                                                      - ticket.created_at),
+            None, None]
+
+
 def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
+              entry: list | None = None,
               ) -> tuple[tuple[int, int, int], datetime]:
     """One pass over an open ticket's reminder streams at `now`: the
     escalations each has due, in `ReminderKind` order, and the ticket's
-    next reminder boundary (see `next_reminder_at`).
+    next reminder boundary (see `next_reminder_at`). Its triggers come
+    from `entry`, the ticket's `_triggers` under `policy`, made here when
+    it is not given.
 
     Each stream has a trigger and may have a cap. Its count at `now` is
     the number of escalations due strictly after its trigger, with `now`
@@ -117,17 +143,16 @@ def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
     uncapped count at `now`; a capped stream's boundary counts only while
     it lies before the cap.
     """
+    if entry is None:
+        entry = _triggers(ticket, policy)
     period = policy.reminder_period
     deadline = ticket.sla_deadline
-    stuck_at = ((ticket.state_entered_at or ticket.created_at)
-                + policy._thresholds[ticket.state][ticket.priority])
+    stuck_at, warning_at = entry[2], entry[3]
     if now > stuck_at:
         stuck = -((stuck_at - now) // period)
         boundary = stuck_at + stuck * period
     else:
         stuck, boundary = 0, stuck_at
-    warning_at = (deadline
-                  - policy.sla_warning_fraction * (deadline - ticket.created_at))
     if now < deadline:
         # The breached stream's boundary is the deadline itself, which
         # also keeps the imminent stream's boundary before its cap.
@@ -176,12 +201,20 @@ def _recipients(ticket: Ticket, team_channel: str | None = None) -> tuple[str, .
                          team_channel or reporter}))
 
 
+#: Each stream's kind, its wire value and the slot of its recipients in
+#: a `_triggers` entry, in `ReminderKind` order. Breach notifications
+#: additionally reach the team channel.
+_STREAMS = tuple((kind, value, 5 if kind is ReminderKind.SLA_BREACHED else 4)
+                 for kind, value in REMINDER_KIND_VALUE.items())
+
+
 def due_reminders(
     tickets: Iterable[Ticket],
     now: datetime,
     policy: ThresholdPolicy,
     already_sent: Mapping[tuple[str, str], int],
     next_due: dict[str, datetime] | None = None,
+    triggers: dict[str, list] | None = None,
 ) -> list[Reminder]:
     """Reminders triggered at `now` past the last index `already_sent`
     holds for their (ticket id, kind value) stream: a stream n reminders
@@ -191,24 +224,36 @@ def due_reminders(
 
     Given `next_due`, it also maps each open ticket's id to its
     `next_reminder_at(ticket, now, policy)`, from the same single pass.
+
+    Given `triggers`, a map the caller keeps from ticket id to its
+    `_triggers` entry, it reuses each entry made from the very ticket
+    and policy objects it is handed, and replaces any other. A ticket is
+    immutable and a changed one is a new object, so the outcome is the
+    one a fresh entry gives.
     """
     out: list[Reminder] = []
-    team_channel = f"team:{policy.team_id}"
+    if triggers is None:
+        triggers = {}
     for t in tickets:
         if t.state is DONE:
             continue
-        counts, boundary = _evaluate(t, now, policy)
+        tid = t.id
+        entry = triggers.get(tid)
+        if entry is None or entry[0] is not t or entry[1] is not policy:
+            entry = triggers[tid] = _triggers(t, policy)
+        counts, boundary = _evaluate(t, now, policy, entry)
         if next_due is not None:
-            next_due[t.id] = boundary
-        for (kind, value), count in zip(REMINDER_KIND_VALUE.items(), counts):
+            next_due[tid] = boundary
+        for (kind, value, slot), count in zip(_STREAMS, counts):
             if not count:
                 continue
-            sent = already_sent.get((t.id, value), 0)
-            if count > sent:
-                # Breach notifications additionally reach the team channel.
-                recipients = _recipients(
-                    t, team_channel if kind is ReminderKind.SLA_BREACHED
-                    else None)
-                out.extend(Reminder(t.id, kind, recipients, index, now)
-                           for index in range(sent + 1, count + 1))
+            index = already_sent.get((tid, value), 0)
+            if count > index:
+                if entry[4] is None:
+                    entry[4] = _recipients(t)
+                    entry[5] = _recipients(t, f"team:{policy.team_id}")
+                recipients = entry[slot]
+                while index < count:
+                    index += 1
+                    out.append(Reminder(tid, kind, recipients, index, now))
     return out

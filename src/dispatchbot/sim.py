@@ -28,7 +28,8 @@ from .metrics import (
     period_report,
 )
 from .notify import Channel, ChannelBinding, FileSink, MemorySink
-from .reminders import DEFAULT_STUCK_HOURS, MAX_HOURS, ThresholdPolicy
+from .reminders import (DEFAULT_STUCK_HOURS, MAX_HOURS, MIN_PERIOD_HOURS,
+                        ThresholdPolicy)
 from .roster import EngineerRoster, RosterEntry
 from .timeutil import UTC, SECOND, business_days
 from .workflow import WorkflowState
@@ -128,8 +129,8 @@ class SimConfig:
         if self.stuck_threshold_hours is not None:
             _check_range("stuck_threshold_hours", self.stuck_threshold_hours,
                          0, MAX_HOURS, above=True)
-        _check_range("reminder_period_hours", self.reminder_period_hours, 0,
-                     MAX_HOURS, above=True)
+        _check_range("reminder_period_hours", self.reminder_period_hours,
+                     MIN_PERIOD_HOURS, MAX_HOURS)
         _check_range("sla_warning_fraction", self.sla_warning_fraction, 0, 1,
                      above=True)
 

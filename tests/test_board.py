@@ -34,6 +34,7 @@ from dispatchbot.notify import (
 )
 from dispatchbot.reminders import (
     DEFAULT_STUCK_HOURS,
+    Reminder,
     ThresholdPolicy,
     due_reminders,
 )
@@ -553,9 +554,9 @@ class TestReminderSchedule:
         evaluate = reminders._evaluate
         evaluated = Counter()
 
-        def counting(ticket, now, policy):
+        def counting(ticket, now, policy, entry=None):
             evaluated[ticket.id] += 1
-            return evaluate(ticket, now, policy)
+            return evaluate(ticket, now, policy, entry)
 
         def run_cycle(runtime, now):
             scanned.clear()
@@ -604,12 +605,42 @@ class TestReminderSchedule:
         """Record the ticket ids each cycle hands to `due_reminders`."""
         scanned = []
 
-        def due(tickets, now, policy, ledger, next_due=None):
+        def due(tickets, now, policy, ledger, next_due=None, triggers=None):
             scanned.append([t.id for t in tickets])
-            return due_reminders(tickets, now, policy, ledger, next_due)
+            return due_reminders(tickets, now, policy, ledger, next_due,
+                                 triggers)
 
         monkeypatch.setattr(board, "due_reminders", due)
         return scanned
+
+    def test_due_reminders_gets_the_visited_tickets_and_returns_the_sent(
+            self, memory_runtime, monkeypatch):
+        # The benchmark's tracer counts `len(args[0])` of each call as the
+        # tickets scanned and `len(result)` as the reminders emitted.
+        calls = []
+
+        def due(*args, **kwargs):
+            result = due_reminders(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(board, "due_reminders", due)
+        runtime = memory_runtime(scripted_config())
+        scanned = emitted = 0
+        for hour in range(30):
+            scripted_commands(runtime, hour)
+            report = runtime.run_cycle(at(hour, seconds=2))
+            [(args, result)] = calls
+            calls.clear()
+            tickets = args[0]
+            assert [runtime.snapshot.tickets[t.id] for t in tickets] == \
+                list(tickets)
+            assert type(result) is list and all(
+                isinstance(r, Reminder) for r in result)
+            assert len(result) == report.reminders_sent
+            scanned += len(tickets)
+            emitted += len(result)
+        assert scanned and emitted
 
     def test_visited_after_the_boundary_not_at_it(self, memory_runtime,
                                                    monkeypatch):
@@ -752,18 +783,17 @@ class TestAtomicCommit:
 
 
 class CountingLog(EventLog):
-    """An in-memory log that counts `append` calls; the call after
-    `fail_next` is set raises OSError and writes nothing."""
+    """An in-memory log that counts `append` calls; call number `fail_at`,
+    counted from 1, raises OSError and writes nothing."""
 
     def __init__(self):
         super().__init__()
         self.calls = 0
-        self.fail_next = False
+        self.fail_at = 0
 
     def append(self, events):
         self.calls += 1
-        if self.fail_next:
-            self.fail_next = False
+        if self.calls == self.fail_at:
             raise OSError(errno.ENOSPC, "No space left on device")
         return super().append(events)
 
@@ -790,8 +820,9 @@ def announced(events):
 
 
 class TestCycleAppend:
-    """A cycle folds each record as it is made and appends all of them in
-    one call at its end, also when it raises."""
+    """A cycle folds each record as it is made. It appends its assignment
+    and reminder records in one call before any sink sees a message, and
+    their delivery records in a second; each also when its phase raises."""
 
     @pytest.fixture
     def board(self):
@@ -800,7 +831,7 @@ class TestCycleAppend:
         return BoardRuntime(config, log=CountingLog(),
                             sinks={c: sink for c in config.binding.endpoints})
 
-    def test_idle_cycle_appends_nothing_and_busy_cycle_once(self, board):
+    def test_idle_cycle_appends_nothing_and_busy_cycle_twice(self, board):
         log = board.log
         board.run_cycle(at(0))
         assert log.calls == 0
@@ -808,19 +839,61 @@ class TestCycleAppend:
         board.inject_ticket("T1-2", "r1", at(0, seconds=1))
         assert log.calls == 2
         report = board.run_cycle(at(1))
-        # Two assignments and their two deliveries, in one call.
+        # Two assignments in one call, then their two deliveries in one.
         assert report.assigned == report.messages_delivered == 2
-        assert (log.calls, len(log.events)) == (3, 6)
+        assert (log.calls, len(log.events)) == (4, 6)
+        assert [e["kind"] for e in log.events[2:]] == \
+            ["Assigned"] * 2 + ["MessageDelivered"] * 2
         board.run_cycle(at(2))
-        assert log.calls == 3
-        # Stuck after 3 h: one reminder per ticket to both channels.
+        assert log.calls == 4
+        # Stuck after 3 h: one reminder per ticket to all three channels.
         report = board.run_cycle(at(4, seconds=1))
         assert report.reminders_sent == 2
-        assert (log.calls, len(log.events)) == (4, 6 + 2 + 6)
+        assert (log.calls, len(log.events)) == (6, 6 + 2 + 6)
         assert [e["seq"] for e in log.events] == list(range(1, 15))
         assert replay(log.events) == board.snapshot
 
-    @given(fault=st.sampled_from(["sink", "append"]),
+    def test_a_failed_announcement_append_delivers_nothing(self):
+        # The 10:00 cycle cannot log its assignment, so no sink may see
+        # m000001 before the 11:00 cycle gives it its text.
+        sink, config, log = MemorySink(), team_config(), CountingLog()
+        runtime = BoardRuntime(
+            config, log=log, sinks={c: sink for c in config.binding.endpoints})
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        log.fail_at = log.calls + 1
+        with pytest.raises(OSError):
+            runtime.run_cycle(at(1))
+        assert (sink.delivered, log.watermark) == ([], 1)
+        assert replay(log.events) == runtime.snapshot
+        runtime.run_cycle(at(2))
+        assert [(w["msg_id"], w["text"]) for w in sink.delivered] == [
+            ("m000001",
+             "ASSIGNED T1-1 -> e1 [RoundRobin] at 2025-01-06T11:00:00Z")]
+
+    def test_a_file_log_holds_each_announcement_before_its_delivery(
+            self, tmp_path):
+        path = tmp_path / "T1.events.ndjson"
+        seen = []
+
+        class Reader(MemorySink):
+            """Reads the log file, as a second reader would, on delivery."""
+
+            def deliver(self, wire):
+                seen.append(wire["msg_id"] in {
+                    w["msg_id"] for w in announced(read_event_log(path))})
+                super().deliver(wire)
+
+        sink, config = Reader(), scripted_config()
+        runtime = BoardRuntime(
+            config, log=EventLog(path),
+            sinks={c: sink for c in config.binding.endpoints})
+        with runtime.log:
+            scripted_hours(runtime, range(8))
+        kinds = {e["kind"] for e in runtime.log.events}
+        assert {"Assigned", "ReminderSent"} <= kinds
+        assert seen and all(seen)
+
+    @given(fault=st.sampled_from(["sink", "announce", "deliver"]),
            fail_at=st.integers(1, 40), hours=st.integers(8, 14))
     def test_a_failed_cycle_leaves_live_state_with_the_log(
             self, fault, fail_at, hours):
@@ -832,23 +905,31 @@ class TestCycleAppend:
         failed = None
         for hour in range(hours):
             scripted_commands(runtime, hour)
-            calls, watermark = log.calls, log.watermark
-            if fault == "append" and hour == fail_at % hours:
-                log.fail_next = True
+            calls, start, taken = log.calls, len(log.events), len(sink.delivered)
+            if fault != "sink" and hour == fail_at % hours:
+                # Every scripted cycle assigns a ticket, so its first
+                # append holds announcements and its second deliveries.
+                log.fail_at = calls + (1 if fault == "announce" else 2)
             try:
                 report = runtime.run_cycle(at(hour, seconds=2))
             except (RuntimeError, OSError) as exc:
                 assert failed is None
                 failed = exc
-                # Every record folded before the error is in the log.
-                assert replay(log.events) == runtime.snapshot
-                assert log.calls == calls + 1
-                continue
-            assert log.calls == calls + (log.watermark > watermark)
-            assert_nothing_due(runtime, report)
-        if fault == "append" or fail_at <= sink.attempts:
+            else:
+                assert_nothing_due(runtime, report)
+            # Announcements first, then deliveries, one append each, and
+            # every record folded before an error is in the log.
+            delivery = [e["kind"] == "MessageDelivered"
+                        for e in log.events[start:]]
+            assert delivery == sorted(delivery)
+            assert log.calls == calls + (False in delivery) + \
+                (True in delivery) + (log.fail_at == log.calls > calls)
+            assert replay(log.events) == runtime.snapshot
+            if log.fail_at == log.calls > calls and fault == "announce":
+                assert not delivery and len(sink.delivered) == taken
+        if fault != "sink" or fail_at <= sink.attempts:
             assert isinstance(failed,
-                              OSError if fault == "append" else RuntimeError)
+                              RuntimeError if fault == "sink" else OSError)
         # A last cycle with no new commands redelivers what is pending.
         sink.fail_at = 0
         assert_nothing_due(runtime, runtime.run_cycle(at(hours)))
@@ -860,8 +941,10 @@ class TestCycleAppend:
         assert [w["msg_id"] for w in wires] == \
             [f"m{n:06d}" for n in range(1, len(wires) + 1)]
         assert not runtime.snapshot.outbox
-        # At least once: the last copy of each message the sink took is
-        # the one the log announced.
-        assert {w["msg_id"]: w for w in sink.delivered} == \
-            {w["msg_id"]: w for w in wires}
+        # At least once, and every copy of a message the sink took is the
+        # one the log announced: no id ever carried two texts.
+        by_id = {w["msg_id"]: w for w in wires}
+        assert sink.delivered and all(w == by_id[w["msg_id"]]
+                                      for w in sink.delivered)
+        assert {w["msg_id"]: w for w in sink.delivered} == by_id
         assert replay(log.events) == runtime.snapshot

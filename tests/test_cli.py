@@ -104,6 +104,23 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert "config error: thresholds: " in capsys.readouterr().err
 
+    def test_sub_second_reminder_period_is_validation_error(self, team_files,
+                                                           capsys):
+        # `timedelta` rounds 1e-12 h to zero: once the fixture's tickets
+        # were stuck, `run` ended in a ZeroDivisionError traceback.
+        config, board, out = team_files
+        thresholds = {"reminder_period_hours": 1e-12,
+                      "stuck_hours": {"Backlog": 1}}
+        config.write_text(json.dumps(dict(json.loads(config.read_text()),
+                                          thresholds=thresholds)))
+        code = main(["run", "--config", str(config), "--board", str(board),
+                     "--out", str(out), "--now", "2025-01-06T12:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: thresholds: reminder_period_hours must be in "
+            "[1/3600, 876600] hours, got 1e-12")
+
     @pytest.mark.parametrize("thresholds", [
         {"reminder_period_hours": True}, {"sla_warning_fraction": True},
         {"stuck_hours": {"Blocked": "5"}}])
@@ -731,6 +748,8 @@ class TestSimulate:
         ("reminders_enabled", "yes"),
         ("stuck_threshold_hours", 0),
         ("reminder_period_hours", 0),
+        # Rounds to a zero `timedelta`, which the reminders divide by.
+        ("reminder_period_hours", 1e-12),
         ("sla_warning_fraction", NAN),
     ], ids=lambda v: str(v))
     def test_each_bad_field_is_validation_error(self, tmp_path, capsys,

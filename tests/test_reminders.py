@@ -12,6 +12,7 @@ from dispatchbot import reminders
 from dispatchbot.reminders import (
     DEFAULT_STUCK_HOURS,
     MAX_HOURS,
+    MIN_PERIOD_HOURS,
     Reminder,
     ReminderKind,
     ThresholdPolicy,
@@ -217,6 +218,22 @@ class TestHourLimits:
             ThresholdPolicy(reminder_period_hours=hours)
         with pytest.raises(ValueError):
             ThresholdPolicy(stuck_hours={WorkflowState.BLOCKED: hours})
+
+    @pytest.mark.parametrize("hours", [1e-12, 1e-7, MIN_PERIOD_HOURS * 0.999])
+    def test_period_under_one_second_rejected(self, hours):
+        # `timedelta` rounds the shortest of these to zero, which the
+        # stream arithmetic would divide by.
+        with pytest.raises(ValueError, match=r"^reminder_period_hours must "
+                                             r"be in \[1/3600, 876600\]"):
+            ThresholdPolicy(reminder_period_hours=hours)
+
+    def test_one_second_period_evaluates(self):
+        policy = ThresholdPolicy(team_id="team1",
+                                 reminder_period_hours=MIN_PERIOD_HOURS)
+        assert policy.reminder_period == timedelta(seconds=1)
+        t = blocked_ticket()  # blocked since at(2), threshold 72h
+        assert due_kinds(t, at(2 + 72, seconds=3), policy).count(
+            ReminderKind.STUCK_STATE) == 3
 
     def test_largest_hours_evaluate(self):
         # A hundred-year threshold and period still fit `datetime`.
@@ -473,3 +490,53 @@ class TestInlineArithmetic:
             assert reminders._evaluate(t, boundary, policy) == \
                 reference_evaluate(t, boundary, policy)
             assert reference_evaluate(t, boundary, policy)[0] == expected[0]
+
+
+@st.composite
+def policies(draw):
+    return ThresholdPolicy(
+        team_id=draw(st.sampled_from(["team1", "team2"])),
+        stuck_hours=draw(st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_STUCK_HOURS)), st.floats(0.5, 150))),
+        sla_warning_fraction=draw(st.floats(0.01, 1)),
+        reminder_period_hours=draw(st.floats(0.25, 48)))
+
+
+@st.composite
+def earlier_versions(draw, t):
+    """`t` as it may have been before a change: another state, clock,
+    priority or assignee, or the same values in another object."""
+    entered = draw(st.none() | st.integers(0, 100 * HOUR))
+    return replace(
+        t, state=draw(st.sampled_from(sorted(DEFAULT_STUCK_HOURS))),
+        priority=draw(st.sampled_from(Priority)),
+        assignee=draw(st.sampled_from([None, "e1", "e9"])),
+        state_entered_at=None if entered is None
+        else t.created_at + timedelta(seconds=entered))
+
+
+class TestTriggerCache:
+    @given(evaluations(), st.data())
+    def test_a_filled_cache_changes_no_outcome(self, case, data):
+        t, now, policy = case
+        # Entries made before: for earlier versions of the ticket, under
+        # another policy or an equal copy of this one, and for this very
+        # ticket and policy at another instant, recipients filled in
+        # wherever a reminder fell due.
+        cache = {}
+        for _ in range(data.draw(st.integers(0, 4))):
+            other = data.draw(st.sampled_from([t, replace(t)])
+                              | earlier_versions(t))
+            under = data.draw(st.sampled_from([policy, copy.copy(policy)])
+                              | policies())
+            due_reminders([other], at(seconds=data.draw(
+                st.integers(0, 500 * HOUR))), under, {}, None, cache)
+        ledger = data.draw(st.dictionaries(
+            st.sampled_from([(t.id, k.value) for k in ReminderKind]),
+            st.integers(0, 6)))
+        next_due, expected_due = {}, {}
+        assert due_reminders([t], now, policy, ledger, next_due, cache) == \
+            due_reminders([t], now, policy, ledger, expected_due)
+        assert next_due == expected_due
+        entry = cache[t.id]
+        assert entry[0] is t and entry[1] is policy

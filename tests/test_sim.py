@@ -11,7 +11,7 @@ import pytest
 
 from dispatchbot.assignment import POLICY_LEAST_OPEN, POLICY_MANUAL
 from dispatchbot.eventlog import encode_event, replay
-from dispatchbot.reminders import MAX_HOURS
+from dispatchbot.reminders import MAX_HOURS, MIN_PERIOD_HOURS
 from dispatchbot.sim import (
     MAX_ARRIVAL_RATE,
     MAX_HORIZON_DAYS,
@@ -255,7 +255,8 @@ class TestConfig:
                   reminder_period_hours=MAX_HOURS, sla_warning_fraction=1)
         SimConfig(horizon_days=1, roster_size=1, service_sigma=0,
                   reassign_prob=0, gamer_fraction=0, gamer_hold_fraction=0,
-                  manual_skew=0, manual_delay_days=0, seed=-3)
+                  manual_skew=0, manual_delay_days=0, seed=-3,
+                  reminder_period_hours=MIN_PERIOD_HOURS)
 
     @pytest.mark.parametrize("field, value", [
         ("horizon_days", MAX_HORIZON_DAYS + 1), ("horizon_days", 20.0),
@@ -267,7 +268,9 @@ class TestConfig:
         ("service_median_hours", (0, 2.0)),
         ("service_sigma", MAX_SIGMA * 1.01), ("manual_skew", MAX_SKEW + 1),
         ("manual_delay_days", float("inf")), ("seed", True),
-        ("reassign_prob", "0.5"), ("stuck_threshold_hours", -1.0)])
+        ("reassign_prob", "0.5"), ("stuck_threshold_hours", -1.0),
+        ("reminder_period_hours", 1e-12),
+        ("reminder_period_hours", MIN_PERIOD_HOURS * 0.999)])
     def test_out_of_range_values_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SimConfig(**{field: value})
