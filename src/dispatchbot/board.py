@@ -579,15 +579,8 @@ class BoardRuntime:
         finally:
             if announced:
                 self._append(announced)
-        if announced:
-            self.log.flush()
-        if self.snapshot.outbox:
-            delivered: list[dict] = []
-            try:
-                self._flush_outbox(now, report, delivered)
-            finally:
-                if delivered:
-                    self._append(delivered)
+                self.log.flush()
+        self._flush_outbox(now, report)
         self.log.flush()
         return report
 
@@ -627,9 +620,9 @@ class BoardRuntime:
         touched since their last visit and those whose next boundary lies
         strictly before `now`. Tickets assigned this cycle are skipped and
         stay touched for the next one."""
-        policy, snapshot = self.config.thresholds, self.snapshot
+        policy = self.config.thresholds
         heap, next_due = self._due_heap, self._next_due
-        triggers, visit = self._triggers, self._touched
+        visit = self._touched
         while heap and heap[0][0] < now:
             instant, tid = heapq.heappop(heap)
             if next_due.get(tid) == instant:
@@ -637,21 +630,21 @@ class BoardRuntime:
                 visit.add(tid)
         self._touched = set(assigned_now)
         visit -= assigned_now
-        open_tickets, tickets = snapshot.open_tickets, []
+        open_tickets, tickets = self.snapshot.open_tickets, []
         for tid in sorted(visit):
             if tid in open_tickets:
-                tickets.append(snapshot.tickets[tid])
+                tickets.append(self.snapshot.tickets[tid])
             else:
                 next_due.pop(tid, None)
-                triggers.pop(tid, None)
+                self._triggers.pop(tid, None)
         # One pass per ticket gives both its due reminders and its next
         # boundary; committing a reminder changes neither.
         boundaries: dict[str, datetime] = {}
         reminders = due_reminders(tickets, now, policy,
-                                  snapshot.reminder_ledger, boundaries,
-                                  triggers)
+                                  self.snapshot.reminder_ledger, boundaries,
+                                  self._triggers)
         if reminders:
-            ts, board = iso(now), self.config.board_id
+            snapshot, ts, board = self.snapshot, iso(now), self.config.board_id
             binding, make_id = self.config.binding, self._cycle_ids()
             # A sent reminder changes no ticket: no `_fold` bookkeeping.
             for reminder in reminders:
@@ -671,12 +664,15 @@ class BoardRuntime:
                 next_due[tid] = instant
                 heapq.heappush(heap, (instant, tid))
 
-    def _flush_outbox(self, now: datetime, report: CycleReport,
-                      records: list[dict]) -> None:
-        """Attempt each message of the non-empty outbox once."""
+    def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
+        """Attempt each pending message once, then append the delivery
+        records in one call, also when a sink raises."""
         snapshot = self.snapshot
         outbox = snapshot.outbox
+        if not outbox:
+            return
         ts, board = iso(now), self.config.board_id
+        records: list[dict] = []
         try:
             # Each settling record removes its message from the outbox.
             # A Channel is a str Enum: the wire's value finds its sink.
@@ -697,7 +693,12 @@ class BoardRuntime:
                 else:
                     report.messages_failed += 1
         finally:
-            # Sinks that hold resources for one flush, each once.
-            for sink in set(self.sinks.values()):
-                if hasattr(sink, "close"):
-                    sink.close()
+            try:
+                # Sinks that hold resources for one flush, each once.
+                for sink in set(self.sinks.values()):
+                    if hasattr(sink, "close"):
+                        sink.close()
+            finally:
+                # After the close: a logged delivery's line is written.
+                if records:
+                    self._append(records)
