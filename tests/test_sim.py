@@ -191,6 +191,23 @@ class TestRunSimulation:
         assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == \
             "88db418e26bd9ee2be65403a4c322c4d767e66685740c3c95e0fd7d122f86752"
 
+    def test_manual_reminder_log_is_pinned(self):
+        # The pre-bot manager's delayed hand assignments, with engineer
+        # reassignments and reminders on: the sha256 of the bytes a
+        # file-backed log of its events would hold.
+        run = run_simulation(SimConfig(
+            seed=1, horizon_days=12, arrival_rate=12, roster_size=3,
+            policy=POLICY_MANUAL, reminders_enabled=True,
+            stuck_threshold_hours=8, reminder_period_hours=4,
+            cycle_period_hours=2, reassign_prob=0.2, manual_delay_days=1.5))
+        kinds = Counter(e["kind"] for e in run.events)
+        assert kinds["Assigned"] == 129 and kinds["Reassigned"] == 31
+        assert kinds["ReminderSent"] == 586
+        assert len(run.events) == 2728
+        lines = "".join(encode_event(e) + "\n" for e in run.events)
+        assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == \
+            "39a804e2c707ff2debd5b670947a9093ac7daf173bb36887980d9671911cbe61"
+
 
 class TestExperiment:
     def test_default_experiment_improves_both_metrics(self, tmp_path):
