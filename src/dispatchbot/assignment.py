@@ -1,6 +1,6 @@
 """Assignment policies: round-robin over the available pool and the two
-rejected baselines (expertise, least-open-count). Manual reassignment is
-`BoardRuntime.reassign_ticket`.
+rejected baselines (expertise, least-open-count). Under the Manual policy
+a person assigns and reassigns through `BoardRuntime.reassign_ticket`.
 
 All policies are pure given (roster, cursor position, counts) and
 deterministic: ties break on stable roster order everywhere.

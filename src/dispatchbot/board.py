@@ -2,16 +2,17 @@
 scan-assign-remind cycle.
 
 One BoardRuntime owns one board: its snapshot, event log, cursor, reminder
-ledger and outbox. Every record is folded into the live snapshot before
-it reaches the log. An outside command appends its one record at once; a
-cycle folds each record as it makes it and appends its assignment and
-reminder records in one call before any sink sees a message, then its
-delivery records in a second, each also when its phase raises, so the
-log holds every record folded before the error and a message id a sink
-has seen is always logged. The fold is all or nothing, so a rejected
-record leaves both untouched, and a failed append rebuilds the snapshot,
-and the reminder schedule with it, from the log: live state and replay
-never diverge.
+ledger and outbox. A person assigns only through `reassign_ticket`, and
+under the Manual policy the cycle assigns nothing. Every record is folded
+into the live snapshot before it reaches the log. An outside command
+appends its one record at once; a cycle folds each record as it makes it
+and appends its assignment and reminder records in one call before any
+sink sees a message, then its delivery records in a second, each also
+when its phase raises, so the log holds every record folded before the
+error and a message id a sink has seen is always logged. The fold is all
+or nothing, so a rejected record leaves both untouched, and a failed
+append rebuilds the snapshot, and the reminder schedule with it, from the
+log: live state and replay never diverge.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
@@ -384,8 +385,7 @@ class BoardRuntime:
     """Single logical owner of one board's log, snapshot and sinks."""
 
     def __init__(self, config: TeamConfig, log: EventLog | None = None,
-                 sinks: dict[Channel, Sink] | None = None,
-                 manual_plan: dict[str, tuple[str, datetime]] | None = None):
+                 sinks: dict[Channel, Sink] | None = None):
         self.config = config
         self.log = log if log is not None else EventLog()
         self.snapshot = replay(self.log.events, config.board_id)
@@ -393,7 +393,9 @@ class BoardRuntime:
             sinks = {channel: sink_for_endpoint(endpoint)
                      for channel, endpoint in config.binding.endpoints.items()}
         self.sinks = sinks
-        self.manual_plan = manual_plan or {}
+        #: Tickets assigned, by a command or a cycle, since the last cycle:
+        #: the next cycle's reminders skip them. Not rebuilt from the log.
+        self._assigned: set[str] = set()
         self._reschedule()
         #: The running cycle's message-id allocator; see `_cycle_ids`.
         self._ids = None
@@ -429,6 +431,8 @@ class BoardRuntime:
         fold_event(self.snapshot, event)
         if kind in _TICKET_CHANGES:
             self._touched.add(payload["ticket"])
+            if kind == KIND_ASSIGNED:
+                self._assigned.add(payload["ticket"])
         return event
 
     def _append(self, events: list[dict]) -> None:
@@ -506,6 +510,8 @@ class BoardRuntime:
 
     def reassign_ticket(self, ticket_id: str, to: str,
                         at: datetime) -> AssignmentDecision:
+        """Hand `ticket_id` to `to`, the one way a person assigns: Assigned
+        under Manual when it has no assignee, else Reassigned."""
         ticket = self.snapshot.tickets[ticket_id]
         if ticket.state is WorkflowState.DONE:
             raise TicketAlreadyDoneError(ticket_id)
@@ -516,19 +522,19 @@ class BoardRuntime:
             decided_at=at, cursor_after=None)
         wire = announce_assignment(decision, self.config.binding,
                                    self._make_msg_id())
-        self._commit(KIND_REASSIGNED, at, {
-            "ticket": ticket_id,
-            "engineer": to,
-            "from_engineer": ticket.assignee,
-            "messages": [wire],
-        })
+        if ticket.assignee is None:
+            kind, fields = KIND_ASSIGNED, {"policy": POLICY_MANUAL,
+                                           "cursor_after": None}
+        else:
+            kind, fields = KIND_REASSIGNED, {"from_engineer": ticket.assignee}
+        self._commit(kind, at, {"ticket": ticket_id, "engineer": to,
+                                **fields, "messages": [wire]})
         return decision
 
     # -- the periodic cycle ------------------------------------------------
 
-    def _decide(self, ticket: Ticket, now: datetime) -> AssignmentDecision | None:
-        """Pick an engineer under the configured policy; None defers the
-        ticket (manual plan not due yet)."""
+    def _decide(self, ticket: Ticket, now: datetime) -> AssignmentDecision:
+        """Pick an engineer under the configured automatic policy."""
         cfg = self.config
         position = self.snapshot.cursor_position
         if cfg.policy == POLICY_ROUND_ROBIN:
@@ -544,13 +550,6 @@ class BoardRuntime:
                 if assignee is not None:
                     open_counts[assignee] = open_counts.get(assignee, 0) + 1
             return least_open_assign(open_counts, cfg.roster, ticket, now)
-        if cfg.policy == POLICY_MANUAL:
-            plan = self.manual_plan.get(ticket.id)
-            if plan is None or plan[1] > now:
-                return None
-            return AssignmentDecision(
-                ticket_id=ticket.id, engineer_id=plan[0],
-                policy=POLICY_MANUAL, decided_at=now, cursor_after=None)
         raise ValueError(f"unknown policy: {cfg.policy}")
 
     def run_cycle(self, now: datetime) -> CycleReport:
@@ -571,11 +570,12 @@ class BoardRuntime:
         announced: list[dict] = []
         self._ids = None
         try:
-            assigned_now = self._assign(now, report, announced)
+            self._assign(now, report, announced)
             if self.config.thresholds is not None:
-                self._remind(now, assigned_now, report, announced)
+                self._remind(now, report, announced)
             else:
                 self._touched.clear()
+            self._assigned.clear()
         finally:
             if announced:
                 self._append(announced)
@@ -585,10 +585,12 @@ class BoardRuntime:
         return report
 
     def _assign(self, now: datetime, report: CycleReport,
-                records: list[dict]) -> set[str]:
-        """Assign the unassigned backlog under the policy; return the ids
-        of the tickets assigned."""
-        assigned_now: set[str] = set()
+                records: list[dict]) -> None:
+        """Assign the unassigned backlog under the policy; under Manual a
+        person assigns (`reassign_ticket`) and all of it stays pending."""
+        if self.config.policy == POLICY_MANUAL:
+            report.unassigned_pending = len(self.snapshot.unassigned_backlog)
+            return
         polled = poll_new_unassigned(self.snapshot)
         for ticket in polled:
             try:
@@ -597,8 +599,6 @@ class BoardRuntime:
                 # The pool depends on `now` alone: empty for every ticket.
                 report.empty_pool = True
                 break
-            if decision is None:
-                continue
             wire = announce_assignment(decision, self.config.binding,
                                        self._cycle_ids())
             records.append(self._fold(KIND_ASSIGNED, iso(now), {
@@ -610,16 +610,14 @@ class BoardRuntime:
             }))
             report.assigned += 1
             report.assignments.append((ticket.id, decision.engineer_id))
-            assigned_now.add(ticket.id)
         report.unassigned_pending = len(polled) - report.assigned
-        return assigned_now
 
-    def _remind(self, now: datetime, assigned_now: set[str],
-                report: CycleReport, records: list[dict]) -> None:
+    def _remind(self, now: datetime, report: CycleReport,
+                records: list[dict]) -> None:
         """Evaluate reminders for the tickets that may have one due: those
         touched since their last visit and those whose next boundary lies
-        strictly before `now`. Tickets assigned this cycle are skipped and
-        stay touched for the next one."""
+        strictly before `now`. Tickets assigned since the last cycle are
+        skipped and stay touched for the next one."""
         policy = self.config.thresholds
         heap, next_due = self._due_heap, self._next_due
         visit = self._touched
@@ -628,8 +626,8 @@ class BoardRuntime:
             if next_due.get(tid) == instant:
                 del next_due[tid]
                 visit.add(tid)
-        self._touched = set(assigned_now)
-        visit -= assigned_now
+        self._touched = set(self._assigned)
+        visit -= self._assigned
         open_tickets, tickets = self.snapshot.open_tickets, []
         for tid in sorted(visit):
             if tid in open_tickets:

@@ -96,19 +96,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         runtime = BoardRuntime(config, log=log)
     except Exception as exc:
         return _fail(EXIT_RUNTIME, f"cannot rebuild board state: {exc}")
-    _inject_fixture(runtime, created)
-
-    report = runtime.run_cycle(now or utc_now())
-    print(report.render())
-    if args.loop:
-        try:
-            while True:
-                time.sleep(config.cycle_period_minutes * 60)
-                report = runtime.run_cycle(utc_now())
-                print(report.render())
-        except KeyboardInterrupt:
-            pass
-    log.close()
+    try:
+        with log:
+            _inject_fixture(runtime, created)
+            print(runtime.run_cycle(now or utc_now()).render())
+            try:
+                while args.loop:
+                    time.sleep(config.cycle_period_minutes * 60)
+                    print(runtime.run_cycle(utc_now()).render())
+            except KeyboardInterrupt:
+                pass
+    except OSError as exc:  # a full disk, a lost mount: the board stops
+        return _fail(EXIT_RUNTIME, f"cannot write event log {log.path}: {exc}")
     return EXIT_OK
 
 

@@ -118,10 +118,10 @@ def state_change_text(ticket_id: str, from_state: WorkflowState,
             f"{STATE_VALUE[to_state]} at {iso(at)}")
 
 
-def reminder_text(reminder: Reminder) -> str:
+def reminder_text(reminder: Reminder, ts: str) -> str:
     return (f"REMIND {reminder.ticket_id} "
             f"{REMINDER_KIND_VALUE[reminder.kind]} "
-            f"#{reminder.escalation_index} at {iso(reminder.generated_at)}")
+            f"#{reminder.escalation_index} at {ts}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ def route_reminder(reminder: Reminder, binding: ChannelBinding,
                    make_id) -> list[dict]:
     """One message per enabled channel, each with the same text."""
     kind, ticket_id = REMINDER_KIND_VALUE[reminder.kind], reminder.ticket_id
-    team, text = binding.team_id, reminder_text(reminder)
     ts = iso(reminder.generated_at)
+    team, text = binding.team_id, reminder_text(reminder, ts)
     return [{"msg_id": make_id(), "team": team, "channel": channel,
              "kind": kind, "ticket": ticket_id, "text": text, "ts": ts}
             for channel in binding.fan_out]

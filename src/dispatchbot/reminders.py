@@ -127,9 +127,11 @@ def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
               ) -> tuple[tuple[int, int, int], datetime]:
     """One pass over an open ticket's reminder streams at `now`: the
     escalations each has due, in `ReminderKind` order, and the ticket's
-    next reminder boundary (see `next_reminder_at`). Its triggers come
-    from `entry`, the ticket's `_triggers` under `policy`, made here when
-    it is not given.
+    next reminder boundary b: the earliest instant b >= `now` after which
+    a stream gains an escalation, so a scheduler that re-evaluates an
+    unchanged ticket at its first cycle after b misses no reminder. Its
+    triggers come from `entry`, the ticket's `_triggers` under `policy`,
+    made here when it is not given.
 
     Each stream has a trigger and may have a cap. Its count at `now` is
     the number of escalations due strictly after its trigger, with `now`
@@ -180,19 +182,6 @@ def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
     return (stuck, imminent, breached), boundary
 
 
-def next_reminder_at(ticket: Ticket, now: datetime,
-                     policy: ThresholdPolicy) -> datetime:
-    """The earliest instant b >= `now` after which one of an open
-    ticket's streams gains an escalation: its count at b equals its count
-    at `now`, and grows strictly after b.
-
-    A scheduler that re-evaluates the ticket at its first cycle strictly
-    after b misses no reminder, provided nothing about the ticket changes
-    in between.
-    """
-    return _evaluate(ticket, now, policy)[1]
-
-
 def _recipients(ticket: Ticket, team_channel: str | None = None) -> tuple[str, ...]:
     # A missing assignee or channel falls back to the reporter, whom the
     # set holds already.
@@ -222,8 +211,8 @@ def due_reminders(
     its new reminders. Idempotent: with an updated ledger, a repeat call
     at the same instant emits nothing.
 
-    Given `next_due`, it also maps each open ticket's id to its
-    `next_reminder_at(ticket, now, policy)`, from the same single pass.
+    Given `next_due`, it also maps each open ticket's id to its next
+    reminder boundary (see `_evaluate`), from the same single pass.
 
     Given `triggers`, a map the caller keeps from ticket id to its
     `_triggers` entry, it reuses each entry made from the very ticket

@@ -289,10 +289,9 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
     sinks = {c: shared for c in team_cfg.binding.endpoints}
 
     stream = generate_ticket_stream(config)
-    manual_plan = (manual_assignment_model(stream, config)
-                   if config.policy == POLICY_MANUAL else None)
-    runtime = BoardRuntime(team_cfg, log=log, sinks=sinks,
-                           manual_plan=manual_plan)
+    plan = (manual_assignment_model(stream, config)
+            if config.policy == POLICY_MANUAL else {})
+    runtime = BoardRuntime(team_cfg, log=log, sinks=sinks)
 
     medians = service_medians(config)
     gamers = gamer_engineers(config)
@@ -304,30 +303,43 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
     period = timedelta(hours=config.cycle_period_hours)
     # Outside events, arrivals first at one instant, each kind in the order
     # made: the next arrival (instant, 0, stream index), whose pop pushes
-    # the one after, and engineer moves (instant, 1, order, tid, state, who).
+    # the one after and the manager's planned assignment (instant, 2,
+    # created, tid), and engineer moves (instant, 1, order, tid, state, who).
     made = itertools.count()
     world: list[tuple] = [(stream[0]["ts"], 0, 0)] if stream else []
     now = SIM_EPOCH
     reports: list[CycleReport] = []
 
     while True:
+        due = []
         while world and world[0][0] <= now:
             entry = heapq.heappop(world)
-            if entry[1]:
+            if entry[1] == 1:
                 at, _, _, tid, to_state, engineer = entry
                 runtime.apply_external_transition(tid, to_state, at, engineer)
+                continue
+            if entry[1] == 2:
+                due.append(entry[2:])
                 continue
             i = entry[2]
             runtime.inject_ticket(stream[i]["ticket"], stream[i]["reporter"],
                                   entry[0], stream[i]["priority"])
+            if plan:
+                heapq.heappush(world, (plan[stream[i]["ticket"]][1], 2,
+                                       entry[0], stream[i]["ticket"]))
             if i + 1 < len(stream):
                 heapq.heappush(world, (stream[i + 1]["ts"], 0, i + 1))
+
+        # The manager's due assignments, by (created_at, id), at `now`.
+        assignments = [(tid, plan[tid][0]) for _, tid in sorted(due)]
+        for tid, engineer in assignments:
+            runtime.reassign_ticket(tid, engineer, now)
 
         report = runtime.run_cycle(now)
         reports.append(report)
 
         # Schedule engineer service for this cycle's assignments.
-        for tid, engineer in report.assignments:
+        for tid, engineer in assignments + report.assignments:
             if (config.reassign_prob > 0
                     and proc_rng.random() < config.reassign_prob
                     and len(engineers) > 1):

@@ -58,12 +58,12 @@ def team_config(engineers=("e1", "e2", "e3"), policy="RoundRobin",
 def memory_runtime():
     """BoardRuntime with an in-memory log and one shared memory sink."""
 
-    def build(config: TeamConfig | None = None, **kwargs):
+    def build(config: TeamConfig | None = None):
         config = config or team_config()
         sink = MemorySink()
         runtime = BoardRuntime(
             config, log=EventLog(),
-            sinks={c: sink for c in config.binding.endpoints}, **kwargs)
+            sinks={c: sink for c in config.binding.endpoints})
         runtime.memory_sink = sink
         return runtime
 

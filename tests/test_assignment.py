@@ -15,6 +15,7 @@ from dispatchbot.assignment import (
     least_open_assign,
     round_robin_assign,
 )
+from dispatchbot.eventlog import replay
 from dispatchbot.roster import EngineerRoster, RosterEntry, available_pool
 from dispatchbot.workflow import WorkflowState
 
@@ -314,6 +315,26 @@ class TestReassign:
         assert runtime.snapshot.tickets["T1-1"].assignee == "e2"
         assert decision.policy == "Manual"
         assert decision.cursor_after is None
+
+    def test_unassigned_ticket_gets_an_assigned_record(self, memory_runtime):
+        runtime = memory_runtime()
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.reassign_ticket("T1-1", "e2", at(1))
+        record = runtime.log.events[-1]
+        assert list(record)[4:] == ["ticket", "engineer", "policy",
+                                    "cursor_after", "messages"]
+        assert (record["kind"], record["engineer"], record["policy"],
+                record["cursor_after"]) == ("Assigned", "e2", "Manual", None)
+        assert runtime.snapshot.assign_counts == {"e2": 1}
+        assert runtime.snapshot.cursor_position == 0
+        assert replay(runtime.log.events) == runtime.snapshot
+        assert runtime.run_cycle(at(2)).assigned == 0
+        # Once assigned, a transfer is a reassignment, and not counted.
+        runtime.reassign_ticket("T1-1", "e3", at(3))
+        record = runtime.log.events[-1]
+        assert (record["kind"], record["from_engineer"]) == \
+            ("Reassigned", "e2")
+        assert runtime.snapshot.assign_counts == {"e2": 1}
 
     def test_done_ticket_immutable(self, memory_runtime):
         runtime = self.assigned(memory_runtime)

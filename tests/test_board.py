@@ -302,19 +302,29 @@ class TestRunCycle:
         # fan-out to all enabled channels of the binding
         assert len(remind_msgs) == len(cfg.binding.endpoints)
 
-    def test_ticket_assigned_this_cycle_not_reminded(self, memory_runtime):
-        cfg = team_config(thresholds=ThresholdPolicy(
-            team_id="team1",
-            stuck_hours={WorkflowState.BACKLOG: 1,
-                         WorkflowState.BLOCKED: 1,
-                         WorkflowState.READY_TO_START: 1,
-                         WorkflowState.WORK_IN_PROGRESS: 1,
-                         WorkflowState.READY_FOR_REVIEW: 1}))
+    @pytest.mark.parametrize("by_hand", [False, True],
+                             ids=["cycle", "command"])
+    def test_ticket_assigned_this_cycle_not_reminded(self, memory_runtime,
+                                                     by_hand):
+        # Assigned by the cycle, or by a command at the cycle's instant.
+        cfg = team_config(
+            policy="Manual" if by_hand else "RoundRobin",
+            thresholds=ThresholdPolicy(
+                team_id="team1",
+                stuck_hours={WorkflowState.BACKLOG: 1,
+                             WorkflowState.BLOCKED: 1,
+                             WorkflowState.READY_TO_START: 1,
+                             WorkflowState.WORK_IN_PROGRESS: 1,
+                             WorkflowState.READY_FOR_REVIEW: 1}))
         runtime = memory_runtime(cfg)
         runtime.inject_ticket("T1-1", "r1", at(0))
+        if by_hand:
+            runtime.reassign_ticket("T1-1", "e2", at(5))
         report = runtime.run_cycle(at(5))
-        assert report.assigned == 1
+        assert report.assigned == (0 if by_hand else 1)
         assert report.reminders_sent == 0
+        # Skipped once, not dropped: the next cycle reminds it.
+        assert runtime.run_cycle(at(6)).reminders_sent == 1
 
     def test_empty_pool_reports_pending(self, memory_runtime):
         from dispatchbot.roster import EngineerRoster
@@ -328,19 +338,18 @@ class TestRunCycle:
         assert report.unassigned_pending == 2
         assert report.empty_pool
 
-    def test_manual_plan_not_yet_due_reports_pending(self, memory_runtime):
-        runtime = memory_runtime(
-            team_config(policy="Manual"),
-            manual_plan={"T1-1": ("e2", at(1)), "T1-2": ("e1", at(3))})
+    def test_manual_cycle_leaves_the_backlog_pending(self, memory_runtime):
+        runtime = memory_runtime(team_config(policy="Manual"))
         for i in (1, 2, 3):
             runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
         report = runtime.run_cycle(at(2))
-        assert report.assignments == [("T1-1", "e2")]
-        assert (report.assigned, report.unassigned_pending) == (1, 2)
-        assert not report.empty_pool
+        assert (report.assigned, report.unassigned_pending) == (0, 3)
+        assert report.assignments == [] and not report.empty_pool
+        runtime.reassign_ticket("T1-2", "e1", at(3))
         report = runtime.run_cycle(at(3))
-        assert report.assignments == [("T1-2", "e1")]
-        assert (report.assigned, report.unassigned_pending) == (1, 1)
+        assert (report.assigned, report.unassigned_pending) == (0, 2)
+        assert [e["kind"] for e in runtime.log.events] == \
+            ["Created"] * 3 + ["Assigned", "MessageDelivered"]
 
     def test_cycle_idempotence(self, memory_runtime):
         runtime = memory_runtime(team_config(
@@ -796,6 +805,32 @@ class CountingLog(EventLog):
         if self.calls == self.fail_at:
             raise OSError(errno.ENOSPC, "No space left on device")
         return super().append(events)
+
+
+@pytest.mark.parametrize("failing", ["assign", "later"])
+def test_a_failed_append_keeps_the_hand_assignment_skip(failing):
+    # The hand assignment's own append fails, or a later command's does:
+    # either way the board rebuilds from the log, and the 14:00 cycle
+    # still skips the ticket handed over at 14:00; the next one reminds.
+    sink, log = MemorySink(), CountingLog()
+    config = team_config(policy="Manual", thresholds=ThresholdPolicy(
+        team_id="team1", stuck_hours={s: 1 for s in DEFAULT_STUCK_HOURS}))
+    runtime = BoardRuntime(
+        config, log=log, sinks={c: sink for c in config.binding.endpoints})
+    runtime.inject_ticket("T1-1", "r1", at(0))
+    if failing == "later":
+        runtime.reassign_ticket("T1-1", "e2", at(5))
+    log.fail_at = log.calls + 1
+    with pytest.raises(OSError):
+        if failing == "assign":
+            runtime.reassign_ticket("T1-1", "e2", at(5))
+        else:
+            runtime.inject_ticket("T1-2", "r1", at(5))
+    assert replay(log.events) == runtime.snapshot
+    assert runtime.snapshot.tickets["T1-1"].assignee == (
+        None if failing == "assign" else "e2")
+    assert runtime.run_cycle(at(5)).reminders_sent == 0
+    assert runtime.run_cycle(at(6)).reminders_sent == 1
 
 
 class BrokenSink(MemorySink):

@@ -286,6 +286,42 @@ class TestRun:
         assert main(["replay", "--log", str(log), "--assert"]) == EXIT_OK
         assert capsys.readouterr().out.endswith("consistency ok\n")
 
+    @pytest.mark.parametrize("fail_at, logged", [(1, 0), (4, 3)],
+                             ids=["inject", "cycle"])
+    def test_full_disk_is_runtime_error(self, team_files, capsys,
+                                        monkeypatch, fail_at, logged):
+        # Append number `fail_at` fails: the first fixture ticket's, or
+        # the cycle's after three tickets went in. Both once ended in a
+        # traceback.
+        config, board, out = team_files
+        append, close, calls, closed = (eventlog.EventLog.append,
+                                        eventlog.EventLog.close, [], [])
+
+        def failing_append(log, events):
+            calls.append(len(events))
+            if len(calls) >= fail_at:
+                raise OSError(28, "No space left on device")
+            return append(log, events)
+
+        def counted_close(log):
+            closed.append(log.path)
+            close(log)
+
+        monkeypatch.setattr(eventlog.EventLog, "append", failing_append)
+        monkeypatch.setattr(eventlog.EventLog, "close", counted_close)
+        code = main(["run", "--config", str(config), "--board", str(board),
+                     "--out", str(out), "--now", "2025-01-06T10:00:00Z",
+                     "--once"])
+        assert code == EXIT_RUNTIME
+        log = out / "T1.events.ndjson"
+        assert capsys.readouterr().err == (
+            f"cannot write event log {log}: [Errno 28] No space left on "
+            f"device\n")
+        assert closed == [log]
+        assert len(calls) == fail_at
+        records = eventlog.read_event_log(log) if log.exists() else []
+        assert [r["kind"] for r in records] == ["Created"] * logged
+
 
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--experiment", "{dir}", "--out", "{out}"],

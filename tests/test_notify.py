@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dispatchbot import notify
 from dispatchbot.assignment import AssignmentDecision
 from dispatchbot.board import BoardRuntime
 from dispatchbot.eventlog import EventLog, replay
@@ -36,6 +37,7 @@ from dispatchbot.notify import (
     state_change_text,
 )
 from dispatchbot.reminders import Reminder, ReminderKind, ThresholdPolicy
+from dispatchbot.timeutil import iso
 from dispatchbot.workflow import WorkflowState
 
 from .conftest import at, binding, team_config
@@ -69,7 +71,7 @@ class TestTemplates:
             "STATE T1-42 WorkInProgress -> Blocked at 2025-01-06T09:00:00Z"
 
     def test_reminder_text(self):
-        assert reminder_text(reminder()) == \
+        assert reminder_text(reminder(), iso(at(5))) == \
             "REMIND T1-42 StuckState #2 at 2025-01-06T14:00:00Z"
 
 
@@ -80,6 +82,20 @@ class TestRouting:
         assert [m["channel"] for m in msgs] == [Channel.CHAT_A.value,
                                                 Channel.CHAT_B.value,
                                                 Channel.EMAIL.value]
+
+    def test_reminder_renders_its_instant_once(self, monkeypatch):
+        rendered = []
+
+        def counted_iso(instant):
+            rendered.append(instant)
+            return iso(instant)
+
+        monkeypatch.setattr(notify, "iso", counted_iso)
+        msgs = route_reminder(reminder(), binding(), make_ids())
+        assert rendered == [at(5)]
+        assert {(m["text"], m["ts"]) for m in msgs} == {
+            ("REMIND T1-42 StuckState #2 at 2025-01-06T14:00:00Z",
+             "2025-01-06T14:00:00Z")}
 
     def test_two_channel_team(self):
         b = ChannelBinding("team1", {Channel.EMAIL: "out",

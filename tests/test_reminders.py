@@ -17,7 +17,6 @@ from dispatchbot.reminders import (
     ReminderKind,
     ThresholdPolicy,
     due_reminders,
-    next_reminder_at,
 )
 from dispatchbot.workflow import (
     TRANSITIONS,
@@ -168,9 +167,9 @@ def due_keys(t, now, policy):
 class TestNextReminderAt:
     def test_high_priority_halves_stuck_threshold(self):
         t = replace(blocked_ticket(), sla_deadline=at(1000))
-        assert next_reminder_at(t, at(2), POLICY) == at(2 + 72)
+        assert reminders._evaluate(t, at(2), POLICY)[1] == at(2 + 72)
         high = replace(t, priority=Priority.HIGH)
-        assert next_reminder_at(high, at(2), POLICY) == at(2 + 36)
+        assert reminders._evaluate(high, at(2), POLICY)[1] == at(2 + 36)
         assert due_keys(high, at(2 + 36), POLICY) == set()
         assert due_keys(high, at(2 + 36, seconds=1), POLICY) == \
             {(t.id, "StuckState", 1)}
@@ -183,8 +182,8 @@ class TestNextReminderAt:
             team_id="team1",
             stuck_hours={s: 1000.0 for s in DEFAULT_STUCK_HOURS})
         t = ticket(sla_deadline=at(100))
-        assert next_reminder_at(t, at(81), policy) == at(100)
-        assert next_reminder_at(t, at(101), policy) == at(124)
+        assert reminders._evaluate(t, at(81), policy)[1] == at(100)
+        assert reminders._evaluate(t, at(101), policy)[1] == at(124)
 
     @given(state=st.sampled_from(sorted(DEFAULT_STUCK_HOURS)),
            priority=st.sampled_from(Priority),
@@ -203,7 +202,7 @@ class TestNextReminderAt:
         t = replace(ticket(sla_deadline=at(deadline)), state=state,
                     priority=priority, state_entered_at=at(entered))
         start = at(seconds=now)
-        boundary = next_reminder_at(t, start, policy)
+        boundary = reminders._evaluate(t, start, policy)[1]
         assert boundary >= start
         assert due_keys(t, boundary, policy) == due_keys(t, start, policy)
         assert due_keys(t, boundary, policy) < \
@@ -243,7 +242,7 @@ class TestHourLimits:
         t = blocked_ticket()  # blocked since at(2)
         late = at(2 + MAX_HOURS, seconds=1)
         assert due_kinds(t, late, policy).count(ReminderKind.STUCK_STATE) == 1
-        assert late < next_reminder_at(t, late, policy) <= \
+        assert late < reminders._evaluate(t, late, policy)[1] <= \
             at(2 + 2 * MAX_HOURS)
 
 
@@ -402,7 +401,7 @@ class TestSinglePass:
         assert next_due == {t.id: reference_next_reminder_at(t, now, policy)
                             for t in tickets}
         for t in tickets:
-            assert next_reminder_at(t, now, policy) == next_due[t.id]
+            assert reminders._evaluate(t, now, policy)[1] == next_due[t.id]
 
 
 # The stream arithmetic as it was written before its three streams were
@@ -484,7 +483,7 @@ class TestInlineArithmetic:
         for instant in instants:
             expected = reference_evaluate(t, instant, policy)
             assert reminders._evaluate(t, instant, policy) == expected
-            assert next_reminder_at(t, instant, policy) == expected[1]
+            assert reminders._evaluate(t, instant, policy)[1] == expected[1]
             # At the boundary itself the counts have not grown yet.
             boundary = expected[1]
             assert reminders._evaluate(t, boundary, policy) == \

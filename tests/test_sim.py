@@ -191,6 +191,34 @@ class TestRunSimulation:
         assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == \
             "88db418e26bd9ee2be65403a4c322c4d767e66685740c3c95e0fd7d122f86752"
 
+    def test_manual_assignments_land_at_the_first_cycle_due(self):
+        # The pre-bot manager commits each planned assignment at the first
+        # cycle instant at or after its planned instant, oldest ticket
+        # first, through the board's one hand-assignment command.
+        cfg = SimConfig(seed=11, horizon_days=6, arrival_rate=10,
+                        roster_size=3, policy=POLICY_MANUAL,
+                        cycle_period_hours=4)
+        run = run_simulation(cfg)
+        plan = manual_assignment_model(generate_ticket_stream(cfg), cfg)
+        period = timedelta(hours=cfg.cycle_period_hours)
+        assigned = [e for e in run.events if e["kind"] == "Assigned"]
+        assert {e["ticket"] for e in assigned} == {
+            tid for tid, (_, due) in plan.items()
+            if due <= run.last_cycle_at}
+        order = []
+        for e in assigned:
+            engineer, due = plan[e["ticket"]]
+            ts = parse_ts(e["ts"])
+            assert (e["engineer"], e["policy"], e["cursor_after"]) == \
+                (engineer, POLICY_MANUAL, None)
+            assert due <= ts < due + period
+            assert (ts - SIM_EPOCH) % period == timedelta(0)
+            created = run.snapshot.tickets[e["ticket"]].created_at
+            order.append((ts, created, e["ticket"], due))
+        assert order == sorted(order)
+        # Some instant commits tickets out of their planned order.
+        assert [due for *_, due in order] != sorted(due for *_, due in order)
+
     def test_manual_reminder_log_is_pinned(self):
         # The pre-bot manager's delayed hand assignments, with engineer
         # reassignments and reminders on: the sha256 of the bytes a
