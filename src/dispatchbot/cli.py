@@ -4,8 +4,13 @@ Commands: `run` a bot cycle against a file-backed board, `simulate` a
 pre/post experiment, `report` over an event log, `replay` a log with
 consistency checks. Exit codes: 0 success, 1 validation error, 2 runtime
 error. dispatchbot reads no environment variable itself, but the webhook
-sink's `urllib.request.urlopen` honours the standard proxy variables
-(`http_proxy`, `https_proxy`, `no_proxy`).
+sink posts through `urllib.request.urlopen`, which honours the standard
+proxy variables (`http_proxy`, `https_proxy`, `no_proxy`).
+
+Every command is a fresh process, and a scheduler may start one `run
+--once` per cycle, so import cost is paid each time. Importing this
+module loads no HTTP client: the webhook sink loads it on its first
+delivery.
 """
 
 from __future__ import annotations
@@ -167,12 +172,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(EXIT_RUNTIME, f"simulation failed: {exc}")
 
     reports = [comparison.pre, comparison.post]
-    (out_dir / "distribution.csv").write_text(distribution_csv(reports),
-                                              encoding="utf-8")
-    (out_dir / "resolution.csv").write_text(resolution_csv(reports),
-                                            encoding="utf-8")
     table = comparison.render()
-    (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
+    for name, text in (("distribution.csv", distribution_csv(reports)),
+                       ("resolution.csv", resolution_csv(reports)),
+                       ("comparison.txt", table + "\n")):
+        path = out_dir / name
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:  # a directory in the way, a full disk
+            return _fail(EXIT_RUNTIME, f"cannot write {path}: {exc}")
     print(table)
     return EXIT_OK
 

@@ -5,6 +5,9 @@ channel to an endpoint descriptor, either a file path (append one JSON
 object per line) or an http(s) webhook URL (POST the same object).
 Delivery is at-least-once with idempotent message ids; dedup is the
 receiver's concern. `attempt_delivery` is the one retry/terminal rule.
+Importing this module loads no HTTP client: `WebhookSink` imports the
+stdlib one on its first delivery, and `check_endpoint` needs only
+`urllib.parse`.
 
 A message is its wire dict, the payload put on the wire: the
 `announce_*` and `route_reminder` templates build it, the event that
@@ -15,11 +18,8 @@ and sends it as it is. No sink mutates it.
 
 from __future__ import annotations
 
-import http.client
 import json
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -107,15 +107,15 @@ WIRE_FIELDS = frozenset({"msg_id", "team", "channel", "kind", "ticket",
 # Message templates (bit-exact; covered by golden tests)
 # ---------------------------------------------------------------------------
 
-def assignment_text(decision: AssignmentDecision) -> str:
+def assignment_text(decision: AssignmentDecision, ts: str) -> str:
     return (f"ASSIGNED {decision.ticket_id} -> {decision.engineer_id} "
-            f"[{decision.policy}] at {iso(decision.decided_at)}")
+            f"[{decision.policy}] at {ts}")
 
 
 def state_change_text(ticket_id: str, from_state: WorkflowState,
-                      to_state: WorkflowState, at: datetime) -> str:
+                      to_state: WorkflowState, ts: str) -> str:
     return (f"STATE {ticket_id} {STATE_VALUE[from_state]} -> "
-            f"{STATE_VALUE[to_state]} at {iso(at)}")
+            f"{STATE_VALUE[to_state]} at {ts}")
 
 
 def reminder_text(reminder: Reminder, ts: str) -> str:
@@ -155,18 +155,19 @@ def route_reminder(reminder: Reminder, binding: ChannelBinding,
 def announce_assignment(decision: AssignmentDecision, binding: ChannelBinding,
                         make_id) -> dict:
     """Exactly one message, to the team's review channel."""
+    ts = iso(decision.decided_at)
     return _wire(make_id, binding, CHANNEL_VALUE[binding.review_channel],
-                 "Assignment", decision.ticket_id, assignment_text(decision),
-                 iso(decision.decided_at))
+                 "Assignment", decision.ticket_id,
+                 assignment_text(decision, ts), ts)
 
 
 def announce_state_change(ticket_id: str, from_state: WorkflowState,
                           to_state: WorkflowState, at: datetime,
                           binding: ChannelBinding, make_id) -> dict:
+    ts = iso(at)
     return _wire(make_id, binding, CHANNEL_VALUE[binding.review_channel],
                  "StateChange", ticket_id,
-                 state_change_text(ticket_id, from_state, to_state, at),
-                 iso(at))
+                 state_change_text(ticket_id, from_state, to_state, ts), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +239,19 @@ class FileSink:
 
 class WebhookSink:
     """POSTs the wire payload as JSON, the bytes of its channel-file
-    line: 2xx delivered, 4xx rejected."""
+    line: 2xx delivered, 4xx rejected. The stdlib HTTP client (and with
+    it `email`, `ssl` and `socket`) loads on the first delivery, so a
+    process whose channels are all files never pays for it."""
 
     def __init__(self, url: str, timeout: float = 10.0):
         self.url = url
         self.timeout = timeout
 
     def deliver(self, wire: dict) -> None:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = compact_json(wire).encode("utf-8")
         try:
             request = urllib.request.Request(

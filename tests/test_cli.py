@@ -4,8 +4,11 @@ import hashlib
 import json
 import os
 import re
+import socket
+import socketserver
 import subprocess
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -819,15 +822,41 @@ class TestSimulate:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("name", ["distribution.csv", "resolution.csv",
+                                      "comparison.txt"])
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys, name):
+        experiment = tmp_path / "exp.json"
+        experiment.write_text(json.dumps({
+            "pre": {"horizon_days": 2, "arrival_rate": 4, "roster_size": 3,
+                    "policy": "Manual"},
+            "post": {"horizon_days": 2, "arrival_rate": 4, "roster_size": 3},
+        }))
+        out = tmp_path / "result"
+        (out / name).mkdir(parents=True)  # a directory in the file's way
+        code = main(["simulate", "--experiment", str(experiment),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        assert captured.err.startswith(f"cannot write {out / name}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+#: The HTTP client stack and what it pulls in. Only the webhook sink uses
+#: it, and only once it delivers.
+HTTP_STACK = ("http.client", "urllib.request", "urllib.error", "email", "ssl")
 
 #: Imports the package and replays a log with `requests` blocked and,
-#: under `python -S`, no site-packages on the path at all.
+#: under `python -S`, no site-packages on the path at all; then prints
+#: which of the modules named after the log got loaded.
 STDLIB_ONLY = """
 import sys
 sys.modules["requests"] = None
 import dispatchbot
 from dispatchbot import cli
-sys.exit(cli.main(["replay", "--log", sys.argv[1], "--assert"]))
+code = cli.main(["replay", "--log", sys.argv[1], "--assert"])
+print("loaded:", *sorted(set(sys.argv[2:]) & set(sys.modules)))
+sys.exit(code)
 """
 
 
@@ -838,10 +867,12 @@ def test_runs_on_the_standard_library_alone(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-S", "-c", STDLIB_ONLY,
-         str(tmp_path / "SIM.events.ndjson")],
+         str(tmp_path / "SIM.events.ndjson"), *HTTP_STACK],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == EXIT_OK, done.stderr
     assert "consistency ok" in done.stdout
+    # A process with no webhook never loads the HTTP client.
+    assert done.stdout.splitlines()[-1] == "loaded:"
 
 
 #: Imports the package and every submodule, then prints the top-level
@@ -869,3 +900,89 @@ def test_imports_and_declares_only_the_standard_library():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+#: Delivers one message through a `WebhookSink` to the URL in argv[1] and
+#: prints its outcome; fails if the HTTP client loaded before that.
+WEBHOOK_CHILD = """
+import sys
+import dispatchbot.cli
+from dispatchbot.notify import PayloadRejected, SinkUnreachable, WebhookSink
+if "http.client" in sys.modules:
+    sys.exit("http.client loaded before the first delivery")
+wire = {"msg_id": "m000001", "team": "team1", "channel": "ChatA",
+        "kind": "Assignment", "ticket": "T1-1", "text": "hi",
+        "ts": "2025-01-06T09:00:00Z"}
+try:
+    WebhookSink(sys.argv[1], timeout=5).deliver(wire)
+except PayloadRejected:
+    print("rejected")
+except SinkUnreachable:
+    print("unreachable")
+else:
+    print("delivered")
+"""
+
+
+@pytest.fixture
+def loopback():
+    """A one-connection-at-a-time loopback server: it reads each request
+    in full and answers with the bytes in its `reply`, or closes the
+    connection unanswered when `reply` is empty."""
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            length = 0
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            self.server.bodies.append(self.rfile.read(length))
+            self.wfile.write(self.server.reply)
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
+    server.bodies, server.reply = [], b""
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def closed_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.mark.parametrize("reply, url, outcome", [
+    (b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n", None, "delivered"),
+    (b"HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n", None,
+     "rejected"),
+    (b"HTTP/1.0 503 Unavailable\r\nContent-Length: 0\r\n\r\n", None,
+     "unreachable"),
+    (b"", None, "unreachable"),  # closed before a status line
+    (b"HELLO\r\n\r\n", None, "unreachable"),  # no status line at all
+    (None, "closed-port", "unreachable"),
+    (None, "http://[::1/hook", "unreachable"),
+], ids=["200", "400", "503", "closed-early", "bad-status-line",
+        "closed-port", "malformed-url"])
+def test_webhook_loads_the_http_client_on_first_delivery(loopback, reply,
+                                                          url, outcome):
+    host, port = loopback.server_address
+    if reply is not None:
+        loopback.reply = reply
+        url = f"http://{host}:{port}/hook"
+    elif url == "closed-port":
+        url = f"http://127.0.0.1:{closed_port()}/hook"
+    src = str(Path(dispatchbot.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", WEBHOOK_CHILD, url],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.strip() == outcome
+    assert len(loopback.bodies) == (reply is not None)

@@ -58,21 +58,35 @@ def reminder(kind=ReminderKind.STUCK_STATE, index=2):
 
 class TestTemplates:
     def test_assignment_text(self):
-        assert assignment_text(decision()) == \
+        assert assignment_text(decision(), iso(at(0))) == \
             "ASSIGNED T1-42 -> e3 [RoundRobin] at 2025-01-06T09:00:00Z"
 
     def test_manual_reassignment_tag(self):
-        assert "[Manual]" in assignment_text(decision(policy="Manual"))
+        assert "[Manual]" in assignment_text(decision(policy="Manual"),
+                                             iso(at(0)))
 
     def test_state_change_text(self):
         text = state_change_text("T1-42", WorkflowState.WORK_IN_PROGRESS,
-                                 WorkflowState.BLOCKED, at(0))
+                                 WorkflowState.BLOCKED, iso(at(0)))
         assert text == \
             "STATE T1-42 WorkInProgress -> Blocked at 2025-01-06T09:00:00Z"
 
     def test_reminder_text(self):
         assert reminder_text(reminder(), iso(at(5))) == \
             "REMIND T1-42 StuckState #2 at 2025-01-06T14:00:00Z"
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """Every instant `notify` renders from now on, in order."""
+    instants = []
+
+    def counted_iso(instant):
+        instants.append(instant)
+        return iso(instant)
+
+    monkeypatch.setattr(notify, "iso", counted_iso)
+    return instants
 
 
 class TestRouting:
@@ -83,19 +97,37 @@ class TestRouting:
                                                 Channel.CHAT_B.value,
                                                 Channel.EMAIL.value]
 
-    def test_reminder_renders_its_instant_once(self, monkeypatch):
-        rendered = []
-
-        def counted_iso(instant):
-            rendered.append(instant)
-            return iso(instant)
-
-        monkeypatch.setattr(notify, "iso", counted_iso)
+    def test_reminder_renders_its_instant_once(self, rendered):
         msgs = route_reminder(reminder(), binding(), make_ids())
         assert rendered == [at(5)]
         assert {(m["text"], m["ts"]) for m in msgs} == {
             ("REMIND T1-42 StuckState #2 at 2025-01-06T14:00:00Z",
              "2025-01-06T14:00:00Z")}
+
+    def test_each_announcement_renders_its_instant_once(self, rendered,
+                                                        memory_runtime):
+        runtime = memory_runtime()
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.inject_ticket("T1-2", "r1", at(0))
+        assert rendered == []  # a Created record announces nothing
+        runtime.run_cycle(at(1))  # assigns T1-1 and T1-2
+        assert rendered == [at(1), at(1)]
+        runtime.reassign_ticket("T1-1", "e3", at(2))
+        assert rendered[2:] == [at(2)]
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(3), "e3")
+        assert rendered[3:] == [at(3)]
+        texts = [(m["text"], m["ts"]) for e in runtime.log.events
+                 for m in e.get("messages", ())]
+        assert texts == [
+            ("ASSIGNED T1-1 -> e1 [RoundRobin] at 2025-01-06T10:00:00Z",
+             "2025-01-06T10:00:00Z"),
+            ("ASSIGNED T1-2 -> e2 [RoundRobin] at 2025-01-06T10:00:00Z",
+             "2025-01-06T10:00:00Z"),
+            ("ASSIGNED T1-1 -> e3 [Manual] at 2025-01-06T11:00:00Z",
+             "2025-01-06T11:00:00Z"),
+            ("STATE T1-1 Backlog -> WorkInProgress at 2025-01-06T12:00:00Z",
+             "2025-01-06T12:00:00Z")]
 
     def test_two_channel_team(self):
         b = ChannelBinding("team1", {Channel.EMAIL: "out",
