@@ -20,15 +20,15 @@ resumes each reminder stream after its last sent index and flushes
 the outbox, which holds only pending messages; the fold maintains all
 three in the snapshot. Reminders are evaluated only for the tickets that
 changed since their last evaluation or whose next reminder boundary has
-passed, found through a next-due min-heap, with one stream pass per
-visited ticket giving both its due reminders and its next boundary. The
-schedule also keeps each visited open ticket's triggers, which depend
+passed, found through a min-heap of boundaries, with one stream pass per
+visited ticket giving both its due reminders and its next boundary. Each
+visited open ticket keeps one trigger entry: its triggers, which depend
 only on the ticket and the policy, so a visit to an unchanged ticket
-pays only for what depends on the instant. The cycle builds each
-reminder and delivery record in place and folds it directly. The
-reminder policy is configuration, not log state, so that schedule lives
-in the runtime rather than in the snapshot; a restart rebuilds it by
-evaluating every open ticket once.
+pays only for what depends on the instant, and its next boundary, which
+tells a live heap entry from a stale one. The cycle builds each reminder
+and delivery record in place and folds it directly. The reminder policy
+is configuration, not log state, so that schedule lives in the runtime;
+a restart rebuilds it by evaluating every open ticket once.
 """
 
 from __future__ import annotations
@@ -150,12 +150,15 @@ def load_team_config(path: str | Path) -> TeamConfig:
     messages collected into a single ConfigError.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"config file not found: {path}"])
-    if path.is_dir():
-        raise ConfigError([f"config file is a directory: {path}"])
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError([f"config file not found: {path}"])
+    except IsADirectoryError:
+        raise ConfigError([f"config file is a directory: {path}"])
+    except OSError as exc:
+        raise ConfigError([f"config file cannot be read ({exc.strerror}): "
+                           f"{path}"])
     except ValueError as exc:  # bad JSON, bad UTF-8, an oversized integer
         raise ConfigError([f"{path}: invalid JSON: {exc}"])
     return parse_team_config(raw)
@@ -405,15 +408,14 @@ class BoardRuntime:
 
         An open ticket whose reminders may be due is either touched
         (changed since its last visit) or has a live entry in the min-heap
-        of (next boundary, ticket id); `_next_due` holds each live entry's
-        instant, and an entry that disagrees with it is stale. `_triggers`
-        holds each visited open ticket's `due_reminders` trigger entry.
-        Derived from the log and the policy alone, so a restart rebuilds
-        it by touching every open ticket.
+        of (next boundary, ticket id): one whose instant is the last slot
+        of the ticket's `due_reminders` trigger entry in `_triggers`. A
+        pop sets that slot to None, so any other copy is stale. Derived
+        from the log and the policy alone, so a restart rebuilds it by
+        touching every open ticket.
         """
         self._touched: set[str] = set(self.snapshot.open_tickets)
         self._due_heap: list[tuple[datetime, str]] = []
-        self._next_due: dict[str, datetime] = {}
         self._triggers: dict[str, list] = {}
 
     # -- event plumbing ----------------------------------------------------
@@ -619,12 +621,13 @@ class BoardRuntime:
         strictly before `now`. Tickets assigned since the last cycle are
         skipped and stay touched for the next one."""
         policy = self.config.thresholds
-        heap, next_due = self._due_heap, self._next_due
+        heap, triggers = self._due_heap, self._triggers
         visit = self._touched
         while heap and heap[0][0] < now:
             instant, tid = heapq.heappop(heap)
-            if next_due.get(tid) == instant:
-                del next_due[tid]
+            entry = triggers.get(tid)
+            if entry is not None and entry[6] == instant:
+                entry[6] = None  # a second copy of this entry is stale
                 visit.add(tid)
         self._touched = set(self._assigned)
         visit -= self._assigned
@@ -633,14 +636,12 @@ class BoardRuntime:
             if tid in open_tickets:
                 tickets.append(self.snapshot.tickets[tid])
             else:
-                next_due.pop(tid, None)
-                self._triggers.pop(tid, None)
-        # One pass per ticket gives both its due reminders and its next
-        # boundary; committing a reminder changes neither.
-        boundaries: dict[str, datetime] = {}
+                triggers.pop(tid, None)
+        # One pass per ticket gives its due reminders and, in its entry,
+        # its next boundary; committing a reminder changes neither.
         reminders = due_reminders(tickets, now, policy,
-                                  self.snapshot.reminder_ledger, boundaries,
-                                  self._triggers)
+                                  self.snapshot.reminder_ledger,
+                                  triggers=triggers)
         if reminders:
             snapshot, ts, board = self.snapshot, iso(now), self.config.board_id
             binding, make_id = self.config.binding, self._cycle_ids()
@@ -657,10 +658,10 @@ class BoardRuntime:
                 fold_event(snapshot, event)
                 records.append(event)
             report.reminders_sent += len(reminders)
-        for tid, instant in boundaries.items():
-            if next_due.get(tid) != instant:
-                next_due[tid] = instant
-                heapq.heappush(heap, (instant, tid))
+        # Each visited ticket's earlier heap entry is stale: its boundary
+        # was handed out, or the ticket changed and got a new entry.
+        for ticket in tickets:
+            heapq.heappush(heap, (triggers[ticket.id][6], ticket.id))
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
         """Attempt each pending message once, then append the delivery

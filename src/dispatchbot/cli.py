@@ -60,13 +60,12 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _unreadable(path: Path, what: str) -> str | None:
-    """Why the file `what` at `path` cannot be read, or None."""
-    if not path.exists():
-        return f"{what} not found: {path}"
-    if path.is_dir():
-        return f"{what} is a directory: {path}"
-    return None
+def _unreadable(path: Path, what: str, exc: OSError) -> int:
+    """Say why the file `what` at `path` could not be read: exit 1."""
+    why = ("not found" if isinstance(exc, FileNotFoundError) else
+           "is a directory" if isinstance(exc, IsADirectoryError) else
+           f"cannot be read ({exc.strerror or exc})")
+    return _fail(EXIT_VALIDATION, f"{what} {why}: {path}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -84,10 +83,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     created = []
     if args.board:
         board_path = Path(args.board)
-        if (problem := _unreadable(board_path, "board fixture")) is not None:
-            return _fail(EXIT_VALIDATION, problem)
         try:
             created = _read_fixture(board_path)
+        except OSError as exc:
+            return _unreadable(board_path, "board fixture", exc)
         except (CorruptRecordError, ValueError) as exc:
             return _fail(EXIT_VALIDATION, f"board fixture: {exc}")
 
@@ -148,8 +147,6 @@ def _inject_fixture(runtime: BoardRuntime, created: list[dict]) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.experiment:
         path = Path(args.experiment)
-        if (problem := _unreadable(path, "experiment config")) is not None:
-            return _fail(EXIT_VALIDATION, problem)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
@@ -159,6 +156,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 raw.setdefault("post", {})["seed"] = args.seed
             pre = SimConfig.from_dict(raw["pre"])
             post = SimConfig.from_dict(raw["post"])
+        except OSError as exc:
+            return _unreadable(path, "experiment config", exc)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             return _fail(EXIT_VALIDATION, f"experiment config: {exc}")
     else:
@@ -190,11 +189,11 @@ def _replay_log(log: str, tap=None) -> BoardSnapshot | int:
     saying on stderr why there is none. The records stream from the file
     through `tap`, if given, into the fold."""
     path = Path(log)
-    if (problem := _unreadable(path, "event log")) is not None:
-        return _fail(EXIT_VALIDATION, problem)
     try:
         with closing(iter_event_log(path)) as records:
             return replay(records if tap is None else tap(records))
+    except OSError as exc:
+        return _unreadable(path, "event log", exc)
     except REPLAY_ERRORS as exc:
         return _fail(EXIT_RUNTIME, f"{path}: {exc}")
 

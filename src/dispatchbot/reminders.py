@@ -109,17 +109,17 @@ class Reminder(NamedTuple):
 def _triggers(ticket: Ticket, policy: ThresholdPolicy) -> list:
     """A trigger entry for an open `ticket` under `policy`:
     `[ticket, policy, stuck trigger, SLA-warning trigger, recipients,
-    breach recipients]`. Neither trigger depends on the instant, so the
-    entry holds for as long as the ticket and the policy are these very
-    objects. The two recipient tuples are None until a reminder of the
-    ticket falls due (see `due_reminders`)."""
+    breach recipients, next boundary]`. Neither trigger depends on the
+    instant, so the entry holds for as long as the ticket and the policy
+    are these very objects. The other slots are None until
+    `due_reminders` fills them in."""
     deadline = ticket.sla_deadline
     return [ticket, policy,
             ((ticket.state_entered_at or ticket.created_at)
              + policy._thresholds[ticket.state][ticket.priority]),
             deadline - policy.sla_warning_fraction * (deadline
                                                       - ticket.created_at),
-            None, None]
+            None, None, None]
 
 
 def _evaluate(ticket: Ticket, now: datetime, policy: ThresholdPolicy,
@@ -202,7 +202,7 @@ def due_reminders(
     now: datetime,
     policy: ThresholdPolicy,
     already_sent: Mapping[tuple[str, str], int],
-    next_due: dict[str, datetime] | None = None,
+    *,
     triggers: dict[str, list] | None = None,
 ) -> list[Reminder]:
     """Reminders triggered at `now` past the last index `already_sent`
@@ -211,14 +211,13 @@ def due_reminders(
     its new reminders. Idempotent: with an updated ledger, a repeat call
     at the same instant emits nothing.
 
-    Given `next_due`, it also maps each open ticket's id to its next
-    reminder boundary (see `_evaluate`), from the same single pass.
-
     Given `triggers`, a map the caller keeps from ticket id to its
     `_triggers` entry, it reuses each entry made from the very ticket
     and policy objects it is handed, and replaces any other. A ticket is
     immutable and a changed one is a new object, so the outcome is the
-    one a fresh entry gives.
+    one a fresh entry gives. Each open ticket's entry also takes, in its
+    last slot, the ticket's next reminder boundary (see `_evaluate`),
+    from the same single pass.
     """
     out: list[Reminder] = []
     if triggers is None:
@@ -230,9 +229,7 @@ def due_reminders(
         entry = triggers.get(tid)
         if entry is None or entry[0] is not t or entry[1] is not policy:
             entry = triggers[tid] = _triggers(t, policy)
-        counts, boundary = _evaluate(t, now, policy, entry)
-        if next_due is not None:
-            next_due[tid] = boundary
+        counts, entry[6] = _evaluate(t, now, policy, entry)
         for (kind, value, slot), count in zip(_STREAMS, counts):
             if not count:
                 continue

@@ -614,10 +614,10 @@ class TestReminderSchedule:
         """Record the ticket ids each cycle hands to `due_reminders`."""
         scanned = []
 
-        def due(tickets, now, policy, ledger, next_due=None, triggers=None):
+        def due(tickets, now, policy, ledger, *, triggers=None):
             scanned.append([t.id for t in tickets])
-            return due_reminders(tickets, now, policy, ledger, next_due,
-                                 triggers)
+            return due_reminders(tickets, now, policy, ledger,
+                                 triggers=triggers)
 
         monkeypatch.setattr(board, "due_reminders", due)
         return scanned
@@ -656,17 +656,31 @@ class TestReminderSchedule:
         runtime = memory_runtime(team_config(
             thresholds=ThresholdPolicy(team_id="team1")))
         scanned = self.spy(monkeypatch)
-        runtime.inject_ticket("T1-1", "r1", at(0), sla_deadline=at(1000))
+        tids = ["T1-1", "T1-2", "T1-3", "T1-4"]
+        for tid in tids:
+            runtime.inject_ticket(tid, "r1", at(0), sla_deadline=at(1000))
         runtime.run_cycle(at(1))  # assigned: skipped, visited next cycle
-        runtime.apply_external_transition(
-            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
-        runtime.apply_external_transition(
-            "T1-1", WorkflowState.BLOCKED, at(3), "e1")
+        for tid in tids:
+            runtime.apply_external_transition(
+                tid, WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
+            runtime.apply_external_transition(
+                tid, WorkflowState.BLOCKED, at(3), "e1")
         runtime.run_cycle(at(4))
+        # Between cycles T1-2 changes hands, which leaves its boundary
+        # where it was, T1-3 closes before its boundary passes, and T1-4
+        # goes back to work, which moves its boundary past the old one.
+        runtime.reassign_ticket("T1-2", "e3", at(5))
+        runtime.apply_external_transition(
+            "T1-3", WorkflowState.DONE, at(5), "e1")
+        runtime.apply_external_transition(
+            "T1-4", WorkflowState.WORK_IN_PROGRESS, at(5), "e1")
+        runtime.run_cycle(at(6))
         # Blocked for 72 h: the stuck stream's boundary is at(3 + 72).
         assert runtime.run_cycle(at(3 + 72)).reminders_sent == 0
-        assert runtime.run_cycle(at(3 + 72, seconds=1)).reminders_sent == 1
-        assert scanned == [[], ["T1-1"], [], ["T1-1"]]
+        assert runtime.run_cycle(at(3 + 72, seconds=1)).reminders_sent == 2
+        runtime.run_cycle(at(3 + 72, seconds=2))
+        assert scanned == [[], tids, ["T1-2", "T1-4"], [], ["T1-1", "T1-2"],
+                           []]
 
     def test_reopen_from_done_restarts_the_stuck_stream(self,
                                                         memory_runtime,

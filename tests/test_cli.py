@@ -347,6 +347,39 @@ def test_path_naming_a_directory_is_validation_error(team_files, tmp_path,
     assert capsys.readouterr().err == message.format(**paths) + "\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--experiment", "{file}", "--out", "{out}"],
+     "experiment config cannot be read (Permission denied): {file}"),
+    (["run", "--config", "{file}", "--out", "{out}"],
+     "config error: config file cannot be read (Permission denied): {file}"),
+    (["run", "--config", "{config}", "--board", "{file}", "--out", "{out}"],
+     "board fixture cannot be read (Permission denied): {file}"),
+    (["report", "--log", "{file}"],
+     "event log cannot be read (Permission denied): {file}"),
+    (["replay", "--log", "{file}"],
+     "event log cannot be read (Permission denied): {file}"),
+], ids=["simulate-experiment", "run-config", "run-board", "report-log",
+        "replay-log"])
+def test_unreadable_file_is_validation_error(team_files, tmp_path, capsys,
+                                             monkeypatch, argv, message):
+    # Root reads a file whatever its mode, so the refusal is injected.
+    config, _, out = team_files
+    locked = tmp_path / "locked"
+    locked.write_text("{}\n")
+    real_open = Path.open
+
+    def refusing_open(path, *args, **kwargs):
+        if path == locked:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refusing_open)
+    paths = {"file": locked, "out": out, "config": config}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == message.format(**paths) + "\n"
+    assert not out.exists()
+
+
 #: A first log line for the records that need a known ticket.
 CREATED = ('{"seq":1,"ts":"2025-01-06T09:00:00Z","board":"T1",'
            '"kind":"Created","ticket":"T1-1","reporter":"r1"}\n')

@@ -395,13 +395,14 @@ class TestSinglePass:
             st.tuples(st.sampled_from([t.id for t in tickets]),
                       st.sampled_from([k.value for k in ReminderKind])),
             st.integers(0, 6)))
-        next_due = {}
-        assert due_reminders(tickets, now, policy, ledger, next_due) == \
+        entries = {}
+        assert due_reminders(tickets, now, policy, ledger,
+                             triggers=entries) == \
             reference_due_reminders(tickets, now, policy, ledger)
-        assert next_due == {t.id: reference_next_reminder_at(t, now, policy)
-                            for t in tickets}
+        assert {tid: entry[6] for tid, entry in entries.items()} == \
+            {t.id: reference_next_reminder_at(t, now, policy) for t in tickets}
         for t in tickets:
-            assert reminders._evaluate(t, now, policy)[1] == next_due[t.id]
+            assert reminders._evaluate(t, now, policy)[1] == entries[t.id][6]
 
 
 # The stream arithmetic as it was written before its three streams were
@@ -529,13 +530,13 @@ class TestTriggerCache:
             under = data.draw(st.sampled_from([policy, copy.copy(policy)])
                               | policies())
             due_reminders([other], at(seconds=data.draw(
-                st.integers(0, 500 * HOUR))), under, {}, None, cache)
+                st.integers(0, 500 * HOUR))), under, {}, triggers=cache)
         ledger = data.draw(st.dictionaries(
             st.sampled_from([(t.id, k.value) for k in ReminderKind]),
             st.integers(0, 6)))
-        next_due, expected_due = {}, {}
-        assert due_reminders([t], now, policy, ledger, next_due, cache) == \
-            due_reminders([t], now, policy, ledger, expected_due)
-        assert next_due == expected_due
+        expected = {}
+        assert due_reminders([t], now, policy, ledger, triggers=cache) == \
+            due_reminders([t], now, policy, ledger, triggers=expected)
         entry = cache[t.id]
+        assert entry[6] == expected[t.id][6]
         assert entry[0] is t and entry[1] is policy
