@@ -5,14 +5,17 @@ One BoardRuntime owns one board: its snapshot, event log, cursor, reminder
 ledger and outbox. A person assigns only through `reassign_ticket`, and
 under the Manual policy the cycle assigns nothing. Every record is folded
 into the live snapshot before it reaches the log. An outside command
-appends its one record at once; a cycle folds each record as it makes it
-and appends its assignment and reminder records in one call before any
-sink sees a message, then its delivery records in a second, each also
-when its phase raises, so the log holds every record folded before the
-error and a message id a sink has seen is always logged. The fold is all
-or nothing, so a rejected record leaves both untouched, and a failed
-append rebuilds the snapshot, and the reminder schedule with it, from the
-log: live state and replay never diverge.
+appends its one record at once; a cycle folds each assignment and
+reminder record as it makes it and appends them in one call before any
+sink sees a message. It then attempts every pending message and closes
+the sinks, where the file sink writes its queued lines, and only then
+folds its delivery records and appends them in a second call. Each
+append happens also when its phase raises, so the log holds every record
+folded before the error, a message id a sink has seen is always logged
+and a logged delivery's line is on disk first. The fold is all or
+nothing, so a rejected record leaves both untouched, and a failed append
+rebuilds the snapshot, and the reminder schedule with it, from the log:
+live state and replay never diverge.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
@@ -77,6 +80,7 @@ from .notify import (
     announce_state_change,
     attempt_delivery,
     check_endpoint,
+    failed_attempt,
     route_reminder,
     sink_for_endpoint,
 )
@@ -251,6 +255,9 @@ def parse_team_config(raw) -> TeamConfig:
             errors.append(f"channels: endpoint for {name} must be a string, "
                           f"got {endpoint!r}")
             continue
+        if not endpoint:
+            # A file sink would write into the working directory.
+            errors.append(f"channels: endpoint for {name} is empty")
         try:
             check_endpoint(endpoint)
         except ValueError as exc:
@@ -560,13 +567,14 @@ class BoardRuntime:
         the outbox through the sinks, and flush the log. Sink failures
         never abort the cycle.
 
-        Each record is folded into the snapshot as it is made. The
-        assignment and reminder records reach the log, and its file, in
-        one append before any sink sees a message, so a message id a sink
-        has seen is never given to another message. The delivery records
-        follow in a second append. Each append happens also when its
-        phase raises: the log then holds every record folded before the
-        error.
+        Each assignment and reminder record is folded into the snapshot
+        as it is made. They reach the log, and its file, in one append
+        before any sink sees a message, so a message id a sink has seen is
+        never given to another message. The delivery records are folded
+        after the sinks close, when every file sink has written its
+        lines, and follow in a second append. Each append happens also
+        when its phase raises: the log then holds every record folded
+        before the error.
         """
         report = CycleReport(now=now)
         announced: list[dict] = []
@@ -664,40 +672,67 @@ class BoardRuntime:
             heapq.heappush(heap, (triggers[ticket.id][6], ticket.id))
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
-        """Attempt each pending message once, then append the delivery
-        records in one call, also when a sink raises."""
+        """Attempt each pending message once, close the sinks, then fold
+        the delivery records and append them in one call, also when a
+        sink raises.
+
+        Pass 1 attempts every pending message and builds its record. The
+        sinks are then closed, each once: a sink that writes at `close`
+        (`FileSink`) returns the ids it could not write. Pass 2 turns each
+        of those into a failed attempt and folds the records in outbox
+        order, so a logged delivery's line is on disk first. A close that
+        raises settles nothing: every message stays pending and is
+        attempted again.
+        """
         snapshot = self.snapshot
         outbox = snapshot.outbox
         if not outbox:
             return
         ts, board = iso(now), self.config.board_id
+        sinks, max_retries = self.sinks, self.config.max_retries
+        retries_of = snapshot.retries
+        seq = start = snapshot.watermark
         records: list[dict] = []
         try:
-            # Each settling record removes its message from the outbox.
             # A Channel is a str Enum: the wire's value finds its sink.
-            for msg_id, wire in list(outbox.items()):
+            for msg_id, wire in outbox.items():
                 state, retries, terminal = attempt_delivery(
-                    wire, snapshot.retries.get(msg_id, 0),
-                    self.sinks.get(wire["channel"]),
-                    self.config.max_retries)
+                    wire, retries_of.get(msg_id, 0),
+                    sinks.get(wire["channel"]), max_retries)
                 # Delivery records change no ticket: no `_fold` bookkeeping.
-                event = {"seq": snapshot.watermark + 1, "ts": ts,
-                         "board": board, "kind": KIND_MESSAGE_DELIVERED,
-                         "msg_id": msg_id, "state": state,
-                         "retries": retries, "terminal": terminal}
-                fold_event(snapshot, event)
-                records.append(event)
+                seq += 1
+                records.append({"seq": seq, "ts": ts, "board": board,
+                                "kind": KIND_MESSAGE_DELIVERED,
+                                "msg_id": msg_id, "state": state,
+                                "retries": retries, "terminal": terminal})
                 if state == STATE_DELIVERED:
                     report.messages_delivered += 1
                 else:
                     report.messages_failed += 1
         finally:
+            unwritten = set()
+            # Sinks that hold resources for one flush, each once.
+            for sink in set(sinks.values()):
+                if hasattr(sink, "close"):
+                    unwritten.update(sink.close() or ())
+            if unwritten:
+                for event in records:
+                    if (event["msg_id"] in unwritten
+                            and event["state"] == STATE_DELIVERED):
+                        (event["state"], event["retries"],
+                         event["terminal"]) = failed_attempt(
+                            event["retries"], max_retries)
+                        report.messages_delivered -= 1
+                        report.messages_failed += 1
             try:
-                # Sinks that hold resources for one flush, each once.
-                for sink in set(self.sinks.values()):
-                    if hasattr(sink, "close"):
-                        sink.close()
+                # Each settling record removes its message from the outbox.
+                for event in records:
+                    fold_event(snapshot, event)
+            except BaseException:
+                # The fold is all or nothing: the watermark counts the
+                # records folded, and only those reach the log.
+                del records[snapshot.watermark - start:]
+                raise
             finally:
-                # After the close: a logged delivery's line is written.
                 if records:
                     self._append(records)

@@ -4,7 +4,8 @@ Channels are abstract (ChatA / ChatB / Email); a binding maps each enabled
 channel to an endpoint descriptor, either a file path (append one JSON
 object per line) or an http(s) webhook URL (POST the same object).
 Delivery is at-least-once with idempotent message ids; dedup is the
-receiver's concern. `attempt_delivery` is the one retry/terminal rule.
+receiver's concern. `attempt_delivery` and `failed_attempt` are the one
+retry/terminal rule.
 Importing this module loads no HTTP client: `WebhookSink` imports the
 stdlib one on its first delivery, and `check_endpoint` needs only
 `urllib.parse`.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, TextIO
+from typing import Protocol
 
 from .assignment import AssignmentDecision
 from .reminders import REMINDER_KIND_VALUE, Reminder
@@ -183,58 +184,63 @@ class PayloadRejected(Exception):
 
 
 class Sink(Protocol):
+    """A sink delivers each wire it is handed. It may also have a
+    `close()`, which the board calls once per outbox flush, after every
+    attempt and before any delivery is logged; `close` returns the msg ids
+    it could not write, each of which counts as a failed attempt (`None`
+    means none)."""
+
     def deliver(self, wire: dict) -> None: ...
 
 
 class FileSink:
     """Appends one JSON object per line to `<dir>/<channel>.ndjson`.
 
-    A channel file is opened on the first delivery to it and stays open
-    until `close`, which the board calls at the end of every outbox flush,
-    so no handle outlives a flush. Each line is flushed to the OS before
-    `deliver` returns, that is, before its delivery is logged.
+    `deliver` only encodes the wire and queues its line under its
+    channel. `close`, which the board calls at the end of every outbox
+    flush, writes each channel's queued lines with one open, one write and
+    one close, and returns the msg ids of every line queued for a channel
+    it could not write; no handle outlives a flush. A delivery to a file
+    sink is therefore final only once `close` has written its line.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self._files: dict[str, TextIO] = {}
+        #: channel -> (queued lines, their msg ids), in delivery order.
+        self._queued: dict[str, tuple[list[str], list[str]]] = {}
 
     def deliver(self, wire: dict) -> None:
-        line = compact_json(wire) + "\n"
-        channel = wire["channel"]
-        fh = self._files.get(channel)
-        try:
-            if fh is None:
-                path = self.directory / f"{channel}.ndjson"
+        line = compact_json(wire)
+        queue = self._queued.get(wire["channel"])
+        if queue is None:
+            queue = self._queued[wire["channel"]] = ([], [])
+        queue[0].append(line)
+        queue[1].append(wire["msg_id"])
+
+    def close(self) -> list[str]:
+        """Write every queued line; return the msg ids of the lines queued
+        for each channel whose open, write or close failed. A failed write
+        may leave a partial line."""
+        queued, self._queued = self._queued, {}
+        failed: list[str] = []
+        for channel, (lines, msg_ids) in queued.items():
+            # `compact_json` escapes every non-ASCII character.
+            data = ("\n".join(lines) + "\n").encode("ascii")
+            path = self.directory / f"{channel}.ndjson"
+            try:
                 try:
-                    fh = path.open("a", encoding="utf-8")
+                    fh = path.open("ab")
                 except FileNotFoundError:
                     # The directory is new, or was deleted: make it.
                     self.directory.mkdir(parents=True, exist_ok=True)
-                    fh = path.open("a", encoding="utf-8")
-                self._files[channel] = fh
-            fh.write(line)
-            fh.flush()
-        except OSError as exc:
-            # The next attempt reopens the file through a fresh handle.
-            if fh is not None:
-                self._close(self._files.pop(channel))
-            raise SinkUnreachable(str(exc)) from exc
-
-    def close(self) -> None:
-        """Close every open channel file."""
-        files, self._files = self._files, {}
-        for fh in files.values():
-            self._close(fh)
-
-    @staticmethod
-    def _close(fh: TextIO) -> None:
-        # Every delivered line is already flushed; a failing close loses
-        # nothing and must not abort the cycle.
-        try:
-            fh.close()
-        except OSError:
-            pass
+                    fh = path.open("ab")
+                try:
+                    fh.write(data)
+                finally:
+                    fh.close()
+            except OSError:
+                failed += msg_ids
+        return failed
 
 
 class WebhookSink:
@@ -300,14 +306,24 @@ def sink_for_endpoint(descriptor: str) -> Sink:
     return FileSink(descriptor)
 
 
+def failed_attempt(retries: int,
+                   max_retries: int) -> tuple[str, int, bool]:
+    """The (state, retries, terminal) of a transient failure of a message
+    whose earlier attempts failed `retries` times: terminal once
+    max_retries attempts have failed."""
+    retries += 1
+    return STATE_FAILED, retries, retries >= max_retries
+
+
 def attempt_delivery(wire: dict, retries: int, sink: Sink | None,
                      max_retries: int) -> tuple[str, int, bool]:
     """Try once to deliver a pending message whose earlier attempts failed
     `retries` times; return its new (state, retries, terminal).
 
-    A missing sink counts as unreachable. Transient failures increment the
-    retry count and become terminal once max_retries attempts have failed;
-    rejections are terminal immediately.
+    A missing sink counts as unreachable. Transient failures go through
+    `failed_attempt`; rejections are terminal immediately. For a sink
+    with a `close`, "delivered" is final only once `close` has not
+    returned the message's id (see `Sink`).
     """
     try:
         if sink is None:
@@ -316,6 +332,5 @@ def attempt_delivery(wire: dict, retries: int, sink: Sink | None,
     except PayloadRejected:
         return STATE_FAILED, retries + 1, True
     except SinkUnreachable:
-        retries += 1
-        return STATE_FAILED, retries, retries >= max_retries
+        return failed_attempt(retries, max_retries)
     return STATE_DELIVERED, retries, False

@@ -181,6 +181,12 @@ class TestTeamConfig:
         assert err.value.errors == [
             f"channels: endpoint for Email must be a string, got {endpoint!r}"]
 
+    def test_empty_endpoint_is_field_error(self):
+        doc = dict(CONFIG_DOC, channels={"ChatA": "", "Email": "out"})
+        with pytest.raises(ConfigError) as err:
+            parse_team_config(doc)
+        assert err.value.errors == ["channels: endpoint for ChatA is empty"]
+
     def test_webhook_urls_with_a_host_load(self):
         channels = {"ChatA": "https://hooks.example/a",
                     "ChatB": "http://127.0.0.1:8080/b", "Email": "out/mail"}
@@ -454,6 +460,58 @@ def test_each_sink_closed_once_per_flush(memory_runtime):
     assert closed == [shared] and len(shared.delivered) == 1
     runtime.run_cycle(at(2))  # nothing pending: no flush, no close
     assert closed == [shared]
+
+
+def test_ids_a_close_returns_are_failed_attempts(memory_runtime):
+    """Each msg id a sink's `close` returns counts as a transient failure
+    of that message, under the one retry rule; `None` means none."""
+
+    class UnwrittenSink(MemorySink):
+        def __init__(self, unwritten):
+            super().__init__()
+            self.unwritten = unwritten
+
+        def close(self):
+            return self.unwritten.pop(0) if self.unwritten else None
+
+    runtime = memory_runtime()  # max_retries 3
+    sink = UnwrittenSink([["m000001"], ["m000001", "m000002"]])
+    runtime.sinks = {c: sink for c in runtime.sinks}
+    runtime.inject_ticket("T1-1", "r1", at(0))
+    outcomes = []
+    for hour in (1, 2, 3):
+        report = runtime.run_cycle(at(hour))
+        outcomes.append((report.messages_delivered, report.messages_failed))
+        assert replay(runtime.log.events) == runtime.snapshot
+    # m000002 was never attempted: a sink cannot fail a message it was
+    # not handed this flush.
+    assert outcomes == [(0, 1), (0, 1), (1, 0)]
+    assert [(e["state"], e["retries"], e["terminal"])
+            for e in delivery_records(runtime)] == [
+        ("Failed", 1, False), ("Failed", 2, False), ("Delivered", 2, False)]
+
+
+def test_a_raising_close_settles_nothing(memory_runtime):
+    """When a sink's `close` raises, whether it wrote its messages is
+    unknown: the flush logs no delivery and every message stays pending,
+    to be attempted again."""
+
+    class BrokenClose(MemorySink):
+        def close(self):
+            raise RuntimeError("close bug")
+
+    runtime = memory_runtime()
+    runtime.sinks = {c: BrokenClose() for c in runtime.sinks}
+    runtime.inject_ticket("T1-1", "r1", at(0))
+    with pytest.raises(RuntimeError):
+        runtime.run_cycle(at(1))
+    assert delivery_records(runtime) == []
+    assert list(runtime.snapshot.outbox) == ["m000001"]
+    assert replay(runtime.log.events) == runtime.snapshot
+    sink = MemorySink()
+    runtime.sinks = {c: sink for c in runtime.sinks}
+    assert runtime.run_cycle(at(2)).messages_delivered == 1
+    assert [w["msg_id"] for w in sink.delivered] == ["m000001"]
 
 
 class TestPendingOutbox:
@@ -901,6 +959,49 @@ class TestCycleAppend:
         assert (log.calls, len(log.events)) == (6, 6 + 2 + 6)
         assert [e["seq"] for e in log.events] == list(range(1, 15))
         assert replay(log.events) == board.snapshot
+
+    def test_a_sink_raising_mid_flush_logs_the_attempts_before_it(self):
+        # The flush's second attempt raises: the first message's delivery
+        # is still folded and logged, and the second stays pending.
+        sink, config = BrokenSink(fail_at=2), team_config()
+        runtime = BoardRuntime(
+            config, log=CountingLog(),
+            sinks={c: sink for c in config.binding.endpoints})
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.inject_ticket("T1-2", "r1", at(0, seconds=1))
+        with pytest.raises(RuntimeError):
+            runtime.run_cycle(at(1))
+        assert [(e["msg_id"], e["state"]) for e in
+                delivery_records(runtime)] == [("m000001", "Delivered")]
+        assert list(runtime.snapshot.outbox) == ["m000002"]
+        assert replay(runtime.log.events) == runtime.snapshot
+
+    def test_a_rejected_delivery_fold_logs_only_the_folds_before_it(
+            self, monkeypatch):
+        # The flush's second delivery record is rejected by the fold: the
+        # first is folded and logged, the second is neither.
+        fold, folds = board.fold_event, []
+
+        def second_delivery_rejected(snapshot, event):
+            if event["kind"] == "MessageDelivered":
+                folds.append(event["msg_id"])
+                if len(folds) == 2:
+                    raise ValueError("rejected")
+            fold(snapshot, event)
+
+        monkeypatch.setattr(board, "fold_event", second_delivery_rejected)
+        sink, config = MemorySink(), team_config()
+        runtime = BoardRuntime(
+            config, log=CountingLog(),
+            sinks={c: sink for c in config.binding.endpoints})
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        runtime.inject_ticket("T1-2", "r1", at(0, seconds=1))
+        with pytest.raises(ValueError):
+            runtime.run_cycle(at(1))
+        assert [e["msg_id"] for e in delivery_records(runtime)] == \
+            ["m000001"]
+        assert list(runtime.snapshot.outbox) == ["m000002"]
+        assert replay(runtime.log.events) == runtime.snapshot
 
     def test_a_failed_announcement_append_delivers_nothing(self):
         # The 10:00 cycle cannot log its assignment, so no sink may see

@@ -174,6 +174,18 @@ class TestRun:
                 f"string, got {endpoint!r}") in capsys.readouterr().err
         assert not (tmp_path / str(endpoint)).exists()
 
+    def test_empty_endpoint_is_validation_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "team.json"
+        bad.write_text(json.dumps(dict(TEAM_DOC, channels={"ChatA": ""})))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path),
+                     "--now", "2025-01-06T10:00:00Z"])
+        assert code == EXIT_VALIDATION
+        assert ("config error: channels: endpoint for ChatA is empty"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ChatA.ndjson").exists()
+
     def test_bad_now_is_validation_error(self, team_files, capsys):
         config, board, out = team_files
         code = main(["run", "--config", str(config), "--board", str(board),

@@ -269,8 +269,9 @@ class TestDelivery:
         assert attempt_delivery(message(), 0, None, 1) == ("Failed", 1, True)
 
     def test_file_sink_os_error_fails_the_message(self, tmp_path, flush):
-        # The sink directory sits under a regular file: `mkdir` fails with
-        # NotADirectoryError, the cycle completes and the message retries.
+        # The sink directory sits under a regular file: opening the channel
+        # file at `close` fails with NotADirectoryError, the cycle
+        # completes and the message retries.
         (tmp_path / "plain").write_text("")
         outcomes = flush(FileSink(tmp_path / "plain" / "channels"), 1)
         assert outcomes == [("Failed", 1, False)]
@@ -392,6 +393,67 @@ def opened(monkeypatch):
     return handles
 
 
+class ChannelFiles:
+    """What the `channel_files` fixture saw: the file name of every
+    `Path.open`, each binary-append handle it wrapped, the file name of
+    each write through one, and the file names whose writes fail."""
+
+    def __init__(self):
+        self.opens: list[str] = []
+        self.handles: list = []
+        self.writes: list[str] = []
+        self.failing: set[str] = set()
+
+
+@pytest.fixture
+def channel_files(monkeypatch):
+    """Wrap each handle `Path.open` hands out in the file sink's mode,
+    binary append, so its writes are counted and can fail with ENOSPC."""
+    inner = pathlib.Path.open
+    files = ChannelFiles()
+
+    class SpyFile:
+        def __init__(self, name, fh):
+            self.name, self.fh = name, fh
+
+        def write(self, data):
+            files.writes.append(self.name)
+            if self.name in files.failing:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        files.opens.append(path.name)
+        fh = inner(path, mode, *args, **kwargs)
+        if mode != "ab":
+            return fh
+        files.handles.append(SpyFile(path.name, fh))
+        return files.handles[-1]
+
+    monkeypatch.setattr(pathlib.Path, "open", spy_open)
+    return files
+
+
+def checking_log(directory, seen: list[str]) -> EventLog:
+    """An in-memory log that asserts each delivery's line is in its
+    channel file under `directory` when the delivery is appended, and
+    collects the delivered msg ids in `seen`."""
+
+    class CheckingLog(EventLog):
+        def append(self, events):
+            for event in events:
+                if event.get("state") == "Delivered":
+                    on_disk = sum(channel_lines(directory).values(), [])
+                    assert event["msg_id"] in on_disk
+                    seen.append(event["msg_id"])
+            return super().append(events)
+
+    return CheckingLog()
+
+
 def file_runtime(directory, log=None):
     """A board whose three channels are files under `directory`, with
     sinks built from the endpoints as `dispatchbot run` builds them and
@@ -407,22 +469,24 @@ def file_runtime(directory, log=None):
 
 
 class TestFileSinkFlush:
-    """The file sink opens a channel file once per outbox flush and puts
-    each line on disk before its delivery is logged."""
+    """The file sink opens and writes a channel file once per outbox flush
+    and puts each line on disk before its delivery is logged."""
 
     def test_each_channel_file_opened_at_most_once_per_cycle(self, tmp_path,
-                                                             opened):
+                                                             channel_files):
         runtime = file_runtime(tmp_path)
         for i in range(3):
             runtime.inject_ticket(f"T1-{i}", "r1", at(0))
-        for hour in (1, 1.5):
-            del opened[:]
+        for hour, lines in ((1, 3), (1.5, 9)):
+            del channel_files.opens[:], channel_files.writes[:]
             report = runtime.run_cycle(at(hour))
-            names = [name for name, _ in opened]
+            assert report.messages_delivered == lines
+            names = channel_files.opens
             assert sorted(names) == sorted(set(names))
+            # One write per channel file, carrying all of its lines.
+            assert sorted(channel_files.writes) == sorted(names)
         # The second cycle sent stuck reminders to every channel.
         assert report.reminders_sent == 3
-        assert report.messages_delivered == 9
         assert sorted(names) == ["ChatA.ndjson", "ChatB.ndjson",
                                  "Email.ndjson"]
         lines = channel_lines(tmp_path)
@@ -433,22 +497,43 @@ class TestFileSinkFlush:
 
     def test_line_on_disk_before_its_delivery_is_logged(self, tmp_path):
         seen = []
-
-        class CheckingLog(EventLog):
-            def append(self, events):
-                for event in events:
-                    if event["kind"] == "MessageDelivered":
-                        on_disk = sum(channel_lines(tmp_path).values(), [])
-                        assert event["msg_id"] in on_disk
-                        seen.append(event["msg_id"])
-                return super().append(events)
-
-        runtime = file_runtime(tmp_path, log=CheckingLog())
+        runtime = file_runtime(tmp_path, log=checking_log(tmp_path, seen))
         for i in range(3):
             runtime.inject_ticket(f"T1-{i}", "r1", at(0))
         runtime.run_cycle(at(1))
         runtime.run_cycle(at(1.5))
         assert len(seen) == 12
+
+    def test_one_failing_channel_fails_only_its_own_lines(self, tmp_path,
+                                                          channel_files):
+        seen = []
+        runtime = file_runtime(tmp_path, log=checking_log(tmp_path, seen))
+        for i in range(3):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0))
+        runtime.run_cycle(at(1))
+        channel_files.failing.add("Email.ndjson")
+        report = runtime.run_cycle(at(1.5))
+        # The same flush delivers the reminders to ChatA and ChatB.
+        assert (report.messages_delivered, report.messages_failed) == (6, 3)
+        lines = channel_lines(tmp_path)
+        assert [len(lines[c]) for c in ("ChatA", "ChatB")] == [6, 3]
+        assert lines["Email"] == []
+        email = {e["msg_id"] for e in runtime.snapshot.outbox.values()
+                 if e["channel"] == "Email"}
+        assert len(email) == 3 and set(runtime.snapshot.retries) == email
+        for msg_id in email:
+            [record] = [e for e in runtime.log.events
+                        if e.get("msg_id") == msg_id and "state" in e]
+            assert (record["state"], record["retries"],
+                    record["terminal"]) == ("Failed", 1, False)
+        assert all(fh.closed for fh in channel_files.handles)
+
+        channel_files.failing.clear()
+        report = runtime.run_cycle(at(1.75))
+        assert (report.messages_delivered, report.messages_failed) == (3, 0)
+        assert sorted(channel_lines(tmp_path)["Email"]) == sorted(email)
+        assert len(seen) == 12 and not runtime.snapshot.outbox
+        assert replay(runtime.log.events) == runtime.snapshot
 
     def test_no_handle_outlives_a_cycle(self, tmp_path, opened,
                                         monkeypatch):
@@ -502,47 +587,32 @@ class TestFileSinkFlush:
             if e["kind"] == "MessageDelivered")
 
     def test_write_failure_retried_through_a_fresh_handle(self, tmp_path,
-                                                          monkeypatch):
-        inner = pathlib.Path.open
-        handles = []
-        #: One entry per write, across handles: True fails that write.
-        script = [False, True, False]
-
-        class FaultyFile:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, text):
-                if script and script.pop(0):
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return self.fh.write(text)
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-        def faulty_open(path, mode="r", *args, **kwargs):
-            fh = inner(path, mode, *args, **kwargs)
-            if mode != "a":
-                return fh
-            handles.append(FaultyFile(fh))
-            return handles[-1]
-
-        monkeypatch.setattr(pathlib.Path, "open", faulty_open)
+                                                          channel_files):
         runtime = file_runtime(tmp_path)
-        for i in range(1, 4):
-            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
-        report = runtime.run_cycle(at(0, seconds=10))
-        assert (report.messages_delivered, report.messages_failed) == (2, 1)
-        [failed] = [e for e in runtime.log.events
-                    if e.get("msg_id") == "m000002"]
-        assert (failed["state"], failed["retries"]) == ("Failed", 1)
-        # The failed handle was dropped: m000003 went through a new one.
-        assert len(handles) == 2 and all(fh.closed for fh in handles)
-        assert channel_lines(tmp_path) == {"ChatA": ["m000001", "m000003"]}
-
-        report = runtime.run_cycle(at(0, seconds=20))
+        runtime.inject_ticket("T1-1", "r1", at(0, seconds=1))
+        report = runtime.run_cycle(at(0, seconds=5))
         assert (report.messages_delivered, report.messages_failed) == (1, 0)
-        assert len(handles) == 3 and all(fh.closed for fh in handles)
+        for i in (2, 3):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i + 4))
+        channel_files.failing.add("ChatA.ndjson")
+        report = runtime.run_cycle(at(0, seconds=10))
+        # The failed write fails every message queued for its channel.
+        assert (report.messages_delivered, report.messages_failed) == (0, 2)
+        for msg_id in ("m000002", "m000003"):
+            [failed] = [e for e in runtime.log.events
+                        if e.get("msg_id") == msg_id and "state" in e]
+            assert (failed["state"], failed["retries"],
+                    failed["terminal"]) == ("Failed", 1, False)
+        assert len(channel_files.handles) == 2
+        assert all(fh.closed for fh in channel_files.handles)
+        assert channel_lines(tmp_path) == {"ChatA": ["m000001"]}
+
+        # The next cycle writes them all through a fresh handle.
+        channel_files.failing.clear()
+        report = runtime.run_cycle(at(0, seconds=20))
+        assert (report.messages_delivered, report.messages_failed) == (2, 0)
+        assert len(channel_files.handles) == 3
+        assert all(fh.closed for fh in channel_files.handles)
         assert channel_lines(tmp_path) == {
-            "ChatA": ["m000001", "m000003", "m000002"]}
+            "ChatA": ["m000001", "m000002", "m000003"]}
         assert replay(runtime.log.events) == runtime.snapshot

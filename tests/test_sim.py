@@ -33,6 +33,13 @@ from dispatchbot.workflow import WorkflowState
 
 SMALL = SimConfig(seed=11, horizon_days=4, arrival_rate=6, roster_size=3)
 
+#: A backlogged two-engineer desk whose reminders escalate.
+REMINDER_DESK = SimConfig(
+    seed=5, horizon_days=12, arrival_rate=12, roster_size=2,
+    service_median_hours=(6.0, 6.0), service_sigma=0.0, reassign_prob=0.2,
+    reminders_enabled=True, stuck_threshold_hours=8, reminder_period_hours=4,
+    cycle_period_hours=2)
+
 
 class TestTicketStream:
     def test_arrivals_only_on_business_days_in_window(self):
@@ -175,14 +182,9 @@ class TestRunSimulation:
         assert run.cycle_reports[0].now == SIM_EPOCH
 
     def test_reminder_log_is_pinned(self):
-        # A backlogged two-engineer desk whose reminders escalate: the
-        # sha256 of the bytes a file-backed log of its events would hold.
-        run = run_simulation(SimConfig(
-            seed=5, horizon_days=12, arrival_rate=12, roster_size=2,
-            service_median_hours=(6.0, 6.0), service_sigma=0.0,
-            reassign_prob=0.2, reminders_enabled=True,
-            stuck_threshold_hours=8, reminder_period_hours=4,
-            cycle_period_hours=2))
+        # The sha256 of the bytes a file-backed log of the reminder desk's
+        # events would hold.
+        run = run_simulation(REMINDER_DESK)
         kinds = Counter(e["reminder_kind"] for e in run.events
                         if e["kind"] == "ReminderSent")
         assert set(kinds) == {"StuckState", "SlaImminent", "SlaBreached"}
@@ -190,6 +192,25 @@ class TestRunSimulation:
         lines = "".join(encode_event(e) + "\n" for e in run.events)
         assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == \
             "88db418e26bd9ee2be65403a4c322c4d767e66685740c3c95e0fd7d122f86752"
+
+    def test_reminder_channel_files_are_pinned(self, tmp_path):
+        # The reminder desk run file-backed: the sha256 of `sha256sum`
+        # over the sorted output files, as `find . -type f | sort | xargs
+        # sha256sum | sha256sum` prints it from inside the directory. Its
+        # reminders fan out to a second channel file, which the stock
+        # listing does not cover.
+        run_simulation(REMINDER_DESK, tmp_path)
+        files = sorted((p for p in tmp_path.rglob("*") if p.is_file()),
+                       key=lambda p: p.as_posix())
+        assert {p.relative_to(tmp_path).as_posix():
+                p.read_bytes().count(b"\n") for p in files} == {
+            "SIM.events.ndjson": 5676, "channels/ChatA.ndjson": 1983,
+            "channels/Email.ndjson": 1553}
+        listing = "".join(
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  "
+            f"./{p.relative_to(tmp_path).as_posix()}\n" for p in files)
+        assert hashlib.sha256(listing.encode()).hexdigest() == \
+            "fd6a9904f5749fa83bcbd00ab8926eca5acb1e7ccb5d906bfaf1ad0fd909c232"
 
     def test_manual_assignments_land_at_the_first_cycle_due(self):
         # The pre-bot manager commits each planned assignment at the first
