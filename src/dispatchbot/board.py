@@ -15,23 +15,27 @@ folded before the error, a message id a sink has seen is always logged
 and a logged delivery's line is on disk first. The fold is all or
 nothing, so a rejected record leaves both untouched, and a failed append
 rebuilds the snapshot, and the reminder schedule with it, from the log:
-live state and replay never diverge.
+live state and replay never diverge. An assignment or transition record
+takes its timestamp from its announcement, rendered once, and the fold
+reads every instant the runtime rendered back from the codec's memo
+(`timeutil`), so a live board does not parse its own timestamps again.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
-resumes each reminder stream after its last sent index and flushes
-the outbox, which holds only pending messages; the fold maintains all
-three in the snapshot. Reminders are evaluated only for the tickets that
-changed since their last evaluation or whose next reminder boundary has
-passed, found through a min-heap of boundaries, with one stream pass per
-visited ticket giving both its due reminders and its next boundary. Each
-visited open ticket keeps one trigger entry: its triggers, which depend
-only on the ticket and the policy, so a visit to an unchanged ticket
-pays only for what depends on the instant, and its next boundary, which
-tells a live heap entry from a stale one. The cycle builds each reminder
-and delivery record in place and folds it directly. The reminder policy
-is configuration, not log state, so that schedule lives in the runtime;
-a restart rebuilds it by evaluating every open ticket once.
+and polls nothing when that is empty, resumes each reminder stream after
+its last sent index and flushes the outbox, which holds only pending
+messages; the fold maintains all three in the snapshot. Reminders are
+evaluated only for the tickets that changed since their last evaluation
+or whose next reminder boundary has passed, found through a min-heap of
+boundaries, with one stream pass per visited ticket giving both its due
+reminders and its next boundary. Each visited open ticket keeps one
+trigger entry: its triggers, which depend only on the ticket and the
+policy, so a visit to an unchanged ticket pays only for what depends on
+the instant, and its next boundary, which tells a live heap entry from a
+stale one. The cycle builds each reminder and delivery record in place
+and folds it directly. The reminder policy is configuration, not log
+state, so that schedule lives in the runtime; a restart rebuilds it by
+evaluating every open ticket once.
 """
 
 from __future__ import annotations
@@ -455,9 +459,10 @@ class BoardRuntime:
             self._reschedule()
             raise
 
-    def _commit(self, kind: str, ts: datetime, payload: dict) -> dict:
-        """Fold an external command's record and append it at once."""
-        event = self._fold(kind, iso(ts), payload)
+    def _commit(self, kind: str, ts: str, payload: dict) -> dict:
+        """Fold an external command's record at the rendered instant `ts`
+        and append it at once."""
+        event = self._fold(kind, ts, payload)
         self._append([event])
         return event
 
@@ -489,7 +494,7 @@ class BoardRuntime:
             payload["sla_deadline"] = iso(sla_deadline)
         if labels:
             payload["labels"] = list(labels)
-        self._commit(KIND_CREATED, at, payload)
+        self._commit(KIND_CREATED, iso(at), payload)
         return self.snapshot.tickets[ticket_id]
 
     def apply_external_transition(self, ticket_id: str, to: WorkflowState,
@@ -508,7 +513,7 @@ class BoardRuntime:
         ticket = self.snapshot.tickets[ticket_id]
         wire = announce_state_change(ticket_id, ticket.state, to, at,
                                      self.config.binding, self._make_msg_id())
-        self._commit(KIND_TRANSITIONED, at, {
+        self._commit(KIND_TRANSITIONED, wire["ts"], {
             "ticket": ticket_id,
             "from": STATE_VALUE[ticket.state],
             "to": STATE_VALUE[to],
@@ -536,8 +541,9 @@ class BoardRuntime:
                                            "cursor_after": None}
         else:
             kind, fields = KIND_REASSIGNED, {"from_engineer": ticket.assignee}
-        self._commit(kind, at, {"ticket": ticket_id, "engineer": to,
-                                **fields, "messages": [wire]})
+        self._commit(kind, wire["ts"], {"ticket": ticket_id,
+                                        "engineer": to, **fields,
+                                        "messages": [wire]})
         return decision
 
     # -- the periodic cycle ------------------------------------------------
@@ -597,9 +603,12 @@ class BoardRuntime:
     def _assign(self, now: datetime, report: CycleReport,
                 records: list[dict]) -> None:
         """Assign the unassigned backlog under the policy; under Manual a
-        person assigns (`reassign_ticket`) and all of it stays pending."""
+        person assigns (`reassign_ticket`) and all of it stays pending.
+        An empty backlog polls nothing."""
         if self.config.policy == POLICY_MANUAL:
             report.unassigned_pending = len(self.snapshot.unassigned_backlog)
+            return
+        if not self.snapshot.unassigned_backlog:
             return
         polled = poll_new_unassigned(self.snapshot)
         for ticket in polled:
@@ -611,7 +620,7 @@ class BoardRuntime:
                 break
             wire = announce_assignment(decision, self.config.binding,
                                        self._cycle_ids())
-            records.append(self._fold(KIND_ASSIGNED, iso(now), {
+            records.append(self._fold(KIND_ASSIGNED, wire["ts"], {
                 "ticket": ticket.id,
                 "engineer": decision.engineer_id,
                 "policy": decision.policy,

@@ -1,4 +1,12 @@
-"""Time helpers: UTC second-precision timestamps and business-day arithmetic."""
+"""Time helpers: UTC second-precision timestamps and business-day arithmetic.
+
+The timestamp codec remembers both directions. `iso` caches instant ->
+text, and when it renders a canonical instant (an exact `datetime` in UTC
+with no microseconds) it also records text -> instant in the memo that
+`parse_ts` reads. A live board folds records whose timestamps it has
+just rendered, so the fold's parse of them is a memo hit that returns
+what a fresh parse would: an equal `datetime` whose tzinfo is `UTC`.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +22,10 @@ def utc_now() -> datetime:
     return datetime.now(tz=UTC).replace(microsecond=0)
 
 
-#: Distinct timestamps the codec remembers. All events of one cycle share
-#: a timestamp, and the fold parses the strings a commit has just made.
+#: Distinct timestamps each direction of the codec remembers. All events
+#: of one cycle share a timestamp; the fold parses the strings a commit
+#: has just made, which `iso` has put in the memo, and a restart parses a
+#: log's strings in the order they were written.
 _CODEC_CACHE = 1024
 
 
@@ -23,19 +33,23 @@ _CODEC_CACHE = 1024
 def iso(ts: datetime) -> str:
     """Render an aware timestamp as ISO-8601 UTC with a Z suffix, to the
     second, with a four-digit year (`parse_ts` reads every year back).
-    Fast path: a canonical `ts` (see `parse_ts`) is rendered unconverted."""
+    Fast path: a canonical `ts` (see `parse_ts`) is rendered unconverted,
+    and `parse_ts` of its text then answers with `ts` itself."""
     if ts.tzinfo is UTC and not ts.microsecond:
-        return ts.isoformat()[:-6] + "Z"  # drop "+00:00"
+        text = ts.isoformat()[:-6] + "Z"  # drop "+00:00"
+        if type(ts) is datetime and not ts.fold:  # as a parse would build
+            _PARSED.remember(text, ts)
+        return text
     return ts.astimezone(UTC).replace(microsecond=0,
                                       tzinfo=None).isoformat() + "Z"
 
 
-@lru_cache(maxsize=_CODEC_CACHE)
-def parse_ts(raw: str) -> datetime:
-    """Parse ISO-8601; naive input is taken as UTC. Truncates to seconds.
-    Fast path: a string `iso` wrote parses to the canonical form, a UTC
-    datetime (`fromisoformat` gives a zero offset the `UTC` instance) with
-    no microseconds, which converting and truncating would only copy."""
+def _parse_ts(raw: str) -> datetime:
+    """`parse_ts` without its memo: parse ISO-8601; naive input is taken
+    as UTC. Truncates to seconds. Fast path: a string `iso` wrote parses
+    to the canonical form, a UTC datetime (`fromisoformat` gives a zero
+    offset the `UTC` instance) with no microseconds, which converting and
+    truncating would only copy."""
     if raw.endswith("Z"):  # before 3.11, fromisoformat reads no "Z"
         raw = raw[:-1] + "+00:00"
     ts = datetime.fromisoformat(raw)
@@ -44,6 +58,30 @@ def parse_ts(raw: str) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=UTC)
     return ts.astimezone(UTC).replace(microsecond=0)
+
+
+class _InstantMemo(dict):
+    """Text -> instant for `parse_ts`, at most `_CODEC_CACHE` entries. A
+    hit is a plain dict lookup, done in C; a miss parses, and a parse that
+    raises caches nothing. Unlocked: two threads filling it at once may
+    leave it an entry or two over its bound until the next clear."""
+
+    def __missing__(self, raw: str) -> datetime:
+        return self.remember(raw, _parse_ts(raw))
+
+    def remember(self, raw: str, ts: datetime) -> datetime:
+        if len(self) >= _CODEC_CACHE:
+            # Emptied, not trimmed: finding a dict's oldest entry scans past
+            # every entry deleted before it, which cost a render 0.3 us.
+            self.clear()
+        self[raw] = ts
+        return ts
+
+
+_PARSED = _InstantMemo()
+
+#: `parse_ts(raw)`: `raw` parsed as `_parse_ts` does, through the memo.
+parse_ts = _PARSED.__getitem__
 
 
 def parse_date(raw: str) -> date:

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from dispatchbot import timeutil
 from dispatchbot.board import BoardRuntime, TeamConfig
 from dispatchbot.eventlog import EventLog
 from dispatchbot.notify import Channel, ChannelBinding, MemorySink
@@ -19,6 +20,13 @@ T0 = datetime(2025, 1, 6, 9, 0, 0, tzinfo=UTC)
 
 def at(hours: float = 0, seconds: int = 0) -> datetime:
     return T0 + timedelta(hours=hours, seconds=seconds)
+
+
+def clear_codec() -> None:
+    """Empty both directions of the timestamp codec's cache, so that
+    every instant is new to it."""
+    timeutil.iso.cache_clear()
+    timeutil._PARSED.clear()
 
 
 def ticket(tid: str = "T1-1", reporter: str = "r1", created=None,

@@ -8,10 +8,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from dispatchbot import board, reminders
+from dispatchbot import board, notify, reminders, timeutil
 from dispatchbot.board import (
     BoardRuntime,
     ConfigError,
+    CycleReport,
     TeamConfig,
     load_team_config,
     parse_team_config,
@@ -41,7 +42,7 @@ from dispatchbot.reminders import (
 from dispatchbot.sim import SimConfig, run_simulation
 from dispatchbot.workflow import ReopenMode, TransitionError, WorkflowState
 
-from .conftest import at, team_config
+from .conftest import at, clear_codec, team_config
 
 CONFIG_DOC = {
     "team_id": "team1",
@@ -291,6 +292,52 @@ class TestRunCycle:
         announced = [m for m in runtime.memory_sink.delivered
                      if m["kind"] == "Assignment"]
         assert len(announced) == 3
+
+    def test_an_empty_backlog_polls_nothing(self, memory_runtime,
+                                            monkeypatch):
+        polls = []
+
+        def counted_poll(snapshot):
+            polls.append(snapshot)
+            return poll_new_unassigned(snapshot)
+
+        monkeypatch.setattr(board, "poll_new_unassigned", counted_poll)
+        runtime = memory_runtime()
+        assert runtime.run_cycle(at(1)) == CycleReport(now=at(1))
+        runtime.inject_ticket("T1-1", "r1", at(2))
+        assert runtime.run_cycle(at(3)).assigned == 1
+        assert runtime.run_cycle(at(4)) == CycleReport(now=at(4))
+        assert len(polls) == 1
+
+    def test_each_record_takes_its_instant_from_its_announcement(
+            self, memory_runtime, monkeypatch):
+        renders = Counter()
+
+        def counted_iso(instant):
+            renders[instant] += 1
+            return timeutil.iso(instant)
+
+        monkeypatch.setattr(board, "iso", counted_iso)
+        monkeypatch.setattr(notify, "iso", counted_iso)
+        runtime = memory_runtime()
+        for i in range(1, 4):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
+        renders.clear()
+        assert runtime.run_cycle(at(1)).assigned == 3
+        # Once per announcement and once for the delivery records.
+        assert dict(renders) == {at(1): 4}
+        renders.clear()
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
+        assert dict(renders) == {at(2): 1}
+        renders.clear()
+        runtime.reassign_ticket("T1-2", "e3", at(3))
+        assert dict(renders) == {at(3): 1}
+        announcing = [e for e in runtime.log.events
+                      if e["kind"] in ("Assigned", "Reassigned",
+                                       "Transitioned")]
+        assert len(announcing) == 5
+        assert all(e["ts"] == e["messages"][0]["ts"] for e in announcing)
 
     def test_blocked_ticket_past_threshold_reminds(self, memory_runtime):
         cfg = team_config(thresholds=ThresholdPolicy(team_id="team1"))
@@ -790,6 +837,31 @@ def test_a_cycle_hands_the_log_to_a_second_reader(tmp_path):
         runtime.run_cycle(at(3))
         assert len(runtime.log.events) == 11
         assert read_event_log(path) == runtime.log.events
+
+
+def test_a_live_board_parses_none_of_the_instants_it_renders(
+        tmp_path, monkeypatch):
+    """The fold reads every timestamp the runtime has just rendered back
+    from the codec's memo: no command or cycle calls the parser."""
+    parse, parsed = timeutil._parse_ts, []
+
+    def counted_parse(raw):
+        parsed.append(raw)
+        return parse(raw)
+
+    monkeypatch.setattr(timeutil, "_parse_ts", counted_parse)
+    clear_codec()  # every instant below is new to the codec
+    path = tmp_path / "T1.events.ndjson"
+    runtime = file_log_runtime(path)
+    with runtime.log:
+        runtime.inject_ticket("T1-1", "r1", at(0), sla_deadline=at(50))
+        runtime.run_cycle(at(1))
+        runtime.apply_external_transition(
+            "T1-1", WorkflowState.WORK_IN_PROGRESS, at(2), "e1")
+    assert parsed == []
+    assert [e["kind"] for e in runtime.log.events] == [
+        "Created", "Assigned", "MessageDelivered", "Transitioned"]
+    assert read_event_log(path) == runtime.log.events
 
 
 class TestAtomicCommit:

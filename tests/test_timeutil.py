@@ -3,16 +3,22 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dispatchbot import timeutil
 from dispatchbot.timeutil import (
+    _CODEC_CACHE,
     DAY,
+    SECOND,
     UTC,
+    _parse_ts,
     add_business_days,
     is_business_day,
     iso,
     parse_ts,
 )
+
+from .conftest import clear_codec
 
 #: Fixed UTC offsets, to the minute, of up to a day either way.
 offsets = st.builds(timezone, st.timedeltas(
@@ -56,8 +62,9 @@ any_datetime = st.one_of(
     st.builds(lambda ts, tz: ts.replace(tzinfo=tz), any_instant, offsets))
 
 
-# `__wrapped__` is the body under the cache, which would otherwise answer
-# an input equal to one seen before without taking the path under test.
+# `iso.__wrapped__` is the body under the cache, and `_parse_ts` is
+# `parse_ts` without its memo: either cache would otherwise answer an input
+# equal to one seen before without taking the path under test.
 @given(ts=any_datetime)
 def test_iso_fast_path_equals_the_general_path(ts):
     assert outcome(iso.__wrapped__, ts) == outcome(iso_general, ts)
@@ -70,8 +77,65 @@ def test_iso_fast_path_equals_the_general_path(ts):
     any_instant.map(lambda ts: ts.replace(tzinfo=UTC)).map(iso),
     st.text(max_size=32)))
 def test_parse_ts_fast_path_equals_the_general_path(raw):
-    assert outcome(parse_ts.__wrapped__, raw) == \
-        outcome(parse_ts_general, raw)
+    assert outcome(_parse_ts, raw) == outcome(parse_ts_general, raw)
+
+
+#: Canonical instants, `iso`'s fast path: UTC, to the second, every year.
+canonical = st.datetimes(min_value=datetime(1, 1, 1),
+                         max_value=datetime(9999, 12, 31, 23, 59, 59),
+                         timezones=st.just(UTC)).map(
+                             lambda ts: ts.replace(microsecond=0))
+
+
+@example(ts=datetime(999, 12, 31, 23, 59, 59, tzinfo=UTC))
+@given(ts=canonical)
+def test_a_rendered_instant_parses_as_a_fresh_parse(ts):
+    text = iso.__wrapped__(ts)  # what a miss of `iso`'s cache runs
+    assert iso(ts) == text
+    # The repr names the value, the type, the tzinfo and the fold.
+    assert outcome(parse_ts, text) == outcome(_parse_ts, text)
+    parsed = parse_ts(text)
+    assert type(parsed) is datetime and parsed.tzinfo is UTC
+
+
+@given(ts=any_datetime.filter(lambda ts: ts.tzinfo is not UTC
+                              or ts.microsecond))
+def test_a_non_canonical_instant_seeds_nothing_of_its_own(ts):
+    try:
+        iso.__wrapped__(ts)
+    except OverflowError:  # its UTC instant leaves the years 1-9999
+        return
+    assert all(cached is not ts for cached in timeutil._PARSED.values())
+
+
+@settings(max_examples=10)
+@given(start=st.datetimes(min_value=datetime(1, 1, 1),
+                          max_value=datetime(9998, 12, 31),
+                          timezones=st.just(UTC)))
+def test_the_memo_holds_at_most_its_bound(start):
+    clear_codec()
+    start = start.replace(microsecond=0)
+    for i in range(3 * _CODEC_CACHE):
+        last = start + i * SECOND
+        iso(last)
+        assert len(timeutil._PARSED) <= _CODEC_CACHE
+    assert timeutil._PARSED[iso(last)] is last
+
+
+@example(raw="2025-02-30T10:00:00Z")
+@example(raw="0001-01-01T00:00:00+00:01")  # before the year 1 in UTC
+@given(raw=st.text(max_size=32))
+def test_a_bad_string_raises_as_a_fresh_parse_and_caches_nothing(raw):
+    try:
+        _parse_ts(raw)
+    except Exception as exc:  # the uncached parser's errors are the contract
+        expected = exc
+    else:
+        return
+    with pytest.raises(type(expected)) as raised:
+        parse_ts(raw)
+    assert str(raised.value) == str(expected)
+    assert raw not in timeutil._PARSED
 
 
 @given(ts=any_instant)
