@@ -35,7 +35,10 @@ the instant, and its next boundary, which tells a live heap entry from a
 stale one. The cycle builds each reminder and delivery record in place
 and folds it directly. The reminder policy is configuration, not log
 state, so that schedule lives in the runtime; a restart rebuilds it by
-evaluating every open ticket once.
+evaluating every open ticket once. Everything else the runtime reads
+comes from the snapshot, so a runtime rebuilt from the log at any point
+writes the same records: that includes the reminder skip of a ticket
+whose `Assigned` announcement has not been attempted yet.
 """
 
 from __future__ import annotations
@@ -383,12 +386,6 @@ class CycleReport:
         return "\n".join(lines)
 
 
-#: Events that change a ticket's reminder triggers or recipients. A sent
-#: reminder changes neither: it only moves the ledger forward.
-_TICKET_CHANGES = frozenset({KIND_CREATED, KIND_TRANSITIONED, KIND_ASSIGNED,
-                             KIND_REASSIGNED})
-
-
 def poll_new_unassigned(snapshot: BoardSnapshot) -> list[Ticket]:
     """Backlog tickets with no assignee, ordered by created_at then id."""
     tickets = [snapshot.tickets[tid] for tid in snapshot.unassigned_backlog]
@@ -407,12 +404,7 @@ class BoardRuntime:
             sinks = {channel: sink_for_endpoint(endpoint)
                      for channel, endpoint in config.binding.endpoints.items()}
         self.sinks = sinks
-        #: Tickets assigned, by a command or a cycle, since the last cycle:
-        #: the next cycle's reminders skip them. Not rebuilt from the log.
-        self._assigned: set[str] = set()
         self._reschedule()
-        #: The running cycle's message-id allocator; see `_cycle_ids`.
-        self._ids = None
 
     def _reschedule(self) -> None:
         """Start the reminder schedule afresh from the snapshot.
@@ -432,8 +424,9 @@ class BoardRuntime:
     # -- event plumbing ----------------------------------------------------
 
     def _fold(self, kind: str, ts: str, payload: dict) -> dict:
-        """Fold the record of `kind` at `ts` into the live snapshot and
-        return it. A rejected record raises before it changes anything."""
+        """Fold the record of `kind` at `ts`, one that changes its ticket,
+        into the live snapshot and return it. A rejected record raises
+        before it changes anything."""
         event = {
             "seq": self.snapshot.watermark + 1,
             "ts": ts,
@@ -442,10 +435,7 @@ class BoardRuntime:
         }
         event.update(payload)
         fold_event(self.snapshot, event)
-        if kind in _TICKET_CHANGES:
-            self._touched.add(payload["ticket"])
-            if kind == KIND_ASSIGNED:
-                self._assigned.add(payload["ticket"])
+        self._touched.add(payload["ticket"])
         return event
 
     def _append(self, events: list[dict]) -> None:
@@ -467,17 +457,10 @@ class BoardRuntime:
         return event
 
     def _make_msg_id(self):
-        # Allocates ids ahead of the folds that bump msg_counter past each.
+        # Allocates ids ahead of the folds that bump msg_counter past each:
+        # each announcement must be folded before the next id is drawn.
         return map("m{:06d}".format,
                    itertools.count(self.snapshot.msg_counter + 1)).__next__
-
-    def _cycle_ids(self):
-        """The running cycle's message-id allocator, made on first use.
-        One serves every announcement of the cycle, as each fold moves
-        msg_counter up to the id it just used."""
-        if self._ids is None:
-            self._ids = self._make_msg_id()
-        return self._ids
 
     # -- external board writes --------------------------------------------
 
@@ -569,7 +552,7 @@ class BoardRuntime:
 
     def run_cycle(self, now: datetime) -> CycleReport:
         """One bot pass: assign new unassigned tickets, evaluate due
-        reminders (skipping tickets assigned this very cycle), then flush
+        reminders (skipping tickets assigned since the last flush), then flush
         the outbox through the sinks, and flush the log. Sink failures
         never abort the cycle.
 
@@ -584,14 +567,12 @@ class BoardRuntime:
         """
         report = CycleReport(now=now)
         announced: list[dict] = []
-        self._ids = None
         try:
             self._assign(now, report, announced)
             if self.config.thresholds is not None:
                 self._remind(now, report, announced)
             else:
                 self._touched.clear()
-            self._assigned.clear()
         finally:
             if announced:
                 self._append(announced)
@@ -611,6 +592,7 @@ class BoardRuntime:
         if not self.snapshot.unassigned_backlog:
             return
         polled = poll_new_unassigned(self.snapshot)
+        make_id = self._make_msg_id()
         for ticket in polled:
             try:
                 decision = self._decide(ticket, now)
@@ -619,7 +601,7 @@ class BoardRuntime:
                 report.empty_pool = True
                 break
             wire = announce_assignment(decision, self.config.binding,
-                                       self._cycle_ids())
+                                       make_id)
             records.append(self._fold(KIND_ASSIGNED, wire["ts"], {
                 "ticket": ticket.id,
                 "engineer": decision.engineer_id,
@@ -635,8 +617,10 @@ class BoardRuntime:
                 records: list[dict]) -> None:
         """Evaluate reminders for the tickets that may have one due: those
         touched since their last visit and those whose next boundary lies
-        strictly before `now`. Tickets assigned since the last cycle are
-        skipped and stay touched for the next one."""
+        strictly before `now`. Tickets whose `Assigned` announcement has
+        no delivery attempt in the log yet (the snapshot's
+        `fresh_assignments`) are skipped and stay touched for the next
+        cycle."""
         policy = self.config.thresholds
         heap, triggers = self._due_heap, self._triggers
         visit = self._touched
@@ -646,8 +630,9 @@ class BoardRuntime:
             if entry is not None and entry[6] == instant:
                 entry[6] = None  # a second copy of this entry is stale
                 visit.add(tid)
-        self._touched = set(self._assigned)
-        visit -= self._assigned
+        fresh = set(self.snapshot.fresh_assignments.values())
+        visit -= fresh
+        self._touched = fresh
         open_tickets, tickets = self.snapshot.open_tickets, []
         for tid in sorted(visit):
             if tid in open_tickets:
@@ -661,7 +646,7 @@ class BoardRuntime:
                                   triggers=triggers)
         if reminders:
             snapshot, ts, board = self.snapshot, iso(now), self.config.board_id
-            binding, make_id = self.config.binding, self._cycle_ids()
+            binding, make_id = self.config.binding, self._make_msg_id()
             # A sent reminder changes no ticket: no `_fold` bookkeeping.
             for reminder in reminders:
                 event = {"seq": snapshot.watermark + 1, "ts": ts,

@@ -11,8 +11,9 @@ its kind, found in a table keyed by kind: the board's live commit and
 every rebuild fold through that one path.
 
 The fold also keeps derived indexes (open tickets, the unassigned
-backlog) so that a cycle reads only what is new, never the whole history.
-They hold nothing the log does not: `replay` rebuilds them, and snapshot
+backlog, the assignments whose announcement has had no delivery attempt)
+so that a cycle reads only what is new, never the whole history. They
+hold nothing the log does not: `replay` rebuilds them, and snapshot
 equality ignores them.
 
 The outbox is the set of pending messages, in commit order: the wire
@@ -132,6 +133,10 @@ class BoardSnapshot:
     # excluded from equality. The log stays the only source of truth.
     unassigned_backlog: set = field(default_factory=set, compare=False)
     open_tickets: set = field(default_factory=set, compare=False)
+    #: Msg id -> ticket for each `Assigned` record's announcement that has
+    #: had no delivery attempt: the tickets a cycle's reminders skip.
+    fresh_assignments: dict[str, str] = field(default_factory=dict,
+                                              compare=False)
 
 
 def _reindex(snapshot: BoardSnapshot, ticket: Ticket) -> None:
@@ -322,6 +327,8 @@ def _fold_assigned(snapshot: BoardSnapshot, event: dict, seq: int,
     if cursor_after is not None:
         snapshot.cursor_position = cursor_after
     snapshot.assign_counts[eng] = snapshot.assign_counts.get(eng, 0) + 1
+    for wire in event.get("messages", ()):
+        snapshot.fresh_assignments[wire["msg_id"]] = ticket.id
 
 
 def _fold_reassigned(snapshot: BoardSnapshot, event: dict, seq: int,
@@ -361,6 +368,7 @@ def _fold_message_delivered(snapshot: BoardSnapshot, event: dict, seq: int,
         # Never announced, or settled already.
         raise MalformedRecordError(seq, "msg_id",
                                    f"unknown message {msg_id!r}")
+    snapshot.fresh_assignments.pop(msg_id, None)
     if state == STATE_DELIVERED or terminal:
         del snapshot.outbox[msg_id]
         snapshot.retries.pop(msg_id, None)

@@ -640,13 +640,21 @@ def scripted_commands(runtime, hour):
                 ticket.assignee)
 
 
+def derived_indexes(snapshot):
+    """The snapshot's derived indexes, which snapshot equality ignores."""
+    return (snapshot.open_tickets, snapshot.unassigned_backlog,
+            snapshot.fresh_assignments)
+
+
 def scripted_hours(runtime, hours):
     """Drive a board hour by hour through `scripted_commands`, with a
-    cycle at the end of each hour. Checks the schedule after every
-    cycle."""
+    cycle at the end of each hour. Checks the schedule, and the derived
+    indexes against replay, after every cycle."""
     for hour in hours:
         scripted_commands(runtime, hour)
         assert_nothing_due(runtime, runtime.run_cycle(at(hour, seconds=2)))
+        assert derived_indexes(runtime.snapshot) == \
+            derived_indexes(replay(runtime.log.events))
 
 
 def scripted_config():
@@ -951,11 +959,23 @@ class CountingLog(EventLog):
         return super().append(events)
 
 
+def rebuilt(runtime):
+    """A board rebuilt from a copy of `runtime`'s log, as a restart would
+    build it, with sinks of its own."""
+    log, sink = EventLog(), MemorySink()
+    log.append(list(runtime.log.events))
+    return BoardRuntime(runtime.config, log=log,
+                        sinks={c: sink for c in runtime.sinks})
+
+
 @pytest.mark.parametrize("failing", ["assign", "later"])
 def test_a_failed_append_keeps_the_hand_assignment_skip(failing):
     # The hand assignment's own append fails, or a later command's does:
-    # either way the board rebuilds from the log, and the 14:00 cycle
-    # still skips the ticket handed over at 14:00; the next one reminds.
+    # either way the board rebuilds from the log, and its cycles send what
+    # a board rebuilt from that log sends. After a later failure the 14:00
+    # cycle still skips the ticket handed over at 14:00 and the next one
+    # reminds; after the hand assignment's own failure the log holds no
+    # assignment to skip.
     sink, log = MemorySink(), CountingLog()
     config = team_config(policy="Manual", thresholds=ThresholdPolicy(
         team_id="team1", stuck_hours={s: 1 for s in DEFAULT_STUCK_HOURS}))
@@ -973,8 +993,12 @@ def test_a_failed_append_keeps_the_hand_assignment_skip(failing):
     assert replay(log.events) == runtime.snapshot
     assert runtime.snapshot.tickets["T1-1"].assignee == (
         None if failing == "assign" else "e2")
-    assert runtime.run_cycle(at(5)).reminders_sent == 0
-    assert runtime.run_cycle(at(6)).reminders_sent == 1
+    restarted = rebuilt(runtime)
+    sent = [runtime.run_cycle(at(hour)).reminders_sent for hour in (5, 6)]
+    assert sent == [restarted.run_cycle(at(hour)).reminders_sent
+                    for hour in (5, 6)]
+    if failing == "later":
+        assert sent == [0, 1]
 
 
 class BrokenSink(MemorySink):
@@ -1047,6 +1071,39 @@ class TestCycleAppend:
                 delivery_records(runtime)] == [("m000001", "Delivered")]
         assert list(runtime.snapshot.outbox) == ["m000002"]
         assert replay(runtime.log.events) == runtime.snapshot
+
+    def test_an_assignment_a_raising_sink_never_offered_stays_skipped(self):
+        # The 12:00 cycle assigns three tickets, and the sink raises on
+        # the second announcement, so the third is never attempted. Both
+        # tickets stay skipped at 13:00, while the first is reminded, and
+        # a board rebuilt from the log before 13:00 writes the same records.
+        config = team_config(thresholds=ThresholdPolicy(
+            team_id="team1", stuck_hours={s: 1 for s in DEFAULT_STUCK_HOURS}))
+        sink = BrokenSink(fail_at=2)
+        runtime = BoardRuntime(
+            config, log=CountingLog(),
+            sinks={c: sink for c in config.binding.endpoints})
+        for n in (1, 2, 3):
+            runtime.inject_ticket(f"T1-{n}", "r1", at(0, seconds=n))
+        with pytest.raises(RuntimeError):
+            runtime.run_cycle(at(3))
+        assert runtime.snapshot.fresh_assignments == {
+            "m000002": "T1-2", "m000003": "T1-3"}
+        restarted, start = rebuilt(runtime), len(runtime.log.events)
+
+        def reminded():
+            return [e["ticket"] for e in runtime.log.events[start:]
+                    if e["kind"] == "ReminderSent"]
+
+        for each in (runtime, restarted):
+            each.run_cycle(at(4))
+        assert reminded() == ["T1-1"]
+        assert runtime.snapshot.fresh_assignments == {}
+        for each in (runtime, restarted):
+            each.run_cycle(at(5))
+        assert reminded() == ["T1-1", "T1-2", "T1-3"]
+        assert [encode_event(e) for e in restarted.log.events] == \
+            [encode_event(e) for e in runtime.log.events]
 
     def test_a_rejected_delivery_fold_logs_only_the_folds_before_it(
             self, monkeypatch):

@@ -10,7 +10,8 @@ from datetime import timedelta
 import pytest
 
 from dispatchbot.assignment import POLICY_LEAST_OPEN, POLICY_MANUAL
-from dispatchbot.eventlog import encode_event, replay
+from dispatchbot.board import BoardRuntime
+from dispatchbot.eventlog import EventLog, encode_event, replay
 from dispatchbot.reminders import MAX_HOURS, MIN_PERIOD_HOURS
 from dispatchbot.sim import (
     MAX_ARRIVAL_RATE,
@@ -39,6 +40,22 @@ REMINDER_DESK = SimConfig(
     service_median_hours=(6.0, 6.0), service_sigma=0.0, reassign_prob=0.2,
     reminders_enabled=True, stuck_threshold_hours=8, reminder_period_hours=4,
     cycle_period_hours=2)
+
+#: The pre-bot manager's delayed hand assignments, with engineer
+#: reassignments and reminders on.
+MANUAL_DESK = SimConfig(
+    seed=1, horizon_days=12, arrival_rate=12, roster_size=3,
+    policy=POLICY_MANUAL, reminders_enabled=True, stuck_threshold_hours=8,
+    reminder_period_hours=4, cycle_period_hours=2, reassign_prob=0.2,
+    manual_delay_days=1.5)
+
+#: Five days of an overloaded four-engineer desk whose backlog, and with
+#: it every open ticket's reminders, grows all run.
+OVERLOAD_DESK = SimConfig(
+    seed=1, horizon_days=5, arrival_rate=40, roster_size=4,
+    service_median_hours=(5.0, 5.0), service_sigma=0.0,
+    reminders_enabled=True, stuck_threshold_hours=8.0,
+    reminder_period_hours=2.0, cycle_period_hours=1.0)
 
 
 class TestTicketStream:
@@ -241,14 +258,9 @@ class TestRunSimulation:
         assert [due for *_, due in order] != sorted(due for *_, due in order)
 
     def test_manual_reminder_log_is_pinned(self):
-        # The pre-bot manager's delayed hand assignments, with engineer
-        # reassignments and reminders on: the sha256 of the bytes a
-        # file-backed log of its events would hold.
-        run = run_simulation(SimConfig(
-            seed=1, horizon_days=12, arrival_rate=12, roster_size=3,
-            policy=POLICY_MANUAL, reminders_enabled=True,
-            stuck_threshold_hours=8, reminder_period_hours=4,
-            cycle_period_hours=2, reassign_prob=0.2, manual_delay_days=1.5))
+        # The sha256 of the bytes a file-backed log of the Manual desk's
+        # events would hold.
+        run = run_simulation(MANUAL_DESK)
         kinds = Counter(e["kind"] for e in run.events)
         assert kinds["Assigned"] == 129 and kinds["Reassigned"] == 31
         assert kinds["ReminderSent"] == 586
@@ -256,6 +268,56 @@ class TestRunSimulation:
         lines = "".join(encode_event(e) + "\n" for e in run.events)
         assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == \
             "39a804e2c707ff2debd5b670947a9093ac7daf173bb36887980d9671911cbe61"
+
+    @pytest.mark.parametrize("config", [REMINDER_DESK, MANUAL_DESK,
+                                        OVERLOAD_DESK],
+                             ids=["reminder", "manual", "overload"])
+    def test_a_restart_at_every_step_writes_the_same_files(
+            self, config, tmp_path, monkeypatch):
+        # A board restarted from its log file before every cycle and after
+        # every hand assignment writes the bytes a board that never
+        # restarts writes: the runtime keeps nothing the log does not.
+        run_simulation(config, tmp_path / "straight")
+        cycle, hand = BoardRuntime.run_cycle, BoardRuntime.reassign_ticket
+        # The log's watermark at each restart, and None after each cycle.
+        # A board that has neither run a cycle nor logged a record since
+        # its restart is the board a second restart would build, so that
+        # restart is saved.
+        restarts = [None]
+
+        def restart(runtime):
+            if runtime.log.watermark != restarts[-1]:
+                runtime.log.close()
+                BoardRuntime.__init__(runtime, runtime.config,
+                                      EventLog(runtime.log.path),
+                                      runtime.sinks)
+                restarts.append(runtime.log.watermark)
+
+        def run_cycle(runtime, now):
+            restart(runtime)
+            report = cycle(runtime, now)
+            restarts.append(None)
+            return report
+
+        def reassign_ticket(runtime, *args):
+            decision = hand(runtime, *args)
+            restart(runtime)
+            return decision
+
+        monkeypatch.setattr(BoardRuntime, "run_cycle", run_cycle)
+        monkeypatch.setattr(BoardRuntime, "reassign_ticket", reassign_ticket)
+        run = run_simulation(config, tmp_path / "restarted")
+        run.runtime.log.close()
+
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        straight = files(tmp_path / "straight")
+        assert len(restarts) - restarts.count(None) >= len(run.cycle_reports)
+        assert set(straight) == {"SIM.events.ndjson", "channels/ChatA.ndjson",
+                                 "channels/Email.ndjson"}
+        assert files(tmp_path / "restarted") == straight
 
 
 class TestExperiment:
