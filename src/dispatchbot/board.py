@@ -7,9 +7,9 @@ under the Manual policy the cycle assigns nothing. Every record is folded
 into the live snapshot before it reaches the log. An outside command
 appends its one record at once; a cycle folds each assignment and
 reminder record as it makes it and appends them in one call before any
-sink sees a message. It then attempts every pending message and closes
-the sinks, where the file sink writes its queued lines, and only then
-folds its delivery records and appends them in a second call. Each
+sink sees a message. It then hands every pending message to its sink and
+closes the sinks, where the file sink writes its queued lines, and only
+then settles each message and appends its records in a second call. Each
 append happens also when its phase raises, so the log holds every record
 folded before the error, a message id a sink has seen is always logged
 and a logged delivery's line is on disk first. The fold is all or
@@ -83,12 +83,13 @@ from .notify import (
     Channel,
     ChannelBinding,
     Sink,
+    SinkUnreachable,
     announce_assignment,
     announce_state_change,
-    attempt_delivery,
     check_endpoint,
-    failed_attempt,
+    hand_over,
     route_reminder,
+    settle,
     sink_for_endpoint,
 )
 from .reminders import (
@@ -559,7 +560,7 @@ class BoardRuntime:
         Each assignment and reminder record is folded into the snapshot
         as it is made. They reach the log, and its file, in one append
         before any sink sees a message, so a message id a sink has seen is
-        never given to another message. The delivery records are folded
+        never given to another message. The delivery records are built
         after the sinks close, when every file sink has written its
         lines, and follow in a second append. Each append happens also
         when its phase raises: the log then holds every record folded
@@ -666,67 +667,51 @@ class BoardRuntime:
             heapq.heappush(heap, (triggers[ticket.id][6], ticket.id))
 
     def _flush_outbox(self, now: datetime, report: CycleReport) -> None:
-        """Attempt each pending message once, close the sinks, then fold
-        the delivery records and append them in one call, also when a
-        sink raises.
+        """Hand each pending message to its sink once, close the sinks,
+        then settle each message and append its record, also when a sink
+        raises.
 
-        Pass 1 attempts every pending message and builds its record. The
-        sinks are then closed, each once: a sink that writes at `close`
-        (`FileSink`) returns the ids it could not write. Pass 2 turns each
-        of those into a failed attempt and folds the records in outbox
-        order, so a logged delivery's line is on disk first. A close that
-        raises settles nothing: every message stays pending and is
-        attempted again.
+        The hand-over keeps only each message's outcome. The sinks are
+        then closed, each once, in the order they first appear; each id a
+        `close` returns (`FileSink` could not write its line) whose
+        message a sink took becomes a transient failure. Only then does
+        `settle` turn each outcome into a record, folded in outbox order,
+        so a logged delivery's line is on disk first. A close that raises
+        settles nothing: every message stays pending.
         """
-        snapshot = self.snapshot
-        outbox = snapshot.outbox
-        if not outbox:
+        snapshot, sinks = self.snapshot, self.sinks
+        if not snapshot.outbox:
             return
-        ts, board = iso(now), self.config.board_id
-        sinks, max_retries = self.sinks, self.config.max_retries
-        retries_of = snapshot.retries
-        seq = start = snapshot.watermark
-        records: list[dict] = []
+        outcomes: dict[str, type[Exception] | None] = {}
         try:
             # A Channel is a str Enum: the wire's value finds its sink.
-            for msg_id, wire in outbox.items():
-                state, retries, terminal = attempt_delivery(
-                    wire, retries_of.get(msg_id, 0),
-                    sinks.get(wire["channel"]), max_retries)
-                # Delivery records change no ticket: no `_fold` bookkeeping.
-                seq += 1
-                records.append({"seq": seq, "ts": ts, "board": board,
-                                "kind": KIND_MESSAGE_DELIVERED,
-                                "msg_id": msg_id, "state": state,
-                                "retries": retries, "terminal": terminal})
-                if state == STATE_DELIVERED:
-                    report.messages_delivered += 1
-                else:
-                    report.messages_failed += 1
+            for msg_id, wire in snapshot.outbox.items():
+                outcomes[msg_id] = hand_over(wire, sinks.get(wire["channel"]))
         finally:
-            unwritten = set()
             # Sinks that hold resources for one flush, each once.
-            for sink in set(sinks.values()):
+            for sink in dict.fromkeys(sinks.values()):
                 if hasattr(sink, "close"):
-                    unwritten.update(sink.close() or ())
-            if unwritten:
-                for event in records:
-                    if (event["msg_id"] in unwritten
-                            and event["state"] == STATE_DELIVERED):
-                        (event["state"], event["retries"],
-                         event["terminal"]) = failed_attempt(
-                            event["retries"], max_retries)
-                        report.messages_delivered -= 1
-                        report.messages_failed += 1
+                    for msg_id in sink.close() or ():
+                        if msg_id in outcomes and outcomes[msg_id] is None:
+                            outcomes[msg_id] = SinkUnreachable
+            ts, board = iso(now), self.config.board_id
+            max_retries = self.config.max_retries
+            records: list[dict] = []
             try:
-                # Each settling record removes its message from the outbox.
-                for event in records:
+                for msg_id, outcome in outcomes.items():
+                    state, retries, terminal = settle(
+                        outcome, snapshot.retries.get(msg_id, 0), max_retries)
+                    # No `_fold`: a delivery record changes no ticket.
+                    event = {"seq": snapshot.watermark + 1, "ts": ts,
+                             "board": board, "kind": KIND_MESSAGE_DELIVERED,
+                             "msg_id": msg_id, "state": state,
+                             "retries": retries, "terminal": terminal}
                     fold_event(snapshot, event)
-            except BaseException:
-                # The fold is all or nothing: the watermark counts the
-                # records folded, and only those reach the log.
-                del records[snapshot.watermark - start:]
-                raise
+                    records.append(event)
+                    if state == STATE_DELIVERED:
+                        report.messages_delivered += 1
+                    else:
+                        report.messages_failed += 1
             finally:
                 if records:
                     self._append(records)

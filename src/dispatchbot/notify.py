@@ -4,8 +4,8 @@ Channels are abstract (ChatA / ChatB / Email); a binding maps each enabled
 channel to an endpoint descriptor, either a file path (append one JSON
 object per line) or an http(s) webhook URL (POST the same object).
 Delivery is at-least-once with idempotent message ids; dedup is the
-receiver's concern. `attempt_delivery` and `failed_attempt` are the one
-retry/terminal rule.
+receiver's concern. `hand_over` gives a message to its sink, and `settle`
+is the one retry/terminal rule, applied once a message's outcome is final.
 Importing this module loads no HTTP client: `WebhookSink` imports the
 stdlib one on its first delivery, and `check_endpoint` needs only
 `urllib.parse`.
@@ -186,9 +186,9 @@ class PayloadRejected(Exception):
 class Sink(Protocol):
     """A sink delivers each wire it is handed. It may also have a
     `close()`, which the board calls once per outbox flush, after every
-    attempt and before any delivery is logged; `close` returns the msg ids
-    it could not write, each of which counts as a failed attempt (`None`
-    means none)."""
+    hand-over and before any delivery is settled; `close` returns the msg
+    ids it could not write (`None` means none). Each of those whose
+    message a sink took this flush counts as a transient failure."""
 
     def deliver(self, wire: dict) -> None: ...
 
@@ -219,8 +219,9 @@ class FileSink:
 
     def close(self) -> list[str]:
         """Write every queued line; return the msg ids of the lines queued
-        for each channel whose open, write or close failed. A failed write
-        may leave a partial line."""
+        for each channel whose open, write or close failed. A failed or
+        short write is cut back to the length the file had before it, so
+        a channel file holds only whole lines."""
         queued, self._queued = self._queued, {}
         failed: list[str] = []
         for channel, (lines, msg_ids) in queued.items():
@@ -228,14 +229,22 @@ class FileSink:
             data = ("\n".join(lines) + "\n").encode("ascii")
             path = self.directory / f"{channel}.ndjson"
             try:
+                # Unbuffered: the one write is one system call, and nothing
+                # is left to flush after a cut.
                 try:
-                    fh = path.open("ab")
+                    fh = path.open("ab", buffering=0)
                 except FileNotFoundError:
                     # The directory is new, or was deleted: make it.
                     self.directory.mkdir(parents=True, exist_ok=True)
-                    fh = path.open("ab")
+                    fh = path.open("ab", buffering=0)
                 try:
-                    fh.write(data)
+                    end = fh.tell()
+                    try:
+                        if fh.write(data) != len(data):
+                            raise OSError("short write")
+                    except OSError:
+                        fh.truncate(end)
+                        raise
                 finally:
                     fh.close()
             except OSError:
@@ -306,31 +315,30 @@ def sink_for_endpoint(descriptor: str) -> Sink:
     return FileSink(descriptor)
 
 
-def failed_attempt(retries: int,
-                   max_retries: int) -> tuple[str, int, bool]:
-    """The (state, retries, terminal) of a transient failure of a message
-    whose earlier attempts failed `retries` times: terminal once
-    max_retries attempts have failed."""
-    retries += 1
-    return STATE_FAILED, retries, retries >= max_retries
-
-
-def attempt_delivery(wire: dict, retries: int, sink: Sink | None,
-                     max_retries: int) -> tuple[str, int, bool]:
-    """Try once to deliver a pending message whose earlier attempts failed
-    `retries` times; return its new (state, retries, terminal).
-
-    A missing sink counts as unreachable. Transient failures go through
-    `failed_attempt`; rejections are terminal immediately. For a sink
-    with a `close`, "delivered" is final only once `close` has not
-    returned the message's id (see `Sink`).
-    """
+def hand_over(wire: dict, sink: Sink | None) -> type[Exception] | None:
+    """Hand a pending message to its sink once and return its outcome:
+    None when the sink took it, `SinkUnreachable` for a transient failure
+    or a missing sink, `PayloadRejected` for a rejection. A sink with a
+    `close` may still fail a message it took (see `Sink`)."""
+    if sink is None:
+        return SinkUnreachable
     try:
-        if sink is None:
-            raise SinkUnreachable(f"no sink for {wire['channel']}")
         sink.deliver(wire)
     except PayloadRejected:
-        return STATE_FAILED, retries + 1, True
+        return PayloadRejected
     except SinkUnreachable:
-        return failed_attempt(retries, max_retries)
-    return STATE_DELIVERED, retries, False
+        return SinkUnreachable
+    return None
+
+
+def settle(outcome: type[Exception] | None, retries: int,
+           max_retries: int) -> tuple[str, int, bool]:
+    """The one retry rule: the (state, retries, terminal) of a message
+    whose final outcome is `outcome` after `retries` failed attempts. A
+    rejection is terminal at once, a transient failure once max_retries
+    attempts have failed."""
+    if outcome is None:
+        return STATE_DELIVERED, retries, False
+    retries += 1
+    return (STATE_FAILED, retries,
+            outcome is PayloadRejected or retries >= max_retries)

@@ -509,6 +509,48 @@ def test_each_sink_closed_once_per_flush(memory_runtime):
     assert closed == [shared]
 
 
+class NamedClose(MemorySink):
+    """Notes its name in `closed` when closed; raises if `broken`."""
+
+    def __init__(self, name, closed, broken=False):
+        super().__init__()
+        self.name, self.closed, self.broken = name, closed, broken
+
+    def close(self):
+        self.closed.append(self.name)
+        if self.broken:
+            raise RuntimeError(f"close bug in {self.name}")
+
+
+@pytest.mark.parametrize("broken", [None, 0, 17, 63])
+def test_sinks_closed_in_first_appearance_order(memory_runtime, broken):
+    """Many sinks, some under several keys, are each closed once per
+    flush in the order they first appear among the board's sinks, so a
+    close that raises always leaves the same sinks closed before it."""
+    closed = []
+    sinks = [NamedClose(n, closed) for n in range(64)]
+    # The channels share sink 40; the other keys hold sinks that no
+    # message reaches, each under several keys.
+    keys = {Channel.CHAT_A: 40, Channel.CHAT_B: 3, Channel.EMAIL: 40}
+    keys.update((f"spare{i}", i * 37 % 64) for i in range(128))
+    order = list(dict.fromkeys([40, 3] + [i * 37 % 64 for i in range(128)]))
+    assert len(order) == 64
+    if broken is not None:
+        sinks[order[broken]].broken = True
+    runtime = memory_runtime()
+    runtime.sinks = {key: sinks[n] for key, n in keys.items()}
+    runtime.inject_ticket("T1-1", "r1", at(0))
+    if broken is None:
+        assert runtime.run_cycle(at(1)).messages_delivered == 1
+        assert closed == order
+    else:
+        with pytest.raises(RuntimeError, match=f"in {order[broken]}$"):
+            runtime.run_cycle(at(1))
+        assert closed == order[:broken + 1]
+        assert delivery_records(runtime) == []
+    assert replay(runtime.log.events) == runtime.snapshot
+
+
 def test_ids_a_close_returns_are_failed_attempts(memory_runtime):
     """Each msg id a sink's `close` returns counts as a transient failure
     of that message, under the one retry rule; `None` means none."""

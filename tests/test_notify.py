@@ -30,10 +30,11 @@ from dispatchbot.notify import (
     SinkUnreachable,
     WebhookSink,
     assignment_text,
-    attempt_delivery,
     compact_json,
+    hand_over,
     reminder_text,
     route_reminder,
+    settle,
     state_change_text,
 )
 from dispatchbot.reminders import Reminder, ReminderKind, ThresholdPolicy
@@ -239,7 +240,7 @@ class TestDelivery:
     def test_file_sink_appends_wire_line(self, tmp_path):
         msg = message()
         sink = FileSink(tmp_path)
-        assert attempt_delivery(msg, 0, sink, 3) == ("Delivered", 0, False)
+        assert settle(hand_over(msg, sink), 0, 3) == ("Delivered", 0, False)
         sink.close()
         line = (tmp_path / "ChatA.ndjson").read_text().strip()
         assert json.loads(line) == msg
@@ -266,7 +267,7 @@ class TestDelivery:
         assert [m["msg_id"] for m in sink.delivered] == ["m000001"]
 
     def test_missing_sink_is_unreachable(self):
-        assert attempt_delivery(message(), 0, None, 1) == ("Failed", 1, True)
+        assert settle(hand_over(message(), None), 0, 1) == ("Failed", 1, True)
 
     def test_file_sink_os_error_fails_the_message(self, tmp_path, flush):
         # The sink directory sits under a regular file: opening the channel
@@ -313,7 +314,7 @@ def webhook(server):
 
 class TestWebhookSink:
     def test_no_content_is_delivered(self, receiver):
-        assert attempt_delivery(message(), 0, webhook(receiver), 3) == \
+        assert settle(hand_over(message(), webhook(receiver)), 0, 3) == \
             ("Delivered", 0, False)
 
     def test_body_is_the_wire_payload(self, receiver, tmp_path):
@@ -331,14 +332,14 @@ class TestWebhookSink:
         receiver.status = 400
         with pytest.raises(PayloadRejected):
             webhook(receiver).deliver(message())
-        assert attempt_delivery(message(), 0, webhook(receiver), 3) == \
+        assert settle(hand_over(message(), webhook(receiver)), 0, 3) == \
             ("Failed", 1, True)
 
     def test_unavailable_is_retried(self, receiver):
         receiver.status = 503
         with pytest.raises(SinkUnreachable):
             webhook(receiver).deliver(message())
-        assert attempt_delivery(message(), 0, webhook(receiver), 3) == \
+        assert settle(hand_over(message(), webhook(receiver)), 0, 3) == \
             ("Failed", 1, False)
 
     def test_closed_port_is_retried(self):
@@ -348,11 +349,11 @@ class TestWebhookSink:
         sink = WebhookSink(f"http://127.0.0.1:{port}/hook", timeout=5)
         with pytest.raises(SinkUnreachable):
             sink.deliver(message())
-        assert attempt_delivery(message(), 0, sink, 3) == ("Failed", 1, False)
+        assert settle(hand_over(message(), sink), 0, 3) == ("Failed", 1, False)
 
     def test_malformed_url_is_retried(self):
         sink = WebhookSink("http://[::1/hook", timeout=5)
-        assert attempt_delivery(message(), 0, sink, 3) == ("Failed", 1, False)
+        assert settle(hand_over(message(), sink), 0, 3) == ("Failed", 1, False)
 
 
 class TestSharedWire:
@@ -396,19 +397,24 @@ def opened(monkeypatch):
 class ChannelFiles:
     """What the `channel_files` fixture saw: the file name of every
     `Path.open`, each binary-append handle it wrapped, the file name of
-    each write through one, and the file names whose writes fail."""
+    each write through one, and the file names whose writes fail: before
+    writing anything (`failing`), after writing half their bytes (`torn`)
+    or short, writing half and returning its count (`short`)."""
 
     def __init__(self):
         self.opens: list[str] = []
         self.handles: list = []
         self.writes: list[str] = []
         self.failing: set[str] = set()
+        self.torn: set[str] = set()
+        self.short: set[str] = set()
 
 
 @pytest.fixture
 def channel_files(monkeypatch):
     """Wrap each handle `Path.open` hands out in the file sink's mode,
-    binary append, so its writes are counted and can fail with ENOSPC."""
+    binary append, so its writes are counted and can fail with ENOSPC or
+    fall short."""
     inner = pathlib.Path.open
     files = ChannelFiles()
 
@@ -419,6 +425,11 @@ def channel_files(monkeypatch):
         def write(self, data):
             files.writes.append(self.name)
             if self.name in files.failing:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            if self.name in files.torn | files.short:
+                written = self.fh.write(data[:len(data) // 2])
+                if self.name in files.short:
+                    return written
                 raise OSError(errno.ENOSPC, "No space left on device")
             return self.fh.write(data)
 
@@ -615,4 +626,34 @@ class TestFileSinkFlush:
         assert all(fh.closed for fh in channel_files.handles)
         assert channel_lines(tmp_path) == {
             "ChatA": ["m000001", "m000002", "m000003"]}
+        assert replay(runtime.log.events) == runtime.snapshot
+
+    @pytest.mark.parametrize("fault", ["torn", "short"])
+    @pytest.mark.parametrize("earlier", [0, 1])
+    def test_failed_write_leaves_no_partial_line(self, tmp_path,
+                                                 channel_files, fault,
+                                                 earlier):
+        """A write that stops partway, raising or short, is cut back to
+        the file's length before it: the file holds only whole lines, and
+        the retried lines parse after the next flush."""
+        runtime = file_runtime(tmp_path)
+        for i in range(1, earlier + 1):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i))
+        runtime.run_cycle(at(0, seconds=5))
+        before = (tmp_path / "ChatA.ndjson").read_bytes() if earlier else b""
+        for i in range(earlier + 1, earlier + 3):
+            runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i + 5))
+        getattr(channel_files, fault).add("ChatA.ndjson")
+        report = runtime.run_cycle(at(0, seconds=10))
+        assert (report.messages_delivered, report.messages_failed) == (0, 2)
+        assert (tmp_path / "ChatA.ndjson").read_bytes() == before
+        assert all(fh.closed for fh in channel_files.handles)
+
+        getattr(channel_files, fault).clear()
+        report = runtime.run_cycle(at(0, seconds=20))
+        assert (report.messages_delivered, report.messages_failed) == (2, 0)
+        ids = [f"m{n:06d}" for n in range(1, earlier + 3)]
+        assert channel_lines(tmp_path) == {"ChatA": ids}
+        assert [e["msg_id"] for e in runtime.log.events
+                if e.get("state") == "Delivered"] == ids
         assert replay(runtime.log.events) == runtime.snapshot
