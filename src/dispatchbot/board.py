@@ -13,12 +13,13 @@ then settles each message and appends its records in a second call. Each
 append happens also when its phase raises, so the log holds every record
 folded before the error, a message id a sink has seen is always logged
 and a logged delivery's line is on disk first. The fold is all or
-nothing, so a rejected record leaves both untouched, and a failed append
-rebuilds the snapshot, and the reminder schedule with it, from the log:
-live state and replay never diverge. An assignment or transition record
-takes its timestamp from its announcement, rendered once, and the fold
-reads every instant the runtime rendered back from the codec's memo
-(`timeutil`), so a live board does not parse its own timestamps again.
+nothing, so a rejected record leaves both untouched. A failed append
+leaves the file as it was and rebuilds the snapshot, and the reminder
+schedule with it, from the log: live state and replay never diverge. An
+assignment or transition record takes its timestamp from its announcement,
+rendered once, and the fold reads every instant the runtime rendered back
+from the codec's memo (`timeutil`), so a live board does not parse its own
+timestamps again.
 
 A cycle's cost follows its new work, not the length of the log or the
 size of the open backlog: it assigns from the unassigned-backlog index,
@@ -554,8 +555,7 @@ class BoardRuntime:
     def run_cycle(self, now: datetime) -> CycleReport:
         """One bot pass: assign new unassigned tickets, evaluate due
         reminders (skipping tickets assigned since the last flush), then flush
-        the outbox through the sinks, and flush the log. Sink failures
-        never abort the cycle.
+        the outbox through the sinks. Sink failures never abort the cycle.
 
         Each assignment and reminder record is folded into the snapshot
         as it is made. They reach the log, and its file, in one append
@@ -577,9 +577,7 @@ class BoardRuntime:
         finally:
             if announced:
                 self._append(announced)
-                self.log.flush()
         self._flush_outbox(now, report)
-        self.log.flush()
         return report
 
     def _assign(self, now: datetime, report: CycleReport,

@@ -47,6 +47,7 @@ from .notify import (
     STATE_DELIVERED,
     STATE_FAILED,
     WIRE_FIELDS,
+    AppendWriter,
     compact_json,
 )
 from .reminders import REMINDER_KIND_BY_VALUE
@@ -405,12 +406,13 @@ def replay(events: Iterable[dict],
 
 
 class EventLog:
-    """In-memory event list with optional ndjson persistence."""
+    """In-memory event list with optional ndjson persistence, written by
+    one `AppendWriter` call per `append`, before it returns."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.events: list[dict] = []
-        self._fh = None
+        self._writer: AppendWriter | None = None
         if self.path is not None and self.path.exists():
             self.events = read_event_log(self.path)
         #: seq of the last event in `events`; 0 when empty.
@@ -418,43 +420,34 @@ class EventLog:
 
     def append(self, events: list[dict]) -> int:
         """Append events whose seq continues the log; returns the new
-        watermark. A failed write leaves `events` and `watermark` as they
-        were."""
+        watermark. A failed write leaves the file, `events` and
+        `watermark` as they were."""
         expected = self.watermark + 1
         for event in events:
             if event["seq"] != expected:
                 raise SeqGapError(expected, event["seq"])
             expected += 1
         if self.path is not None:
-            if self._fh is None:
+            if self._writer is None:
                 self._open()
-            for event in events:
-                self._fh.write(encode_event(event) + "\n")
+            self._writer.write(self._lead + "".join(
+                [encode_event(event) + "\n" for event in events]).encode())
+            self._lead = b""
         self.events.extend(events)
         self.watermark = expected - 1
         return self.watermark
 
     def _open(self) -> None:
-        """Open the file for append. A last line whose newline was lost
-        gets it back first, so the next record starts a line of its own."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
-        if self._fh.tell():
-            with self.path.open("rb") as tail:
-                tail.seek(-1, os.SEEK_END)
-                if tail.read(1) != b"\n":
-                    self._fh.write("\n")
-
-    def flush(self) -> None:
-        """Hand every appended line to the OS, so that another reader of
-        the file sees it. A no-op for an in-memory log."""
-        if self._fh is not None:
-            self._fh.flush()
+        """Open the file; a lost final newline leads the first write."""
+        self._writer = writer = AppendWriter(self.path)
+        end = writer.length
+        tail = os.pread(writer.file.fileno(), 1, end - 1) if end else b"\n"
+        self._lead = b"" if tail == b"\n" else b"\n"
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     def __enter__(self) -> "EventLog":
         return self

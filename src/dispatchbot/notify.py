@@ -19,6 +19,7 @@ and sends it as it is. No sink mutates it.
 
 from __future__ import annotations
 
+import io
 import json
 import urllib.parse
 from dataclasses import dataclass, field
@@ -51,6 +52,38 @@ def compact_json(value) -> str:
     """Compact, key-sorted JSON: the bytes of an event-log line, of a
     channel-file line and of a webhook body."""
     return "".join(_encode(value, 0))
+
+
+class AppendWriter:
+    """One raw file opened for append (and read) that knows its length:
+    the one write path of the event log and of each channel file. A
+    `write` that raises or falls short is cut back to that length and
+    re-raised; if the cut fails too, every later write raises."""
+
+    def __init__(self, path: str | Path):
+        try:
+            self.file = io.FileIO(path, "a+")
+        except FileNotFoundError:  # the directory is new, or was deleted
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            self.file = io.FileIO(path, "a+")
+        #: Bytes of the file known to be whole; None once a cut failed.
+        self.length: int | None = self.file.tell()
+
+    def write(self, data: bytes) -> None:
+        if self.length is None:
+            raise OSError("a failed write could not be cut back")
+        try:
+            if self.file.write(data) != len(data):
+                raise OSError("short write")
+        except BaseException:
+            length, self.length = self.length, None
+            self.file.truncate(length)
+            self.length = length
+            raise
+        self.length += len(data)
+
+    def close(self) -> None:
+        self.file.close()
 
 
 class Channel(str, Enum):
@@ -198,10 +231,10 @@ class FileSink:
 
     `deliver` only encodes the wire and queues its line under its
     channel. `close`, which the board calls at the end of every outbox
-    flush, writes each channel's queued lines with one open, one write and
-    one close, and returns the msg ids of every line queued for a channel
-    it could not write; no handle outlives a flush. A delivery to a file
-    sink is therefore final only once `close` has written its line.
+    flush, writes each channel's queued lines with one `AppendWriter`
+    write and returns the msg ids of every line queued for a channel it
+    could not write; no descriptor outlives a flush. A delivery to a file
+    sink is final only once `close` has written its line.
     """
 
     def __init__(self, directory: str | Path):
@@ -219,34 +252,17 @@ class FileSink:
 
     def close(self) -> list[str]:
         """Write every queued line; return the msg ids of the lines queued
-        for each channel whose open, write or close failed. A failed or
-        short write is cut back to the length the file had before it, so
-        a channel file holds only whole lines."""
+        for each channel whose open, write or close failed. The writer
+        cuts a failed write back, so a channel file holds whole lines."""
         queued, self._queued = self._queued, {}
         failed: list[str] = []
         for channel, (lines, msg_ids) in queued.items():
-            # `compact_json` escapes every non-ASCII character.
-            data = ("\n".join(lines) + "\n").encode("ascii")
-            path = self.directory / f"{channel}.ndjson"
             try:
-                # Unbuffered: the one write is one system call, and nothing
-                # is left to flush after a cut.
+                writer = AppendWriter(self.directory / f"{channel}.ndjson")
                 try:
-                    fh = path.open("ab", buffering=0)
-                except FileNotFoundError:
-                    # The directory is new, or was deleted: make it.
-                    self.directory.mkdir(parents=True, exist_ok=True)
-                    fh = path.open("ab", buffering=0)
-                try:
-                    end = fh.tell()
-                    try:
-                        if fh.write(data) != len(data):
-                            raise OSError("short write")
-                    except OSError:
-                        fh.truncate(end)
-                        raise
+                    writer.write(("\n".join(lines) + "\n").encode())
                 finally:
-                    fh.close()
+                    writer.close()
             except OSError:
                 failed += msg_ids
         return failed

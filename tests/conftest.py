@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import errno
+import io
+import os
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -76,3 +79,67 @@ def memory_runtime():
         return runtime
 
     return build
+
+
+class FileSpy:
+    """What the `file_spy` fixture saw of the files `AppendWriter` opened:
+    the file name of each open and of each write, and each raw file it
+    opened (`handles`). `fail` makes the writes to a file fail;
+    `cut_fails` holds the file names whose cut (`truncate`) fails too."""
+
+    def __init__(self):
+        self.opens: list[str] = []
+        self.handles: list[io.FileIO] = []
+        self.writes: list[str] = []
+        #: file name -> (bytes kept, short): see `fail`.
+        self.faults: dict[str, tuple[int | float, bool]] = {}
+        self.cut_fails: set[str] = set()
+
+    def fail(self, name: str, keep: int | float = 0,
+             short: bool = False) -> None:
+        """Make every write to file `name` write only its first `keep`
+        bytes (a float: that share of them) and then raise ENOSPC, or with
+        `short`, return the count it wrote."""
+        self.faults[name] = (keep, short)
+
+    def heal(self) -> None:
+        self.faults.clear()
+        self.cut_fails.clear()
+
+    def leaked(self) -> list[str]:
+        """The file names of the raw files not closed."""
+        return [fh.base for fh in self.handles if not fh.closed]
+
+
+@pytest.fixture
+def file_spy(monkeypatch):
+    """Watch the raw files `AppendWriter` opens, and fail their writes
+    (and cuts) on demand: faults injected at the writer."""
+    spy = FileSpy()
+
+    class SpyFile(io.FileIO):
+        def __init__(self, path, *args, **kwargs):
+            super().__init__(path, *args, **kwargs)
+            self.base = os.path.basename(path)
+            spy.opens.append(self.base)
+            spy.handles.append(self)
+
+        def write(self, data):
+            spy.writes.append(self.base)
+            if self.base not in spy.faults:
+                return super().write(data)
+            keep, short = spy.faults[self.base]
+            if isinstance(keep, float):
+                keep = int(len(data) * keep)
+            written = super().write(data[:keep]) if keep else 0
+            if short:
+                return written
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def truncate(self, size=None):
+            if self.base in spy.cut_fails:
+                raise OSError(errno.EIO, "Input/output error")
+            return super().truncate(size)
+
+    monkeypatch.setattr(io, "FileIO", SpyFile)
+    return spy

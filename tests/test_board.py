@@ -871,7 +871,7 @@ def file_log_runtime(path):
 
 
 def log_bytes(runtime) -> bytes:
-    runtime.log.close()  # flush; the next append reopens the file
+    runtime.log.close()  # the next append reopens the file
     return runtime.log.path.read_bytes()
 
 
@@ -1057,6 +1057,62 @@ class BrokenSink(MemorySink):
         if self.attempts == self.fail_at:
             raise RuntimeError("sink bug")
         super().deliver(wire)
+
+
+class TestTornAppend:
+    """A log write that fails partway, raising or short, is cut back: the
+    file holds whole records only, replays to the live snapshot, and the
+    next commit starts a line of its own."""
+
+    @pytest.mark.parametrize("short", [False, True], ids=["raise", "short"])
+    def test_a_write_failing_at_every_byte_offset(self, tmp_path, file_spy,
+                                                  short):
+        # Commit T1-1, tear T1-2's record after each of its bytes in turn,
+        # commit T1-3: each file replays to T1-1 and T1-3.
+        clean = file_log_runtime(tmp_path / "clean.ndjson")
+        with clean.log:
+            clean.inject_ticket("T1-1", "r1", at(0))
+            clean.inject_ticket("T1-2", "r1", at(1))
+        first, second = (tmp_path / "clean.ndjson").read_bytes().splitlines(
+            keepends=True)
+        for keep in range(len(second)):
+            path = tmp_path / f"torn-{keep}.ndjson"
+            runtime = file_log_runtime(path)
+            with runtime.log:
+                runtime.inject_ticket("T1-1", "r1", at(0))
+                file_spy.fail(path.name, keep, short)
+                with pytest.raises(OSError):
+                    runtime.inject_ticket("T1-2", "r1", at(1))
+                file_spy.heal()
+                assert path.read_bytes() == first
+                assert replay(read_event_log(path)) == runtime.snapshot
+                runtime.inject_ticket("T1-3", "r1", at(2))
+            lines = path.read_bytes().splitlines(keepends=True)
+            assert len(lines) == 2 and lines[0] == first
+            records = read_event_log(path)
+            assert [r["ticket"] for r in records] == ["T1-1", "T1-3"]
+            assert replay(records) == runtime.snapshot
+        assert file_spy.leaked() == []
+
+    def test_a_failed_cut_refuses_every_later_append(self, tmp_path,
+                                                     file_spy):
+        path = tmp_path / "T1.events.ndjson"
+        runtime = file_log_runtime(path)
+        with runtime.log:
+            runtime.inject_ticket("T1-1", "r1", at(0))
+            file_spy.fail(path.name, keep=0.5)
+            file_spy.cut_fails.add(path.name)
+            with pytest.raises(OSError):
+                runtime.inject_ticket("T1-2", "r1", at(1))
+            torn = path.read_bytes()
+            file_spy.heal()
+            for hour in (2, 3):
+                with pytest.raises(OSError, match="could not be cut back"):
+                    runtime.inject_ticket(f"T1-{hour}", "r1", at(hour))
+            assert path.read_bytes() == torn
+            assert replay(runtime.log.events) == runtime.snapshot
+            assert set(runtime.snapshot.tickets) == {"T1-1"}
+        assert file_spy.leaked() == []
 
 
 def announced(events):

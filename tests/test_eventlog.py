@@ -555,17 +555,8 @@ def test_replay_needs_a_board_on_the_first_record():
     assert err.value.field == "board"
 
 
-class FailingHandle:
-    """A log file handle whose writes fail, as on a full disk."""
-
-    def write(self, text):
-        raise OSError(28, "No space left on device")
-
-    def close(self):
-        pass
-
-
-def test_watermark_follows_appends_and_survives_a_failed_write(tmp_path):
+def test_watermark_follows_appends_and_survives_a_failed_write(tmp_path,
+                                                               file_spy):
     path = tmp_path / "x.ndjson"
     first = {"seq": 1, "ts": "2025-01-06T09:00:00Z", "board": "T1",
              "kind": "Created", "ticket": "T1-1", "reporter": "r1"}
@@ -574,27 +565,25 @@ def test_watermark_follows_appends_and_survives_a_failed_write(tmp_path):
         assert log.watermark == 0
         assert log.append([first]) == 1 == log.watermark
         log.close()
-        log._fh = FailingHandle()
+        file_spy.fail("x.ndjson")
         with pytest.raises(OSError):
             log.append([second])
         assert log.watermark == 1
         assert log.events == [first]
-        log._fh = None
+        file_spy.heal()
         assert log.append([second]) == 2 == log.watermark
     with EventLog(path) as reopened:
         assert reopened.watermark == 2
         assert reopened.events == [first, second]
 
 
-def test_flush_hands_appended_lines_to_a_second_reader(tmp_path):
+def test_an_append_alone_hands_its_lines_to_a_second_reader(tmp_path):
     path = tmp_path / "x.ndjson"
     with EventLog(path) as log:
         log.append([CREATED])
-        log.flush()
         assert read_event_log(path) == log.events == [CREATED]
     memory = EventLog()
     memory.append([CREATED])
-    memory.flush()
     assert memory.events == [CREATED]
 
 
@@ -774,6 +763,45 @@ def test_a_log_whose_final_newline_was_lost_takes_appends(tmp_path):
         with EventLog(path) as log:
             log.append([event])
         assert path.read_text() == text + encode_event(event) + "\n"
+
+
+@pytest.mark.parametrize("keep, short", [
+    (0, False), (1, False), (0.5, False), (0, True), (1, True), (0.5, True),
+], ids=["raise-0", "raise-newline", "raise-half", "short-0",
+        "short-newline", "short-half"])
+def test_a_lost_newline_outlives_a_failed_first_append(tmp_path, file_spy,
+                                                       keep, short):
+    # The repair travels in the first write, so a cut takes it back with
+    # the record, and the next append still starts a line of its own.
+    path = tmp_path / "x.ndjson"
+    first, second = _events(CREATED, dict(CREATED, ticket="T1-2"))
+    path.write_text(encode_event(first))
+    with EventLog(path) as log:
+        file_spy.fail(path.name, keep, short)
+        with pytest.raises(OSError):
+            log.append([second])
+        assert path.read_text() == encode_event(first)
+        file_spy.heal()
+        log.append([second])
+    assert path.read_text() == \
+        encode_event(first) + "\n" + encode_event(second) + "\n"
+    assert read_event_log(path) == [first, second]
+
+
+@pytest.mark.parametrize("fault", ["none", "write", "cut"])
+def test_no_descriptor_outlives_close(tmp_path, file_spy, fault):
+    path = tmp_path / "x.ndjson"
+    with EventLog(path) as log:
+        if fault != "none":
+            file_spy.fail(path.name, keep=0.5)
+        if fault == "cut":
+            file_spy.cut_fails.add(path.name)
+        try:
+            log.append(_events(CREATED))
+        except OSError:
+            assert fault != "none"
+        assert file_spy.leaked() == ["x.ndjson"]
+    assert len(file_spy.handles) == 1 and file_spy.leaked() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import errno
 import gc
 import json
 import pathlib
@@ -19,8 +18,9 @@ from hypothesis import strategies as st
 from dispatchbot import notify
 from dispatchbot.assignment import AssignmentDecision
 from dispatchbot.board import BoardRuntime
-from dispatchbot.eventlog import EventLog, replay
+from dispatchbot.eventlog import EventLog, read_event_log, replay
 from dispatchbot.notify import (
+    AppendWriter,
     BindingError,
     Channel,
     ChannelBinding,
@@ -379,75 +379,6 @@ def channel_lines(directory) -> dict[str, list[str]]:
             for path in sorted(directory.glob("*.ndjson"))}
 
 
-@pytest.fixture
-def opened(monkeypatch):
-    """Record every file `Path.open` hands out, by file name."""
-    inner = pathlib.Path.open
-    handles: list[tuple[str, object]] = []
-
-    def spy(path, *args, **kwargs):
-        fh = inner(path, *args, **kwargs)
-        handles.append((path.name, fh))
-        return fh
-
-    monkeypatch.setattr(pathlib.Path, "open", spy)
-    return handles
-
-
-class ChannelFiles:
-    """What the `channel_files` fixture saw: the file name of every
-    `Path.open`, each binary-append handle it wrapped, the file name of
-    each write through one, and the file names whose writes fail: before
-    writing anything (`failing`), after writing half their bytes (`torn`)
-    or short, writing half and returning its count (`short`)."""
-
-    def __init__(self):
-        self.opens: list[str] = []
-        self.handles: list = []
-        self.writes: list[str] = []
-        self.failing: set[str] = set()
-        self.torn: set[str] = set()
-        self.short: set[str] = set()
-
-
-@pytest.fixture
-def channel_files(monkeypatch):
-    """Wrap each handle `Path.open` hands out in the file sink's mode,
-    binary append, so its writes are counted and can fail with ENOSPC or
-    fall short."""
-    inner = pathlib.Path.open
-    files = ChannelFiles()
-
-    class SpyFile:
-        def __init__(self, name, fh):
-            self.name, self.fh = name, fh
-
-        def write(self, data):
-            files.writes.append(self.name)
-            if self.name in files.failing:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            if self.name in files.torn | files.short:
-                written = self.fh.write(data[:len(data) // 2])
-                if self.name in files.short:
-                    return written
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return self.fh.write(data)
-
-        def __getattr__(self, name):
-            return getattr(self.fh, name)
-
-    def spy_open(path, mode="r", *args, **kwargs):
-        files.opens.append(path.name)
-        fh = inner(path, mode, *args, **kwargs)
-        if mode != "ab":
-            return fh
-        files.handles.append(SpyFile(path.name, fh))
-        return files.handles[-1]
-
-    monkeypatch.setattr(pathlib.Path, "open", spy_open)
-    return files
-
-
 def checking_log(directory, seen: list[str]) -> EventLog:
     """An in-memory log that asserts each delivery's line is in its
     channel file under `directory` when the delivery is appended, and
@@ -484,18 +415,18 @@ class TestFileSinkFlush:
     and puts each line on disk before its delivery is logged."""
 
     def test_each_channel_file_opened_at_most_once_per_cycle(self, tmp_path,
-                                                             channel_files):
+                                                             file_spy):
         runtime = file_runtime(tmp_path)
         for i in range(3):
             runtime.inject_ticket(f"T1-{i}", "r1", at(0))
         for hour, lines in ((1, 3), (1.5, 9)):
-            del channel_files.opens[:], channel_files.writes[:]
+            del file_spy.opens[:], file_spy.writes[:]
             report = runtime.run_cycle(at(hour))
             assert report.messages_delivered == lines
-            names = channel_files.opens
+            names = file_spy.opens
             assert sorted(names) == sorted(set(names))
             # One write per channel file, carrying all of its lines.
-            assert sorted(channel_files.writes) == sorted(names)
+            assert sorted(file_spy.writes) == sorted(names)
         # The second cycle sent stuck reminders to every channel.
         assert report.reminders_sent == 3
         assert sorted(names) == ["ChatA.ndjson", "ChatB.ndjson",
@@ -516,13 +447,13 @@ class TestFileSinkFlush:
         assert len(seen) == 12
 
     def test_one_failing_channel_fails_only_its_own_lines(self, tmp_path,
-                                                          channel_files):
+                                                          file_spy):
         seen = []
         runtime = file_runtime(tmp_path, log=checking_log(tmp_path, seen))
         for i in range(3):
             runtime.inject_ticket(f"T1-{i}", "r1", at(0))
         runtime.run_cycle(at(1))
-        channel_files.failing.add("Email.ndjson")
+        file_spy.fail("Email.ndjson")
         report = runtime.run_cycle(at(1.5))
         # The same flush delivers the reminders to ChatA and ChatB.
         assert (report.messages_delivered, report.messages_failed) == (6, 3)
@@ -537,16 +468,16 @@ class TestFileSinkFlush:
                         if e.get("msg_id") == msg_id and "state" in e]
             assert (record["state"], record["retries"],
                     record["terminal"]) == ("Failed", 1, False)
-        assert all(fh.closed for fh in channel_files.handles)
+        assert all(fh.closed for fh in file_spy.handles)
 
-        channel_files.failing.clear()
+        file_spy.heal()
         report = runtime.run_cycle(at(1.75))
         assert (report.messages_delivered, report.messages_failed) == (3, 0)
         assert sorted(channel_lines(tmp_path)["Email"]) == sorted(email)
         assert len(seen) == 12 and not runtime.snapshot.outbox
         assert replay(runtime.log.events) == runtime.snapshot
 
-    def test_no_handle_outlives_a_cycle(self, tmp_path, opened,
+    def test_no_handle_outlives_a_cycle(self, tmp_path, file_spy,
                                         monkeypatch):
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
@@ -556,8 +487,9 @@ class TestFileSinkFlush:
             runtime.inject_ticket("T1-1", "r1", at(0))
             runtime.run_cycle(at(1))
             runtime.run_cycle(at(1.5))
-            assert opened and all(fh.closed for _, fh in opened)
-            del runtime, opened[:]
+            assert file_spy.handles and all(
+                fh.closed for fh in file_spy.handles)
+            del runtime, file_spy.handles[:]
             gc.collect()
         assert unraisable == []
 
@@ -598,14 +530,14 @@ class TestFileSinkFlush:
             if e["kind"] == "MessageDelivered")
 
     def test_write_failure_retried_through_a_fresh_handle(self, tmp_path,
-                                                          channel_files):
+                                                          file_spy):
         runtime = file_runtime(tmp_path)
         runtime.inject_ticket("T1-1", "r1", at(0, seconds=1))
         report = runtime.run_cycle(at(0, seconds=5))
         assert (report.messages_delivered, report.messages_failed) == (1, 0)
         for i in (2, 3):
             runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i + 4))
-        channel_files.failing.add("ChatA.ndjson")
+        file_spy.fail("ChatA.ndjson")
         report = runtime.run_cycle(at(0, seconds=10))
         # The failed write fails every message queued for its channel.
         assert (report.messages_delivered, report.messages_failed) == (0, 2)
@@ -614,25 +546,24 @@ class TestFileSinkFlush:
                         if e.get("msg_id") == msg_id and "state" in e]
             assert (failed["state"], failed["retries"],
                     failed["terminal"]) == ("Failed", 1, False)
-        assert len(channel_files.handles) == 2
-        assert all(fh.closed for fh in channel_files.handles)
+        assert len(file_spy.handles) == 2
+        assert all(fh.closed for fh in file_spy.handles)
         assert channel_lines(tmp_path) == {"ChatA": ["m000001"]}
 
         # The next cycle writes them all through a fresh handle.
-        channel_files.failing.clear()
+        file_spy.heal()
         report = runtime.run_cycle(at(0, seconds=20))
         assert (report.messages_delivered, report.messages_failed) == (2, 0)
-        assert len(channel_files.handles) == 3
-        assert all(fh.closed for fh in channel_files.handles)
+        assert len(file_spy.handles) == 3
+        assert all(fh.closed for fh in file_spy.handles)
         assert channel_lines(tmp_path) == {
             "ChatA": ["m000001", "m000002", "m000003"]}
         assert replay(runtime.log.events) == runtime.snapshot
 
     @pytest.mark.parametrize("fault", ["torn", "short"])
     @pytest.mark.parametrize("earlier", [0, 1])
-    def test_failed_write_leaves_no_partial_line(self, tmp_path,
-                                                 channel_files, fault,
-                                                 earlier):
+    def test_failed_write_leaves_no_partial_line(self, tmp_path, file_spy,
+                                                 fault, earlier):
         """A write that stops partway, raising or short, is cut back to
         the file's length before it: the file holds only whole lines, and
         the retried lines parse after the next flush."""
@@ -643,13 +574,13 @@ class TestFileSinkFlush:
         before = (tmp_path / "ChatA.ndjson").read_bytes() if earlier else b""
         for i in range(earlier + 1, earlier + 3):
             runtime.inject_ticket(f"T1-{i}", "r1", at(0, seconds=i + 5))
-        getattr(channel_files, fault).add("ChatA.ndjson")
+        file_spy.fail("ChatA.ndjson", keep=0.5, short=fault == "short")
         report = runtime.run_cycle(at(0, seconds=10))
         assert (report.messages_delivered, report.messages_failed) == (0, 2)
         assert (tmp_path / "ChatA.ndjson").read_bytes() == before
-        assert all(fh.closed for fh in channel_files.handles)
+        assert all(fh.closed for fh in file_spy.handles)
 
-        getattr(channel_files, fault).clear()
+        file_spy.heal()
         report = runtime.run_cycle(at(0, seconds=20))
         assert (report.messages_delivered, report.messages_failed) == (2, 0)
         ids = [f"m{n:06d}" for n in range(1, earlier + 3)]
@@ -657,3 +588,76 @@ class TestFileSinkFlush:
         assert [e["msg_id"] for e in runtime.log.events
                 if e.get("state") == "Delivered"] == ids
         assert replay(runtime.log.events) == runtime.snapshot
+
+    @pytest.mark.parametrize("short", [False, True], ids=["raise", "short"])
+    def test_a_write_failing_at_every_byte_offset(self, tmp_path, file_spy,
+                                                  short):
+        """A channel write that stops after any of its bytes leaves no
+        partial line: the file replays, and the next cycle's line starts a
+        line of its own."""
+
+        def board(directory):
+            runtime = file_runtime(
+                directory, log=EventLog(directory / "T1.events.ndjson"))
+            runtime.inject_ticket("T1-1", "r1", at(0))
+            runtime.run_cycle(at(0, seconds=10))
+            runtime.inject_ticket("T1-2", "r1", at(0, seconds=20))
+            return runtime
+
+        clean = board(tmp_path / "clean")
+        with clean.log:
+            clean.run_cycle(at(0, seconds=30))
+        first, second = (tmp_path / "clean" / "ChatA.ndjson").read_bytes() \
+            .splitlines(keepends=True)
+        for keep in range(len(second)):
+            runtime = board(tmp_path / f"torn-{keep}")
+            chat = tmp_path / f"torn-{keep}" / "ChatA.ndjson"
+            with runtime.log:
+                file_spy.fail(chat.name, keep, short)
+                report = runtime.run_cycle(at(0, seconds=30))
+                file_spy.heal()
+                assert (report.messages_delivered,
+                        report.messages_failed) == (0, 1)
+                assert chat.read_bytes() == first
+                assert replay(read_event_log(runtime.log.path)) == \
+                    runtime.snapshot
+                report = runtime.run_cycle(at(0, seconds=40))
+                assert (report.messages_delivered,
+                        report.messages_failed) == (1, 0)
+                assert chat.read_bytes() == first + second
+                assert replay(read_event_log(runtime.log.path)) == \
+                    runtime.snapshot
+        assert file_spy.leaked() == []
+
+    @pytest.mark.parametrize("fault", ["none", "raise", "short", "cut"])
+    def test_no_descriptor_outlives_a_flush(self, tmp_path, file_spy, fault):
+        runtime = file_runtime(tmp_path)
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        if fault != "none":
+            file_spy.fail("ChatA.ndjson", keep=0.5, short=fault == "short")
+        if fault == "cut":
+            file_spy.cut_fails.add("ChatA.ndjson")
+        report = runtime.run_cycle(at(0, seconds=10))
+        assert report.messages_failed == (fault != "none")
+        assert file_spy.handles and file_spy.leaked() == []
+
+
+def test_a_failed_cut_refuses_every_later_write(tmp_path, file_spy):
+    path = tmp_path / "ChatA.ndjson"
+    writer = AppendWriter(path)
+    try:
+        writer.write(b"one\n")
+        file_spy.fail(path.name, keep=2)
+        file_spy.cut_fails.add(path.name)
+        # The cut's error is raised, with the write's as its context.
+        with pytest.raises(OSError, match="Input/output") as err:
+            writer.write(b"two\n")
+        assert "No space left" in str(err.value.__context__)
+        file_spy.heal()
+        for line in (b"two\n", b"three\n"):
+            with pytest.raises(OSError, match="could not be cut back"):
+                writer.write(line)
+        assert path.read_bytes() == b"one\ntw"
+    finally:
+        writer.close()
+    assert file_spy.leaked() == []
