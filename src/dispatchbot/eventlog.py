@@ -36,7 +36,6 @@ order that cannot be read or folded.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -49,6 +48,7 @@ from .notify import (
     WIRE_FIELDS,
     AppendWriter,
     compact_json,
+    record_line,
 )
 from .reminders import REMINDER_KIND_BY_VALUE
 from .timeutil import parse_ts
@@ -407,7 +407,9 @@ def replay(events: Iterable[dict],
 
 class EventLog:
     """In-memory event list with optional ndjson persistence, written by
-    one `AppendWriter` call per `append`, before it returns."""
+    one `AppendWriter` call per `append`, before it returns. Each record's
+    line is `notify.record_line`'s: the announced messages are encoded
+    once, there, and their sinks send the lines it made."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
@@ -421,7 +423,9 @@ class EventLog:
     def append(self, events: list[dict]) -> int:
         """Append events whose seq continues the log; returns the new
         watermark. A failed write leaves the file, `events` and
-        `watermark` as they were."""
+        `watermark` as they were. A file-backed log writes each event as
+        `record_line(event)`, `encode_event`'s text, which also remembers
+        the line of each wire the event announces for its sink."""
         expected = self.watermark + 1
         for event in events:
             if event["seq"] != expected:
@@ -429,20 +433,12 @@ class EventLog:
             expected += 1
         if self.path is not None:
             if self._writer is None:
-                self._open()
-            self._writer.write(self._lead + "".join(
-                [encode_event(event) + "\n" for event in events]).encode())
-            self._lead = b""
+                self._writer = AppendWriter(self.path)
+            self._writer.write("".join(
+                [record_line(event) + "\n" for event in events]).encode())
         self.events.extend(events)
         self.watermark = expected - 1
         return self.watermark
-
-    def _open(self) -> None:
-        """Open the file; a lost final newline leads the first write."""
-        self._writer = writer = AppendWriter(self.path)
-        end = writer.length
-        tail = os.pread(writer.file.fileno(), 1, end - 1) if end else b"\n"
-        self._lead = b"" if tail == b"\n" else b"\n"
 
     def close(self) -> None:
         if self._writer is not None:

@@ -15,12 +15,20 @@ A message is its wire dict, the payload put on the wire: the
 announces it carries it, the fold keeps that same dict in the snapshot's
 outbox until its delivery settles, and every sink's `deliver` takes it
 and sends it as it is. No sink mutates it.
+
+This module is the one place that serializes a message, and it does so
+once. `record_line` encodes a record whose `messages` list carries wires
+by encoding each wire alone and splicing those lines into the record's
+line; it remembers each wire's line, and `wire_line` hands that line to
+the file sink or the webhook sink, so a message's channel line and its
+webhook body are the text its event's log line holds.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -54,11 +62,65 @@ def compact_json(value) -> str:
     return "".join(_encode(value, 0))
 
 
+#: Wires whose line `record_line` encoded and no sink has taken yet:
+#: id(wire) -> (wire, its line). Each entry holds its wire, so no other
+#: object can take the wire's id while the entry exists.
+_WIRE_LINES: dict[int, tuple[object, str]] = {}
+
+#: Most entries `_WIRE_LINES` holds, unless one record carries more
+#: wires than that. A flush takes the lines its cycle logged, so it only
+#: fills with messages no sink took a line for (a memory sink's, say);
+#: full, it is emptied, like `timeutil`'s codec memo, and a line it
+#: dropped is encoded again if its message is sent.
+_WIRE_LINE_CACHE = 1024
+
+#: What a record's `messages` value is encoded as before the wires' lines
+#: take its place. In compact, key-sorted JSON every quote inside a
+#: string is escaped, so this text only ever ends a key: the record's
+#: own, a nested object's `messages` whose value starts with 0, or a key
+#: that ends in an escaped `"messages`. Occurring once, it is the record's.
+_PLACEHOLDER = '"messages":0'
+
+
+def record_line(record) -> str:
+    """`compact_json(record)`, with each wire of a non-empty `messages`
+    list encoded once, alone, and remembered for `wire_line`.
+
+    The record is encoded with 0 in its wires' place, and the wires'
+    lines are spliced in where that `"messages":0` stands: the same text,
+    since a value encodes the same wherever it stands. Unless the
+    placeholder occurs exactly once, the record is encoded whole."""
+    wires = record.get("messages") if type(record) is dict else None
+    if type(wires) is not list or not wires:
+        return compact_json(record)
+    lines = [compact_json(wire) for wire in wires]
+    parts = compact_json({**record, "messages": 0}).split(_PLACEHOLDER)
+    if len(parts) != 2:
+        return compact_json(record)
+    memo = _WIRE_LINES
+    if len(memo) + len(wires) > _WIRE_LINE_CACHE:
+        memo.clear()
+    for wire, line in zip(wires, lines):
+        memo[id(wire)] = (wire, line)
+    return f'{parts[0]}"messages":[{",".join(lines)}]{parts[1]}'
+
+
+def wire_line(wire) -> str:
+    """`compact_json(wire)`: the line `record_line` remembered for this
+    wire, taken out of the memo, or a fresh encode when it has none (a
+    wire read back from the log after a restart, one an in-memory log
+    never encoded, or one a sink was handed directly)."""
+    entry = _WIRE_LINES.pop(id(wire), None)
+    return compact_json(wire) if entry is None else entry[1]
+
+
 class AppendWriter:
     """One raw file opened for append (and read) that knows its length:
     the one write path of the event log and of each channel file. A
     `write` that raises or falls short is cut back to that length and
-    re-raised; if the cut fails too, every later write raises."""
+    re-raised; if the cut fails too, every later write raises. A newline
+    the file's last line lost leads the first write that succeeds, so a
+    torn line left by an earlier writer ends before the next one starts."""
 
     def __init__(self, path: str | Path):
         try:
@@ -68,10 +130,19 @@ class AppendWriter:
             self.file = io.FileIO(path, "a+")
         #: Bytes of the file known to be whole; None once a cut failed.
         self.length: int | None = self.file.tell()
+        try:
+            tail = (os.pread(self.file.fileno(), 1, self.length - 1)
+                    if self.length else b"\n")
+        except BaseException:
+            self.file.close()
+            raise
+        self._lead = b"" if tail == b"\n" else b"\n"
 
     def write(self, data: bytes) -> None:
         if self.length is None:
             raise OSError("a failed write could not be cut back")
+        if self._lead:
+            data = self._lead + data
         try:
             if self.file.write(data) != len(data):
                 raise OSError("short write")
@@ -81,6 +152,7 @@ class AppendWriter:
             self.length = length
             raise
         self.length += len(data)
+        self._lead = b""
 
     def close(self) -> None:
         self.file.close()
@@ -229,25 +301,27 @@ class Sink(Protocol):
 class FileSink:
     """Appends one JSON object per line to `<dir>/<channel>.ndjson`.
 
-    `deliver` only encodes the wire and queues its line under its
-    channel. `close`, which the board calls at the end of every outbox
-    flush, writes each channel's queued lines with one `AppendWriter`
-    write and returns the msg ids of every line queued for a channel it
-    could not write; no descriptor outlives a flush. A delivery to a file
-    sink is final only once `close` has written its line.
+    `deliver` queues the wire's line (`wire_line`: the text its event's
+    log line holds, encoded when the event was) under its channel.
+    `close`, which the board calls at the end of every outbox flush,
+    writes each channel's queued lines with one `AppendWriter` write and
+    returns the msg ids of every line queued for a channel it could not
+    write; no descriptor outlives a flush. A delivery to a file sink is
+    final only once `close` has written its line.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         #: channel -> (queued lines, their msg ids), in delivery order.
         self._queued: dict[str, tuple[list[str], list[str]]] = {}
+        #: channel -> its file's path, built at its first flush.
+        self._paths: dict[str, str] = {}
 
     def deliver(self, wire: dict) -> None:
-        line = compact_json(wire)
         queue = self._queued.get(wire["channel"])
         if queue is None:
             queue = self._queued[wire["channel"]] = ([], [])
-        queue[0].append(line)
+        queue[0].append(wire_line(wire))
         queue[1].append(wire["msg_id"])
 
     def close(self) -> list[str]:
@@ -257,8 +331,12 @@ class FileSink:
         queued, self._queued = self._queued, {}
         failed: list[str] = []
         for channel, (lines, msg_ids) in queued.items():
+            path = self._paths.get(channel)
+            if path is None:
+                path = self._paths[channel] = str(
+                    self.directory / f"{channel}.ndjson")
             try:
-                writer = AppendWriter(self.directory / f"{channel}.ndjson")
+                writer = AppendWriter(path)
                 try:
                     writer.write(("\n".join(lines) + "\n").encode())
                 finally:
@@ -270,7 +348,8 @@ class FileSink:
 
 class WebhookSink:
     """POSTs the wire payload as JSON, the bytes of its channel-file
-    line: 2xx delivered, 4xx rejected. The stdlib HTTP client (and with
+    line (`wire_line`, the text its event's log line holds): 2xx
+    delivered, 4xx rejected. The stdlib HTTP client (and with
     it `email`, `ssl` and `socket`) loads on the first delivery, so a
     process whose channels are all files never pays for it."""
 
@@ -283,7 +362,7 @@ class WebhookSink:
         import urllib.error
         import urllib.request
 
-        body = compact_json(wire).encode("utf-8")
+        body = wire_line(wire).encode("utf-8")
         try:
             request = urllib.request.Request(
                 self.url, data=body, method="POST",

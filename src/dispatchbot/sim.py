@@ -310,62 +310,67 @@ def run_simulation(config: SimConfig, out_dir: str | Path | None = None) -> SimR
     now = SIM_EPOCH
     reports: list[CycleReport] = []
 
-    while True:
-        due = []
-        while world and world[0][0] <= now:
-            entry = heapq.heappop(world)
-            if entry[1] == 1:
-                at, _, _, tid, to_state, engineer = entry
-                runtime.apply_external_transition(tid, to_state, at, engineer)
-                continue
-            if entry[1] == 2:
-                due.append(entry[2:])
-                continue
-            i = entry[2]
-            runtime.inject_ticket(stream[i]["ticket"], stream[i]["reporter"],
-                                  entry[0], stream[i]["priority"])
-            if plan:
-                heapq.heappush(world, (plan[stream[i]["ticket"]][1], 2,
-                                       entry[0], stream[i]["ticket"]))
-            if i + 1 < len(stream):
-                heapq.heappush(world, (stream[i + 1]["ts"], 0, i + 1))
+    # Closed on every exit, also when an append fails mid-run.
+    with log:
+        while True:
+            due = []
+            while world and world[0][0] <= now:
+                entry = heapq.heappop(world)
+                if entry[1] == 1:
+                    at, _, _, tid, to_state, engineer = entry
+                    runtime.apply_external_transition(tid, to_state, at,
+                                                      engineer)
+                    continue
+                if entry[1] == 2:
+                    due.append(entry[2:])
+                    continue
+                i = entry[2]
+                runtime.inject_ticket(stream[i]["ticket"],
+                                      stream[i]["reporter"], entry[0],
+                                      stream[i]["priority"])
+                if plan:
+                    heapq.heappush(world, (plan[stream[i]["ticket"]][1], 2,
+                                           entry[0], stream[i]["ticket"]))
+                if i + 1 < len(stream):
+                    heapq.heappush(world, (stream[i + 1]["ts"], 0, i + 1))
 
-        # The manager's due assignments, by (created_at, id), at `now`.
-        assignments = [(tid, plan[tid][0]) for _, tid in sorted(due)]
-        for tid, engineer in assignments:
-            runtime.reassign_ticket(tid, engineer, now)
-
-        report = runtime.run_cycle(now)
-        reports.append(report)
-
-        # Schedule engineer service for this cycle's assignments.
-        for tid, engineer in assignments + report.assignments:
-            if (config.reassign_prob > 0
-                    and proc_rng.random() < config.reassign_prob
-                    and len(engineers) > 1):
-                engineer = proc_rng.choice(
-                    [e for e in engineers if e != engineer])
+            # The manager's due assignments, by (created_at, id), at `now`.
+            assignments = [(tid, plan[tid][0]) for _, tid in sorted(due)]
+            for tid, engineer in assignments:
                 runtime.reassign_ticket(tid, engineer, now)
-            median = medians[engineer]
-            service_h = median * math.exp(
-                config.service_sigma * proc_rng.gauss(0.0, 1.0))
-            service = timedelta(seconds=max(1, round(service_h * 3600)))
-            created = runtime.snapshot.tickets[tid].created_at
-            start = max(now + SECOND, busy_until[engineer], created + SECOND)
-            heapq.heappush(world, (start, 1, next(made), tid,
-                                   WorkflowState.WORK_IN_PROGRESS, engineer))
-            busy_until[engineer] = start + service
-            held = (engineer in gamers
-                    and proc_rng.random() < config.gamer_hold_fraction)
-            if not held:
-                heapq.heappush(world, (start + service, 1, next(made), tid,
-                                       WorkflowState.DONE, engineer))
 
-        if now >= end:
-            break
-        now += period
+            report = runtime.run_cycle(now)
+            reports.append(report)
 
-    log.close()
+            # Schedule engineer service for this cycle's assignments.
+            for tid, engineer in assignments + report.assignments:
+                if (config.reassign_prob > 0
+                        and proc_rng.random() < config.reassign_prob
+                        and len(engineers) > 1):
+                    engineer = proc_rng.choice(
+                        [e for e in engineers if e != engineer])
+                    runtime.reassign_ticket(tid, engineer, now)
+                median = medians[engineer]
+                service_h = median * math.exp(
+                    config.service_sigma * proc_rng.gauss(0.0, 1.0))
+                service = timedelta(seconds=max(1, round(service_h * 3600)))
+                created = runtime.snapshot.tickets[tid].created_at
+                start = max(now + SECOND, busy_until[engineer],
+                            created + SECOND)
+                heapq.heappush(world, (start, 1, next(made), tid,
+                                       WorkflowState.WORK_IN_PROGRESS,
+                                       engineer))
+                busy_until[engineer] = start + service
+                held = (engineer in gamers
+                        and proc_rng.random() < config.gamer_hold_fraction)
+                if not held:
+                    heapq.heappush(world, (start + service, 1, next(made), tid,
+                                           WorkflowState.DONE, engineer))
+
+            if now >= end:
+                break
+            now += period
+
     return SimRun(config=config, runtime=runtime, cycle_reports=reports,
                   last_cycle_at=now)
 

@@ -12,7 +12,7 @@ from datetime import datetime
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchbot import notify
@@ -32,16 +32,18 @@ from dispatchbot.notify import (
     assignment_text,
     compact_json,
     hand_over,
+    record_line,
     reminder_text,
     route_reminder,
     settle,
     state_change_text,
+    wire_line,
 )
 from dispatchbot.reminders import Reminder, ReminderKind, ThresholdPolicy
 from dispatchbot.timeutil import iso
 from dispatchbot.workflow import WorkflowState
 
-from .conftest import at, binding, team_config
+from .conftest import at, binding, clear_codec, team_config
 
 
 def make_ids():
@@ -191,6 +193,116 @@ class TestCompactJson:
     def test_tuples_and_int_keys_as_json_dumps_writes_them(self):
         value = {2: (1, "x"), 10: None, -1: [True, 1.5e300]}
         assert compact_json(value) == dumps(value)
+
+
+#: Texts that could pass for the placeholder, or break a naive splice.
+_TRICKY = st.sampled_from([
+    '"messages":0', '"messages":0,', '{"messages":0}', '\\"messages\\":0',
+    '"', '\\', '\\"', "\0", "messages", "\u00e9\u2713\U0001f600", ""])
+_text = _TRICKY | st.text(max_size=8)
+
+#: A wire as the templates build it, with any text in its string fields.
+_wires = st.fixed_dictionaries({
+    key: st.sampled_from(["m000001", "m000002"]) if key == "msg_id"
+    else _text for key in sorted(notify.WIRE_FIELDS)})
+
+_leaves = st.none() | st.booleans() | st.integers() | st.floats() | _text
+
+
+def _tree(leaves):
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(_text, inner, max_size=3),
+                        max_leaves=6)
+
+
+#: JSON values whose strings include the tricky texts.
+_json_values = _tree(_leaves)
+#: The same, with values JSON cannot hold among them.
+_values = _tree(_leaves | st.builds(set) | st.builds(object))
+
+
+@st.composite
+def _records(draw) -> dict:
+    """A record shaped like the runtime's, or any JSON object, with a
+    `messages` value of wires, of other values, empty, not a list, or
+    none; some carry an object of their own with `"messages": 0` under a
+    key that sorts before `messages`."""
+    record = draw(st.fixed_dictionaries(
+        {"seq": st.integers(1, 10**6), "ts": _text, "board": _text,
+         "kind": _text}) | st.dictionaries(_text, _json_values, max_size=4))
+    record.update(draw(st.dictionaries(
+        st.sampled_from(["a", "from", "kind", "labels", "to"]),
+        st.just({"messages": 0}) | st.just([{"messages": 0}]) | _values,
+        max_size=2)))
+    messages = draw(st.none() | st.lists(_wires, min_size=1, max_size=3)
+                    | st.lists(_wires | _values, max_size=3) | _values)
+    if messages is not None:
+        record["messages"] = messages
+    return record
+
+
+class TestRecordLine:
+    """`record_line` is `compact_json`, and each wire it encoded leaves
+    its line for `wire_line`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records())
+    def test_a_record_line_is_its_compact_json(self, record):
+        try:
+            want = compact_json(record)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                record_line(record)
+            return
+        assert record_line(record) == want
+        wires = record.get("messages")
+        for wire in wires if type(wires) is list else ():
+            assert wire_line(wire) == compact_json(wire)
+
+    def test_a_wire_never_logged_is_encoded_fresh(self):
+        clear_codec()
+        wire = message()
+        assert id(wire) not in notify._WIRE_LINES
+        assert wire_line(wire) == compact_json(wire)
+
+    def test_a_logged_wire_gives_its_line_once(self):
+        clear_codec()
+        wire = message()
+        line = record_line({"seq": 1, "messages": [wire]})
+        assert line == compact_json({"seq": 1, "messages": [wire]})
+        assert notify._WIRE_LINES[id(wire)] == (wire, compact_json(wire))
+        assert wire_line(wire) == compact_json(wire)
+        assert id(wire) not in notify._WIRE_LINES
+
+    def test_two_boards_sharing_a_msg_id_each_send_their_own(self, tmp_path):
+        clear_codec()
+        runtimes = [file_runtime(tmp_path / name, log=EventLog(
+            tmp_path / name / "T1.events.ndjson")) for name in "ab"]
+        # Both announcements, both m000001, are logged before either flush.
+        for runtime, (tid, engineer) in zip(runtimes, [("T1-1", "e1"),
+                                                       ("T1-9", "e2")]):
+            runtime.inject_ticket(tid, "r1", at(0))
+            runtime.reassign_ticket(tid, engineer, at(0, seconds=5))
+        for runtime, name in zip(runtimes, "ab"):
+            with runtime.log:
+                [wire] = runtime.snapshot.outbox.values()
+                assert wire["msg_id"] == "m000001"
+                runtime.run_cycle(at(0, seconds=10))
+            assert (tmp_path / name / "ChatA.ndjson").read_text() == \
+                compact_json(wire) + "\n"
+        texts = [(tmp_path / name / "ChatA.ndjson").read_text()
+                 for name in "ab"]
+        assert "T1-1" in texts[0] and "T1-9" in texts[1]
+
+    def test_the_memo_stays_within_its_bound(self):
+        clear_codec()
+        bound = notify._WIRE_LINE_CACHE
+        for seq in range(3 * bound):
+            record = {"seq": seq, "messages": [message(), message()]}
+            assert record_line(record) == compact_json(record)
+            assert len(notify._WIRE_LINES) <= bound
+        clear_codec()
+        assert not notify._WIRE_LINES
 
 
 class ScriptedSink:
@@ -629,6 +741,29 @@ class TestFileSinkFlush:
                     runtime.snapshot
         assert file_spy.leaked() == []
 
+    def test_a_torn_line_a_failed_cut_left_ends_before_the_retry(
+            self, tmp_path, file_spy):
+        """A write whose cut fails leaves part of a line in the file; the
+        next flush's writer ends that line before it writes its own."""
+        runtime = file_runtime(tmp_path)
+        runtime.inject_ticket("T1-1", "r1", at(0))
+        file_spy.fail("ChatA.ndjson", keep=0.5)
+        file_spy.cut_fails.add("ChatA.ndjson")
+        report = runtime.run_cycle(at(0, seconds=10))
+        assert (report.messages_delivered, report.messages_failed) == (0, 1)
+        [wire] = runtime.snapshot.outbox.values()
+        line = compact_json(wire)
+        torn = (tmp_path / "ChatA.ndjson").read_text()
+        assert torn == line[:len(line + "\n") // 2]
+
+        file_spy.heal()
+        report = runtime.run_cycle(at(0, seconds=20))
+        assert (report.messages_delivered, report.messages_failed) == (1, 0)
+        assert (tmp_path / "ChatA.ndjson").read_text().split("\n") == [
+            torn, line, ""]
+        assert file_spy.leaked() == []
+        assert replay(runtime.log.events) == runtime.snapshot
+
     @pytest.mark.parametrize("fault", ["none", "raise", "short", "cut"])
     def test_no_descriptor_outlives_a_flush(self, tmp_path, file_spy, fault):
         runtime = file_runtime(tmp_path)
@@ -640,6 +775,65 @@ class TestFileSinkFlush:
         report = runtime.run_cycle(at(0, seconds=10))
         assert report.messages_failed == (fault != "none")
         assert file_spy.handles and file_spy.leaked() == []
+
+
+class TestEncodedOnce:
+    """A file-backed board encodes each message once, alone, when its
+    event is logged; its channel line is that text."""
+
+    def test_each_wire_is_encoded_once_as_a_value_of_its_own(
+            self, tmp_path, monkeypatch):
+        clear_codec()
+        encoded = []
+        inner = notify._encode
+
+        def spy(value, level):
+            encoded.append(value)
+            return inner(value, level)
+
+        monkeypatch.setattr(notify, "_encode", spy)
+        path = tmp_path / "T1.events.ndjson"
+        runtime = file_runtime(tmp_path, log=EventLog(path))
+        with runtime.log:
+            runtime.inject_ticket("T1-1", "r1", at(0))
+            runtime.inject_ticket("T1-2", "r1", at(0))
+            runtime.apply_external_transition(
+                "T1-2", WorkflowState.READY_TO_START, at(0, seconds=5),
+                "r1")
+            report = runtime.run_cycle(at(0, seconds=10))
+        assert (len(report.assignments), report.messages_delivered) == (1, 2)
+        wires = [wire for event in runtime.log.events
+                 for wire in event.get("messages", ())]
+        assert [wire["kind"] for wire in wires] == ["StateChange",
+                                                    "Assignment"]
+        for wire in wires:
+            assert sum(value is wire for value in encoded) == 1
+        assert not any(type(value) is dict and value.get("messages")
+                       for value in encoded)
+        assert (tmp_path / "ChatA.ndjson").read_text() == "".join(
+            compact_json(wire) + "\n" for wire in wires)
+        assert path.read_text() == "".join(
+            compact_json(event) + "\n" for event in runtime.log.events)
+
+        # A restart reads its pending message back from the log, whose
+        # line no memo holds: the sink encodes it, and sends the same text.
+        runtime = file_runtime(tmp_path, log=EventLog(path))
+        with runtime.log:
+            runtime.apply_external_transition(
+                "T1-2", WorkflowState.DONE, at(0, seconds=20), "r1")
+        clear_codec()
+        del encoded[:]
+        runtime = file_runtime(tmp_path, log=EventLog(path))
+        with runtime.log:
+            [pending] = runtime.snapshot.outbox.values()
+            report = runtime.run_cycle(at(0, seconds=30))
+        assert report.messages_delivered == 1
+        assert [value for value in encoded if value is pending] == [pending]
+        line = compact_json(pending)
+        assert (tmp_path / "ChatA.ndjson").read_text().splitlines()[-1] == \
+            line
+        assert f'"messages":[{line}]' in path.read_text()
+        assert replay(read_event_log(path)) == runtime.snapshot
 
 
 def test_a_failed_cut_refuses_every_later_write(tmp_path, file_spy):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import errno
+import gc
 import hashlib
 import json
 import statistics
+import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
@@ -318,6 +322,33 @@ class TestRunSimulation:
         assert set(straight) == {"SIM.events.ndjson", "channels/ChatA.ndjson",
                                  "channels/Email.ndjson"}
         assert files(tmp_path / "restarted") == straight
+
+
+    def test_a_failed_append_closes_the_log(self, tmp_path, file_spy,
+                                            monkeypatch):
+        """An append that fails mid-run (a full disk) raises out of the
+        run, and the log's file is closed on the way out."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        appends = []
+        append = EventLog.append
+
+        def failing_fifth(log, events):
+            appends.append(len(events))
+            if len(appends) == 5:
+                file_spy.fail(log.path.name)
+            return append(log, events)
+
+        monkeypatch.setattr(EventLog, "append", failing_fifth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(OSError) as err:
+                run_simulation(replace(SMALL, horizon_days=2), tmp_path)
+            assert err.value.errno == errno.ENOSPC and len(appends) == 5
+            assert file_spy.leaked() == []
+            del err
+            gc.collect()
+        assert unraisable == []
 
 
 class TestExperiment:
