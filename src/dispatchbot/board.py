@@ -669,7 +669,8 @@ class BoardRuntime:
         then settle each message and append its record, also when a sink
         raises.
 
-        The hand-over keeps only each message's outcome. The sinks are
+        The hand-over takes each message's line out of `log.lines` and
+        keeps only the message's outcome. The sinks are
         then closed, each once, in the order they first appear; each id a
         `close` returns (`FileSink` could not write its line) whose
         message a sink took becomes a transient failure. Only then does
@@ -677,14 +678,15 @@ class BoardRuntime:
         so a logged delivery's line is on disk first. A close that raises
         settles nothing: every message stays pending.
         """
-        snapshot, sinks = self.snapshot, self.sinks
+        snapshot, sinks, lines = self.snapshot, self.sinks, self.log.lines
         if not snapshot.outbox:
             return
         outcomes: dict[str, type[Exception] | None] = {}
         try:
             # A Channel is a str Enum: the wire's value finds its sink.
             for msg_id, wire in snapshot.outbox.items():
-                outcomes[msg_id] = hand_over(wire, sinks.get(wire["channel"]))
+                outcomes[msg_id] = hand_over(wire, lines.pop(msg_id, None),
+                                             sinks.get(wire["channel"]))
         finally:
             # Sinks that hold resources for one flush, each once.
             for sink in dict.fromkeys(sinks.values()):

@@ -409,11 +409,15 @@ class EventLog:
     """In-memory event list with optional ndjson persistence, written by
     one `AppendWriter` call per `append`, before it returns. Each record's
     line is `notify.record_line`'s: the announced messages are encoded
-    once, there, and their sinks send the lines it made."""
+    once, there, and `lines` keeps each message's line until the board's
+    flush takes it for the message's sink."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.events: list[dict] = []
+        #: Msg id -> its wire's line, for each message this log wrote to
+        #: its file that no flush has taken yet; empty in memory.
+        self.lines: dict[str, str] = {}
         self._writer: AppendWriter | None = None
         if self.path is not None and self.path.exists():
             self.events = read_event_log(self.path)
@@ -422,10 +426,10 @@ class EventLog:
 
     def append(self, events: list[dict]) -> int:
         """Append events whose seq continues the log; returns the new
-        watermark. A failed write leaves the file, `events` and
-        `watermark` as they were. A file-backed log writes each event as
-        `record_line(event)`, `encode_event`'s text, which also remembers
-        the line of each wire the event announces for its sink."""
+        watermark. A failed write leaves the file, `events`, `watermark`
+        and `lines` as they were. A file-backed log writes each event as
+        `record_line(event)`, `encode_event`'s text, and once the write
+        succeeds keeps in `lines` the line of each wire it announces."""
         expected = self.watermark + 1
         for event in events:
             if event["seq"] != expected:
@@ -434,8 +438,10 @@ class EventLog:
         if self.path is not None:
             if self._writer is None:
                 self._writer = AppendWriter(self.path)
-            self._writer.write("".join(
-                [record_line(event) + "\n" for event in events]).encode())
+            lines: dict[str, str] = {}
+            self._writer.write("".join([record_line(event, lines) + "\n"
+                                        for event in events]).encode())
+            self.lines.update(lines)
         self.events.extend(events)
         self.watermark = expected - 1
         return self.watermark

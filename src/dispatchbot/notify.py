@@ -19,9 +19,10 @@ and sends it as it is. No sink mutates it.
 This module is the one place that serializes a message, and it does so
 once. `record_line` encodes a record whose `messages` list carries wires
 by encoding each wire alone and splicing those lines into the record's
-line; it remembers each wire's line, and `wire_line` hands that line to
-the file sink or the webhook sink, so a message's channel line and its
-webhook body are the text its event's log line holds.
+line, which it also puts in the dict it is given under the wire's msg
+id. A file-backed log keeps those lines (`EventLog.lines`) until the
+flush hands each to its sink with the wire, so a message's channel line
+and its webhook body are the text its event's log line holds.
 """
 
 from __future__ import annotations
@@ -62,18 +63,6 @@ def compact_json(value) -> str:
     return "".join(_encode(value, 0))
 
 
-#: Wires whose line `record_line` encoded and no sink has taken yet:
-#: id(wire) -> (wire, its line). Each entry holds its wire, so no other
-#: object can take the wire's id while the entry exists.
-_WIRE_LINES: dict[int, tuple[object, str]] = {}
-
-#: Most entries `_WIRE_LINES` holds, unless one record carries more
-#: wires than that. A flush takes the lines its cycle logged, so it only
-#: fills with messages no sink took a line for (a memory sink's, say);
-#: full, it is emptied, like `timeutil`'s codec memo, and a line it
-#: dropped is encoded again if its message is sent.
-_WIRE_LINE_CACHE = 1024
-
 #: What a record's `messages` value is encoded as before the wires' lines
 #: take its place. In compact, key-sorted JSON every quote inside a
 #: string is escaped, so this text only ever ends a key: the record's
@@ -82,36 +71,28 @@ _WIRE_LINE_CACHE = 1024
 _PLACEHOLDER = '"messages":0'
 
 
-def record_line(record) -> str:
+def record_line(record, lines: dict[str, str]) -> str:
     """`compact_json(record)`, with each wire of a non-empty `messages`
-    list encoded once, alone, and remembered for `wire_line`.
+    list encoded once, alone; each wire's line goes into `lines` under
+    its msg id (a value that is not a dict with a str `msg_id` is not a
+    message's wire and leaves none).
 
     The record is encoded with 0 in its wires' place, and the wires'
     lines are spliced in where that `"messages":0` stands: the same text,
     since a value encodes the same wherever it stands. Unless the
-    placeholder occurs exactly once, the record is encoded whole."""
+    placeholder occurs exactly once, the record is encoded whole and
+    `lines` is left as it was."""
     wires = record.get("messages") if type(record) is dict else None
     if type(wires) is not list or not wires:
         return compact_json(record)
-    lines = [compact_json(wire) for wire in wires]
+    encoded = [compact_json(wire) for wire in wires]
     parts = compact_json({**record, "messages": 0}).split(_PLACEHOLDER)
     if len(parts) != 2:
         return compact_json(record)
-    memo = _WIRE_LINES
-    if len(memo) + len(wires) > _WIRE_LINE_CACHE:
-        memo.clear()
-    for wire, line in zip(wires, lines):
-        memo[id(wire)] = (wire, line)
-    return f'{parts[0]}"messages":[{",".join(lines)}]{parts[1]}'
-
-
-def wire_line(wire) -> str:
-    """`compact_json(wire)`: the line `record_line` remembered for this
-    wire, taken out of the memo, or a fresh encode when it has none (a
-    wire read back from the log after a restart, one an in-memory log
-    never encoded, or one a sink was handed directly)."""
-    entry = _WIRE_LINES.pop(id(wire), None)
-    return compact_json(wire) if entry is None else entry[1]
+    for wire, line in zip(wires, encoded):
+        if type(wire) is dict and type(msg_id := wire.get("msg_id")) is str:
+            lines[msg_id] = line
+    return f'{parts[0]}"messages":[{",".join(encoded)}]{parts[1]}'
 
 
 class AppendWriter:
@@ -289,20 +270,23 @@ class PayloadRejected(Exception):
 
 
 class Sink(Protocol):
-    """A sink delivers each wire it is handed. It may also have a
+    """A sink delivers each wire it is handed with `line`, the text its
+    event's log line holds for it, which a sink that sends text sends; it
+    is None (after a restart or a failed attempt, or on a log kept in
+    memory) when the sink must encode the wire. A sink may also have a
     `close()`, which the board calls once per outbox flush, after every
     hand-over and before any delivery is settled; `close` returns the msg
     ids it could not write (`None` means none). Each of those whose
     message a sink took this flush counts as a transient failure."""
 
-    def deliver(self, wire: dict) -> None: ...
+    def deliver(self, wire: dict, line: str | None) -> None: ...
 
 
 class FileSink:
     """Appends one JSON object per line to `<dir>/<channel>.ndjson`.
 
-    `deliver` queues the wire's line (`wire_line`: the text its event's
-    log line holds, encoded when the event was) under its channel.
+    `deliver` queues the wire's line (the `line` it is handed, or the
+    wire encoded when that is None) under its channel.
     `close`, which the board calls at the end of every outbox flush,
     writes each channel's queued lines with one `AppendWriter` write and
     returns the msg ids of every line queued for a channel it could not
@@ -317,11 +301,11 @@ class FileSink:
         #: channel -> its file's path, built at its first flush.
         self._paths: dict[str, str] = {}
 
-    def deliver(self, wire: dict) -> None:
+    def deliver(self, wire: dict, line: str | None) -> None:
         queue = self._queued.get(wire["channel"])
         if queue is None:
             queue = self._queued[wire["channel"]] = ([], [])
-        queue[0].append(wire_line(wire))
+        queue[0].append(compact_json(wire) if line is None else line)
         queue[1].append(wire["msg_id"])
 
     def close(self) -> list[str]:
@@ -348,8 +332,8 @@ class FileSink:
 
 class WebhookSink:
     """POSTs the wire payload as JSON, the bytes of its channel-file
-    line (`wire_line`, the text its event's log line holds): 2xx
-    delivered, 4xx rejected. The stdlib HTTP client (and with
+    line (the `line` it is handed, or the wire encoded when that is
+    None): 2xx delivered, 4xx rejected. The stdlib HTTP client (and with
     it `email`, `ssl` and `socket`) loads on the first delivery, so a
     process whose channels are all files never pays for it."""
 
@@ -357,12 +341,12 @@ class WebhookSink:
         self.url = url
         self.timeout = timeout
 
-    def deliver(self, wire: dict) -> None:
+    def deliver(self, wire: dict, line: str | None) -> None:
         import http.client
         import urllib.error
         import urllib.request
 
-        body = wire_line(wire).encode("utf-8")
+        body = (compact_json(wire) if line is None else line).encode("utf-8")
         try:
             request = urllib.request.Request(
                 self.url, data=body, method="POST",
@@ -382,12 +366,13 @@ class WebhookSink:
 
 
 class MemorySink:
-    """Collects wire payloads in memory; used by tests and dry runs."""
+    """Collects wire payloads in memory; used by tests and dry runs. It
+    keeps the wire and ignores its line."""
 
     def __init__(self):
         self.delivered: list[dict] = []
 
-    def deliver(self, wire: dict) -> None:
+    def deliver(self, wire: dict, line: str | None) -> None:
         self.delivered.append(wire)
 
 
@@ -410,15 +395,16 @@ def sink_for_endpoint(descriptor: str) -> Sink:
     return FileSink(descriptor)
 
 
-def hand_over(wire: dict, sink: Sink | None) -> type[Exception] | None:
-    """Hand a pending message to its sink once and return its outcome:
-    None when the sink took it, `SinkUnreachable` for a transient failure
-    or a missing sink, `PayloadRejected` for a rejection. A sink with a
-    `close` may still fail a message it took (see `Sink`)."""
+def hand_over(wire: dict, line: str | None,
+              sink: Sink | None) -> type[Exception] | None:
+    """Hand a pending message and its line (see `Sink`) to its sink once
+    and return its outcome: None when the sink took it, `SinkUnreachable`
+    for a transient failure or a missing sink, `PayloadRejected` for a
+    rejection. A sink with a `close` may still fail a message it took."""
     if sink is None:
         return SinkUnreachable
     try:
-        sink.deliver(wire)
+        sink.deliver(wire, line)
     except PayloadRejected:
         return PayloadRejected
     except SinkUnreachable:

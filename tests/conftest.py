@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from dispatchbot import notify, timeutil
+from dispatchbot import timeutil
 from dispatchbot.board import BoardRuntime, TeamConfig
 from dispatchbot.eventlog import EventLog
 from dispatchbot.notify import Channel, ChannelBinding, MemorySink
@@ -26,11 +26,11 @@ def at(hours: float = 0, seconds: int = 0) -> datetime:
 
 
 def clear_codec() -> None:
-    """Empty both directions of the timestamp codec's cache and the memo
-    of wire lines, so that every instant and every wire is new to them."""
+    """Empty both directions of the timestamp codec's cache, so that every
+    instant is new to it. A message's line needs no clearing: the log
+    that wrote it keeps it (`EventLog.lines`)."""
     timeutil.iso.cache_clear()
     timeutil._PARSED.clear()
-    notify._WIRE_LINES.clear()
 
 
 def ticket(tid: str = "T1-1", reporter: str = "r1", created=None,

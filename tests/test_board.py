@@ -471,14 +471,14 @@ class FlakySink(MemorySink):
         super().__init__()
         self.attempts: dict[str, int] = {}
 
-    def deliver(self, wire):
+    def deliver(self, wire, line):
         msg_id = wire["msg_id"]
         tries = self.attempts[msg_id] = self.attempts.get(msg_id, 0) + 1
         if int(msg_id[1:]) % 5 == 0:
             raise PayloadRejected("schema mismatch")
         if int(msg_id[1:]) % 3 == 0 and tries == 1:
             raise SinkUnreachable("connection reset")
-        super().deliver(wire)
+        super().deliver(wire, line)
 
 
 def delivery_records(runtime):
@@ -870,6 +870,11 @@ def file_log_runtime(path):
                         sinks={c: sink for c in config.binding.endpoints})
 
 
+def assert_lines_pending(runtime) -> None:
+    """The log keeps a line only for a message that is still pending."""
+    assert set(runtime.log.lines) <= set(runtime.snapshot.outbox)
+
+
 def log_bytes(runtime) -> bytes:
     runtime.log.close()  # the next append reopens the file
     return runtime.log.path.read_bytes()
@@ -1052,11 +1057,11 @@ class BrokenSink(MemorySink):
         self.fail_at = fail_at
         self.attempts = 0
 
-    def deliver(self, wire):
+    def deliver(self, wire, line):
         self.attempts += 1
         if self.attempts == self.fail_at:
             raise RuntimeError("sink bug")
-        super().deliver(wire)
+        super().deliver(wire, line)
 
 
 class TestTornAppend:
@@ -1067,30 +1072,48 @@ class TestTornAppend:
     @pytest.mark.parametrize("short", [False, True], ids=["raise", "short"])
     def test_a_write_failing_at_every_byte_offset(self, tmp_path, file_spy,
                                                   short):
-        # Commit T1-1, tear T1-2's record after each of its bytes in turn,
-        # commit T1-3: each file replays to T1-1 and T1-3.
+        # Commit T1-1, its hand assignment (whose announcement stays
+        # pending) and T1-2; tear T1-2's hand assignment after each of its
+        # bytes in turn; commit T1-3. Each file replays to the rest, and
+        # the log keeps a line only for the pending announcement.
+        def commit_head(runtime):
+            for command, args in (
+                    (runtime.inject_ticket, ("T1-1", "r1", at(0))),
+                    (runtime.reassign_ticket, ("T1-1", "e1", at(1))),
+                    (runtime.inject_ticket, ("T1-2", "r1", at(2)))):
+                command(*args)
+                assert_lines_pending(runtime)
+
         clean = file_log_runtime(tmp_path / "clean.ndjson")
         with clean.log:
-            clean.inject_ticket("T1-1", "r1", at(0))
-            clean.inject_ticket("T1-2", "r1", at(1))
-        first, second = (tmp_path / "clean.ndjson").read_bytes().splitlines(
+            commit_head(clean)
+            clean.reassign_ticket("T1-2", "e2", at(3))
+        *head, torn = (tmp_path / "clean.ndjson").read_bytes().splitlines(
             keepends=True)
-        for keep in range(len(second)):
+        head = b"".join(head)
+        for keep in range(len(torn)):
             path = tmp_path / f"torn-{keep}.ndjson"
             runtime = file_log_runtime(path)
             with runtime.log:
-                runtime.inject_ticket("T1-1", "r1", at(0))
+                commit_head(runtime)
+                lines = dict(runtime.log.lines)
+                assert list(lines) == ["m000001"]
                 file_spy.fail(path.name, keep, short)
                 with pytest.raises(OSError):
-                    runtime.inject_ticket("T1-2", "r1", at(1))
+                    runtime.reassign_ticket("T1-2", "e2", at(3))
                 file_spy.heal()
-                assert path.read_bytes() == first
+                assert runtime.log.lines == lines
+                assert_lines_pending(runtime)
+                assert path.read_bytes() == head
                 assert replay(read_event_log(path)) == runtime.snapshot
-                runtime.inject_ticket("T1-3", "r1", at(2))
-            lines = path.read_bytes().splitlines(keepends=True)
-            assert len(lines) == 2 and lines[0] == first
+                runtime.inject_ticket("T1-3", "r1", at(4))
+                assert runtime.log.lines == lines
+                assert_lines_pending(runtime)
+            data = path.read_bytes()
+            assert data.startswith(head) and data.count(b"\n") == 4
             records = read_event_log(path)
-            assert [r["ticket"] for r in records] == ["T1-1", "T1-3"]
+            assert [r["ticket"] for r in records] == ["T1-1", "T1-1", "T1-2",
+                                                      "T1-3"]
             assert replay(records) == runtime.snapshot
         assert file_spy.leaked() == []
 
@@ -1255,10 +1278,10 @@ class TestCycleAppend:
         class Reader(MemorySink):
             """Reads the log file, as a second reader would, on delivery."""
 
-            def deliver(self, wire):
+            def deliver(self, wire, line):
                 seen.append(wire["msg_id"] in {
                     w["msg_id"] for w in announced(read_event_log(path))})
-                super().deliver(wire)
+                super().deliver(wire, line)
 
         sink, config = Reader(), scripted_config()
         runtime = BoardRuntime(

@@ -959,7 +959,7 @@ wire = {"msg_id": "m000001", "team": "team1", "channel": "ChatA",
         "kind": "Assignment", "ticket": "T1-1", "text": "hi",
         "ts": "2025-01-06T09:00:00Z"}
 try:
-    WebhookSink(sys.argv[1], timeout=5).deliver(wire)
+    WebhookSink(sys.argv[1], timeout=5).deliver(wire, None)
 except PayloadRejected:
     print("rejected")
 except SinkUnreachable:

@@ -35,7 +35,7 @@ def reference_attempt_delivery(wire, retries, sink, max_retries):
     try:
         if sink is None:
             raise SinkUnreachable(f"no sink for {wire['channel']}")
-        sink.deliver(wire)
+        sink.deliver(wire, None)
     except PayloadRejected:
         return STATE_FAILED, retries + 1, True
     except SinkUnreachable:
@@ -108,7 +108,7 @@ class PlannedSink:
         self.unwritten = None
         self.handed: list[str] = []
 
-    def deliver(self, wire):
+    def deliver(self, wire, line):
         self.handed.append(wire["msg_id"])
         if self.action == "unreachable":
             raise SinkUnreachable("down")

@@ -37,7 +37,6 @@ from dispatchbot.notify import (
     route_reminder,
     settle,
     state_change_text,
-    wire_line,
 )
 from dispatchbot.reminders import Reminder, ReminderKind, ThresholdPolicy
 from dispatchbot.timeutil import iso
@@ -242,37 +241,72 @@ def _records(draw) -> dict:
 
 
 class TestRecordLine:
-    """`record_line` is `compact_json`, and each wire it encoded leaves
-    its line for `wire_line`."""
+    """`record_line` is `compact_json`, and puts each wire's line in the
+    dict it is given, under the wire's msg id."""
 
     @settings(max_examples=300, deadline=None)
     @given(_records())
     def test_a_record_line_is_its_compact_json(self, record):
+        lines = {}
         try:
             want = compact_json(record)
         except Exception as exc:
             with pytest.raises(type(exc)):
-                record_line(record)
+                record_line(record, lines)
+            assert lines == {}
             return
-        assert record_line(record) == want
+        assert record_line(record, lines) == want
         wires = record.get("messages")
-        for wire in wires if type(wires) is list else ():
-            assert wire_line(wire) == compact_json(wire)
+        kept = {}
+        # The wires' lines are kept when they are spliced into the line.
+        if type(wires) is list and wires and compact_json(
+                {**record, "messages": 0}).count('"messages":0') == 1:
+            kept = {wire["msg_id"]: compact_json(wire) for wire in wires
+                    if type(wire) is dict
+                    and type(wire.get("msg_id")) is str}
+        assert lines == kept
 
-    def test_a_wire_never_logged_is_encoded_fresh(self):
-        clear_codec()
-        wire = message()
-        assert id(wire) not in notify._WIRE_LINES
-        assert wire_line(wire) == compact_json(wire)
+    def test_each_wires_text_is_kept_under_its_msg_id(self):
+        first, second = message(), dict(message(), msg_id="m000002",
+                                         channel="Email")
+        lines = {"m000000": "kept"}
+        record = {"seq": 1, "kind": "ReminderSent",
+                  "messages": [first, second]}
+        assert record_line(record, lines) == compact_json(record)
+        assert lines == {"m000000": "kept",
+                         "m000001": compact_json(first),
+                         "m000002": compact_json(second)}
+        for quiet in ({"seq": 2, "kind": "Created"},
+                      {"seq": 3, "messages": []}):
+            assert record_line(quiet, lines) == compact_json(quiet)
+        assert len(lines) == 3
 
-    def test_a_logged_wire_gives_its_line_once(self):
-        clear_codec()
-        wire = message()
-        line = record_line({"seq": 1, "messages": [wire]})
-        assert line == compact_json({"seq": 1, "messages": [wire]})
-        assert notify._WIRE_LINES[id(wire)] == (wire, compact_json(wire))
-        assert wire_line(wire) == compact_json(wire)
-        assert id(wire) not in notify._WIRE_LINES
+    def test_a_runtime_leaves_no_state_in_the_module(self, tmp_path):
+        # A file-backed log whose sinks keep wires in memory, as the
+        # overload restart runs: the lines its flush hands over leave
+        # nothing behind in `notify` once the runtime is gone.
+        def sizes():
+            return {name: len(value) for name, value in vars(notify).items()
+                    if isinstance(value, (dict, list, set))}
+
+        before = sizes()
+        path = tmp_path / "T1.events.ndjson"
+        for hour in (0, 10):  # a run, then a restart from its log
+            sink = MemorySink()
+            runtime = BoardRuntime(
+                team_config(), log=EventLog(path),
+                sinks={c: sink for c in Channel})
+            with runtime.log:
+                tids = [f"T1-{hour + n}" for n in range(3)]
+                for n, tid in enumerate(tids):
+                    runtime.inject_ticket(tid, "r1", at(hour + n))
+                runtime.apply_external_transition(
+                    tids[0], WorkflowState.READY_TO_START, at(hour + 3),
+                    "r1")
+                report = runtime.run_cycle(at(hour + 4))
+            assert (report.assigned, report.messages_delivered) == (2, 3)
+            del runtime, sink
+        assert sizes() == before
 
     def test_two_boards_sharing_a_msg_id_each_send_their_own(self, tmp_path):
         clear_codec()
@@ -294,16 +328,6 @@ class TestRecordLine:
                  for name in "ab"]
         assert "T1-1" in texts[0] and "T1-9" in texts[1]
 
-    def test_the_memo_stays_within_its_bound(self):
-        clear_codec()
-        bound = notify._WIRE_LINE_CACHE
-        for seq in range(3 * bound):
-            record = {"seq": seq, "messages": [message(), message()]}
-            assert record_line(record) == compact_json(record)
-            assert len(notify._WIRE_LINES) <= bound
-        clear_codec()
-        assert not notify._WIRE_LINES
-
 
 class ScriptedSink:
     """Raises the scripted exceptions in order, then succeeds."""
@@ -312,7 +336,7 @@ class ScriptedSink:
         self.outcomes = list(outcomes)
         self.delivered = []
 
-    def deliver(self, wire):
+    def deliver(self, wire, line):
         if self.outcomes:
             raise self.outcomes.pop(0)
         self.delivered.append(wire["msg_id"])
@@ -349,10 +373,11 @@ def flush(memory_runtime):
 
 
 class TestDelivery:
-    def test_file_sink_appends_wire_line(self, tmp_path):
+    def test_file_sink_appends_the_wire_payload(self, tmp_path):
         msg = message()
         sink = FileSink(tmp_path)
-        assert settle(hand_over(msg, sink), 0, 3) == ("Delivered", 0, False)
+        assert settle(hand_over(msg, None, sink), 0, 3) == \
+            ("Delivered", 0, False)
         sink.close()
         line = (tmp_path / "ChatA.ndjson").read_text().strip()
         assert json.loads(line) == msg
@@ -379,7 +404,8 @@ class TestDelivery:
         assert [m["msg_id"] for m in sink.delivered] == ["m000001"]
 
     def test_missing_sink_is_unreachable(self):
-        assert settle(hand_over(message(), None), 0, 1) == ("Failed", 1, True)
+        assert settle(hand_over(message(), None, None), 0, 1) == \
+            ("Failed", 1, True)
 
     def test_file_sink_os_error_fails_the_message(self, tmp_path, flush):
         # The sink directory sits under a regular file: opening the channel
@@ -426,33 +452,44 @@ def webhook(server):
 
 class TestWebhookSink:
     def test_no_content_is_delivered(self, receiver):
-        assert settle(hand_over(message(), webhook(receiver)), 0, 3) == \
-            ("Delivered", 0, False)
+        outcome = hand_over(message(), None, webhook(receiver))
+        assert settle(outcome, 0, 3) == ("Delivered", 0, False)
 
     def test_body_is_the_wire_payload(self, receiver, tmp_path):
         msg = message()
-        webhook(receiver).deliver(msg)
+        webhook(receiver).deliver(msg, None)
         assert receiver.bodies == [msg]
         # The same bytes as the message's channel-file line.
         sink = FileSink(tmp_path)
-        sink.deliver(msg)
+        sink.deliver(msg, None)
         sink.close()
         line = (tmp_path / f"{msg['channel']}.ndjson").read_bytes()
         assert receiver.raw == [line.rstrip(b"\n")]
 
+    def test_a_sink_sends_the_line_it_is_handed(self, receiver, tmp_path):
+        # The text the log wrote for the wire goes out as it is: neither
+        # sink encodes the wire again.
+        msg, line = message(), '{"msg_id":"m000001","text":"as logged"}'
+        webhook(receiver).deliver(msg, line)
+        sink = FileSink(tmp_path)
+        sink.deliver(msg, line)
+        sink.close()
+        assert receiver.raw == [line.encode()]
+        assert (tmp_path / "ChatA.ndjson").read_text() == line + "\n"
+
     def test_bad_request_is_terminal(self, receiver):
         receiver.status = 400
         with pytest.raises(PayloadRejected):
-            webhook(receiver).deliver(message())
-        assert settle(hand_over(message(), webhook(receiver)), 0, 3) == \
-            ("Failed", 1, True)
+            webhook(receiver).deliver(message(), None)
+        outcome = hand_over(message(), None, webhook(receiver))
+        assert settle(outcome, 0, 3) == ("Failed", 1, True)
 
     def test_unavailable_is_retried(self, receiver):
         receiver.status = 503
         with pytest.raises(SinkUnreachable):
-            webhook(receiver).deliver(message())
-        assert settle(hand_over(message(), webhook(receiver)), 0, 3) == \
-            ("Failed", 1, False)
+            webhook(receiver).deliver(message(), None)
+        outcome = hand_over(message(), None, webhook(receiver))
+        assert settle(outcome, 0, 3) == ("Failed", 1, False)
 
     def test_closed_port_is_retried(self):
         with socket.socket() as probe:
@@ -460,12 +497,14 @@ class TestWebhookSink:
             port = probe.getsockname()[1]
         sink = WebhookSink(f"http://127.0.0.1:{port}/hook", timeout=5)
         with pytest.raises(SinkUnreachable):
-            sink.deliver(message())
-        assert settle(hand_over(message(), sink), 0, 3) == ("Failed", 1, False)
+            sink.deliver(message(), None)
+        assert settle(hand_over(message(), None, sink), 0, 3) == \
+            ("Failed", 1, False)
 
     def test_malformed_url_is_retried(self):
         sink = WebhookSink("http://[::1/hook", timeout=5)
-        assert settle(hand_over(message(), sink), 0, 3) == ("Failed", 1, False)
+        assert settle(hand_over(message(), None, sink), 0, 3) == \
+            ("Failed", 1, False)
 
 
 class TestSharedWire:
@@ -478,7 +517,7 @@ class TestSharedWire:
         before = list(wire.items())
         file_sink = FileSink(tmp_path)
         for sink in (file_sink, MemorySink(), webhook(receiver)):
-            sink.deliver(wire)
+            sink.deliver(wire, None)
             assert list(wire.items()) == before
         file_sink.close()
         assert receiver.bodies == [wire]
@@ -815,8 +854,9 @@ class TestEncodedOnce:
         assert path.read_text() == "".join(
             compact_json(event) + "\n" for event in runtime.log.events)
 
-        # A restart reads its pending message back from the log, whose
-        # line no memo holds: the sink encodes it, and sends the same text.
+        # A restart reads its pending message back from the log, and the
+        # new log holds no line for it: the sink encodes it, and sends
+        # the same text.
         runtime = file_runtime(tmp_path, log=EventLog(path))
         with runtime.log:
             runtime.apply_external_transition(

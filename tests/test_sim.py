@@ -36,22 +36,9 @@ from dispatchbot.sim import (
 from dispatchbot.timeutil import parse_ts
 from dispatchbot.workflow import WorkflowState
 
+from .desks import MANUAL_DESK, REMINDER_DESK
+
 SMALL = SimConfig(seed=11, horizon_days=4, arrival_rate=6, roster_size=3)
-
-#: A backlogged two-engineer desk whose reminders escalate.
-REMINDER_DESK = SimConfig(
-    seed=5, horizon_days=12, arrival_rate=12, roster_size=2,
-    service_median_hours=(6.0, 6.0), service_sigma=0.0, reassign_prob=0.2,
-    reminders_enabled=True, stuck_threshold_hours=8, reminder_period_hours=4,
-    cycle_period_hours=2)
-
-#: The pre-bot manager's delayed hand assignments, with engineer
-#: reassignments and reminders on.
-MANUAL_DESK = SimConfig(
-    seed=1, horizon_days=12, arrival_rate=12, roster_size=3,
-    policy=POLICY_MANUAL, reminders_enabled=True, stuck_threshold_hours=8,
-    reminder_period_hours=4, cycle_period_hours=2, reassign_prob=0.2,
-    manual_delay_days=1.5)
 
 #: Five days of an overloaded four-engineer desk whose backlog, and with
 #: it every open ticket's reminders, grows all run.
@@ -281,6 +268,21 @@ class TestRunSimulation:
         # A board restarted from its log file before every cycle and after
         # every hand assignment writes the bytes a board that never
         # restarts writes: the runtime keeps nothing the log does not.
+        # On both boards, after every command and every cycle, the log
+        # keeps a line only for a message that is still pending.
+        def checked(command):
+            def run(runtime, *args):
+                try:
+                    return command(runtime, *args)
+                finally:
+                    assert set(runtime.log.lines) <= \
+                        set(runtime.snapshot.outbox)
+            return run
+
+        for name in ("inject_ticket", "apply_external_transition",
+                     "reassign_ticket", "run_cycle"):
+            monkeypatch.setattr(BoardRuntime, name,
+                                checked(getattr(BoardRuntime, name)))
         run_simulation(config, tmp_path / "straight")
         cycle, hand = BoardRuntime.run_cycle, BoardRuntime.reassign_ticket
         # The log's watermark at each restart, and None after each cycle.
