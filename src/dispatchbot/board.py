@@ -4,21 +4,29 @@ scan-assign-remind cycle.
 One BoardRuntime owns one board: its snapshot, event log, cursor, reminder
 ledger and outbox. A person assigns only through `reassign_ticket`, and
 under the Manual policy the cycle assigns nothing. Every record is folded
-into the live snapshot before it reaches the log. An outside command
-appends its one record at once; a cycle folds each assignment and
-reminder record as it makes it and appends them in one call before any
-sink sees a message. It then hands every pending message to its sink and
-closes the sinks, where the file sink writes its queued lines, and only
-then settles each message and appends its records in a second call. Each
-append happens also when its phase raises, so the log holds every record
-folded before the error, a message id a sink has seen is always logged
-and a logged delivery's line is on disk first. The fold is all or
-nothing, so a rejected record leaves both untouched. A failed append
-leaves the file as it was and rebuilds the snapshot, and the reminder
-schedule with it, from the log: live state and replay never diverge. An
-assignment or transition record takes its timestamp from its announcement,
-rendered once, and the fold reads every instant the runtime rendered back
-from the codec's memo (`timeutil`), so a live board does not parse its own
+into the live snapshot before it reaches the log. An outside command's
+fields come from a caller, so its one record takes the full fold
+(`fold_event`) and is appended at once. A cycle builds its records only
+from state the runtime holds and applies each (`apply_event`) as it
+makes it, so the fold's shared checks hold by construction: the seq
+after the watermark, the board's own id, a `ts` that `iso` rendered, and
+messages from the templates, on `Channel` values, with the binding's
+string team and with ids the allocator draws in order and refuses past
+18 digits. Each record still meets its handler's checks against the
+board. The cycle appends its assignment and reminder records in one call
+before any sink sees a message. It then hands every pending message to
+its sink and closes the sinks, where the file sink writes its queued
+lines, and only then settles each message and appends its records in a
+second call. Each append happens also when its phase raises, so the log
+holds every record folded before the error, a message id a sink has seen
+is always logged and a logged delivery's line is on disk first. The fold
+is all or nothing, so a rejected record leaves both untouched. A failed
+append leaves the file as it was and rebuilds the snapshot, and the
+reminder schedule with it, from the log: live state and replay never
+diverge. An assignment or transition record takes its timestamp from its
+announcement, rendered once, and every instant the runtime rendered is
+read back from the codec's memo (`timeutil`), by the fold or by the
+cycle for its own records, so a live board does not parse its own
 timestamps again.
 
 A cycle's cost follows its new work, not the length of the log or the
@@ -34,7 +42,7 @@ trigger entry: its triggers, which depend only on the ticket and the
 policy, so a visit to an unchanged ticket pays only for what depends on
 the instant, and its next boundary, which tells a live heap entry from a
 stale one. The cycle builds each reminder and delivery record in place
-and folds it directly. The reminder policy is configuration, not log
+and applies it directly. The reminder policy is configuration, not log
 state, so that schedule lives in the runtime; a restart rebuilds it by
 evaluating every open ticket once. Everything else the runtime reads
 comes from the snapshot, so a runtime rebuilt from the log at any point
@@ -45,7 +53,6 @@ whose `Assigned` announcement has not been attempted yet.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -73,8 +80,10 @@ from .eventlog import (
     KIND_REASSIGNED,
     KIND_REMINDER_SENT,
     KIND_TRANSITIONED,
+    MSG_DIGITS,
     BoardSnapshot,
     EventLog,
+    apply_event,
     fold_event,
     replay,
 )
@@ -101,7 +110,7 @@ from .reminders import (
     due_reminders,
 )
 from .roster import EngineerRoster, RosterEntry
-from .timeutil import iso, parse_date
+from .timeutil import iso, parse_date, parse_ts
 from .workflow import (REOPEN_STATE, STATE_VALUE, ReopenMode, Ticket,
                        WorkflowState)
 
@@ -425,21 +434,6 @@ class BoardRuntime:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _fold(self, kind: str, ts: str, payload: dict) -> dict:
-        """Fold the record of `kind` at `ts`, one that changes its ticket,
-        into the live snapshot and return it. A rejected record raises
-        before it changes anything."""
-        event = {
-            "seq": self.snapshot.watermark + 1,
-            "ts": ts,
-            "board": self.config.board_id,
-            "kind": kind,
-        }
-        event.update(payload)
-        fold_event(self.snapshot, event)
-        self._touched.add(payload["ticket"])
-        return event
-
     def _append(self, events: list[dict]) -> None:
         """Append records already folded into the snapshot to the log."""
         try:
@@ -452,17 +446,41 @@ class BoardRuntime:
             raise
 
     def _commit(self, kind: str, ts: str, payload: dict) -> dict:
-        """Fold an external command's record at the rendered instant `ts`
-        and append it at once."""
-        event = self._fold(kind, ts, payload)
+        """Fold an external command's record of `kind` at the rendered
+        instant `ts`, one that changes its ticket, into the live snapshot
+        and append it at once. Its fields come from a caller, so the full
+        fold checks them: a rejected record raises before it changes
+        anything."""
+        event = {
+            "seq": self.snapshot.watermark + 1,
+            "ts": ts,
+            "board": self.config.board_id,
+            "kind": kind,
+        }
+        event.update(payload)
+        fold_event(self.snapshot, event)
+        self._touched.add(payload["ticket"])
         self._append([event])
         return event
 
     def _make_msg_id(self):
-        # Allocates ids ahead of the folds that bump msg_counter past each:
-        # each announcement must be folded before the next id is drawn.
-        return map("m{:06d}".format,
-                   itertools.count(self.snapshot.msg_counter + 1)).__next__
+        """The allocator of the ids after the snapshot's `msg_counter`, in
+        order. It runs ahead of the folds that bump msg_counter past each
+        id, so each announcement must be folded before the next id is
+        drawn. An id longer than the fold accepts raises OverflowError
+        when drawn, before any record holds it."""
+        next_id = map("m{:06d}".format,
+                      range(self.snapshot.msg_counter + 1,
+                            10 ** MSG_DIGITS)).__next__
+
+        def make_id() -> str:
+            try:
+                return next_id()
+            except StopIteration:
+                raise OverflowError(f"message ids past m{'9' * MSG_DIGITS} "
+                                    f"cannot be logged") from None
+
+        return make_id
 
     # -- external board writes --------------------------------------------
 
@@ -557,8 +575,10 @@ class BoardRuntime:
         reminders (skipping tickets assigned since the last flush), then flush
         the outbox through the sinks. Sink failures never abort the cycle.
 
-        Each assignment and reminder record is folded into the snapshot
-        as it is made. They reach the log, and its file, in one append
+        Each assignment and reminder record is applied to the snapshot as
+        it is made, without the shared checks of the full fold: the cycle
+        builds it from state the runtime holds, so they hold by
+        construction. They reach the log, and its file, in one append
         before any sink sees a message, so a message id a sink has seen is
         never given to another message. The delivery records are built
         after the sinks close, when every file sink has written its
@@ -590,7 +610,8 @@ class BoardRuntime:
             return
         if not self.snapshot.unassigned_backlog:
             return
-        polled = poll_new_unassigned(self.snapshot)
+        snapshot, board = self.snapshot, self.config.board_id
+        polled = poll_new_unassigned(snapshot)
         make_id = self._make_msg_id()
         for ticket in polled:
             try:
@@ -601,13 +622,17 @@ class BoardRuntime:
                 break
             wire = announce_assignment(decision, self.config.binding,
                                        make_id)
-            records.append(self._fold(KIND_ASSIGNED, wire["ts"], {
-                "ticket": ticket.id,
-                "engineer": decision.engineer_id,
-                "policy": decision.policy,
-                "cursor_after": decision.cursor_after,
-                "messages": [wire],
-            }))
+            event = {"seq": snapshot.watermark + 1, "ts": wire["ts"],
+                     "board": board, "kind": KIND_ASSIGNED,
+                     "ticket": ticket.id, "engineer": decision.engineer_id,
+                     "policy": decision.policy,
+                     "cursor_after": decision.cursor_after,
+                     "messages": [wire]}
+            # Its one message holds the id after the snapshot's last.
+            apply_event(snapshot, event, parse_ts(wire["ts"]),
+                        snapshot.msg_counter + 1)
+            self._touched.add(ticket.id)
+            records.append(event)
             report.assigned += 1
             report.assignments.append((ticket.id, decision.engineer_id))
         report.unassigned_pending = len(polled) - report.assigned
@@ -646,17 +671,19 @@ class BoardRuntime:
         if reminders:
             snapshot, ts, board = self.snapshot, iso(now), self.config.board_id
             binding, make_id = self.config.binding, self._make_msg_id()
-            # A sent reminder changes no ticket: no `_fold` bookkeeping.
+            instant = parse_ts(ts)
+            # A sent reminder changes no ticket: not `_touched`.
             for reminder in reminders:
+                wires = route_reminder(reminder, binding, make_id)
                 event = {"seq": snapshot.watermark + 1, "ts": ts,
                          "board": board, "kind": KIND_REMINDER_SENT,
                          "ticket": reminder.ticket_id,
                          "reminder_kind": REMINDER_KIND_VALUE[reminder.kind],
                          "index": reminder.escalation_index,
                          "recipients": list(reminder.recipients),
-                         "messages": route_reminder(reminder, binding,
-                                                    make_id)}
-                fold_event(snapshot, event)
+                         "messages": wires}
+                apply_event(snapshot, event, instant,
+                            snapshot.msg_counter + len(wires))
                 records.append(event)
             report.reminders_sent += len(reminders)
         # Each visited ticket's earlier heap entry is stale: its boundary
@@ -674,7 +701,7 @@ class BoardRuntime:
         then closed, each once, in the order they first appear; each id a
         `close` returns (`FileSink` could not write its line) whose
         message a sink took becomes a transient failure. Only then does
-        `settle` turn each outcome into a record, folded in outbox order,
+        `settle` turn each outcome into a record, applied in outbox order,
         so a logged delivery's line is on disk first. A close that raises
         settles nothing: every message stays pending.
         """
@@ -695,18 +722,19 @@ class BoardRuntime:
                         if msg_id in outcomes and outcomes[msg_id] is None:
                             outcomes[msg_id] = SinkUnreachable
             ts, board = iso(now), self.config.board_id
-            max_retries = self.config.max_retries
+            instant, max_retries = parse_ts(ts), self.config.max_retries
             records: list[dict] = []
             try:
                 for msg_id, outcome in outcomes.items():
                     state, retries, terminal = settle(
                         outcome, snapshot.retries.get(msg_id, 0), max_retries)
-                    # No `_fold`: a delivery record changes no ticket.
+                    # A delivery record changes no ticket: not `_touched`.
                     event = {"seq": snapshot.watermark + 1, "ts": ts,
                              "board": board, "kind": KIND_MESSAGE_DELIVERED,
                              "msg_id": msg_id, "state": state,
                              "retries": retries, "terminal": terminal}
-                    fold_event(snapshot, event)
+                    apply_event(snapshot, event, instant,
+                                snapshot.msg_counter)
                     records.append(event)
                     if state == STATE_DELIVERED:
                         report.messages_delivered += 1

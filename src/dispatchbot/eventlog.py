@@ -6,9 +6,15 @@ over the records, so any prefix of the log replays to a consistent
 snapshot and live state always equals replay of what was written.
 
 `fold_event` checks what every record shares (its seq, board, `ts` and
-the messages it announces), then hands the record to the one handler for
-its kind, found in a table keyed by kind: the board's live commit and
-every rebuild fold through that one path.
+the messages it announces), then `apply_event` hands the record to the
+one handler for its kind, found in a table keyed by kind, and takes in
+its messages, seq and message counter. Every record from outside a
+cycle takes both steps: replay and restart, `report` and the board's
+external commands. The records a cycle builds from state the runtime
+already holds (`board.BoardRuntime.run_cycle`) take only the second:
+what the shared checks guard holds for them by construction, and each
+still meets its handler's checks against the board. Either way, each
+record kind changes state in one place.
 
 The fold also keeps derived indexes (open tickets, the unassigned
 backlog, the assignments whose announcement has had no delivery attempt)
@@ -178,7 +184,7 @@ def _member(seq: int, name: str, by_value: dict, raw):
 
 
 #: Most digits a msg id may have after its "m".
-_MSG_DIGITS = 18
+MSG_DIGITS = 18
 
 
 def _messages(seq: int, wires, event_ts: str, counter: int) -> int:
@@ -207,7 +213,7 @@ def _messages(seq: int, wires, event_ts: str, counter: int) -> int:
         # scripts' digits, which `int` reads too.
         digits = (msg_id[1:] if type(msg_id) is str and msg_id[:1] == "m"
                   else "")
-        if not (0 < len(digits) <= _MSG_DIGITS and digits.isascii()
+        if not (0 < len(digits) <= MSG_DIGITS and digits.isascii()
                 and digits.isdigit()):
             raise MalformedRecordError(seq, f"messages[{i}].msg_id",
                                        f"bad message id {msg_id!r}")
@@ -238,7 +244,7 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
     """Apply one event in place, all or nothing: a seq gap, an illegal
     transition, an unknown or duplicate ticket, an unknown message or a
     missing or malformed field raises before the snapshot changes. The
-    checks every record shares come first, then its kind's handler."""
+    checks every record shares come first, then `apply_event`."""
     seq = event["seq"]
     # A bool is an int to Python, but not a seq.
     if type(seq) is not int:
@@ -252,21 +258,34 @@ def fold_event(snapshot: BoardSnapshot, event: dict) -> None:
                                        f"{snapshot.board_id!r}, got "
                                        f"{board!r}")
         ts = _timestamp(seq, "ts", event["ts"])
-        wires = event.get("messages", ())
-        msg_counter = (_messages(seq, wires, event["ts"], snapshot.msg_counter)
+        msg_counter = (_messages(seq, event["messages"], event["ts"],
+                                 snapshot.msg_counter)
                        if "messages" in event else snapshot.msg_counter)
         try:
-            fold = _FOLDS[kind]
+            _FOLDS[kind]  # the handler `apply_event` calls
         except (KeyError, TypeError):  # TypeError: a list or an object
             raise ValueError(f"unknown event kind: {kind}") from None
-        fold(snapshot, event, seq, ts)
+        apply_event(snapshot, event, ts, msg_counter)
     except KeyError as exc:
         # Every field is read before anything changes.
         raise MalformedRecordError(seq, exc.args[0], "missing value") \
             from None
     except OverflowError:  # a default SLA deadline past the year 9999
         raise MalformedRecordError(seq, "ts", "date out of range") from None
-    for wire in wires:
+
+
+def apply_event(snapshot: BoardSnapshot, event: dict, ts: datetime,
+                msg_counter: int) -> None:
+    """The end of `fold_event`, for a record whose shared checks hold: its
+    kind's handler, which checks the record against the board's state and
+    raises before changing anything, then the outbox, `msg_counter` and
+    `watermark`. `ts` is the instant the record's `ts` parses to and
+    `msg_counter` the number of its last message (the snapshot's when it
+    announces none). The cycle applies the records it builds from its own
+    state here; every other record comes through `fold_event`."""
+    seq = event["seq"]
+    _FOLDS[event["kind"]](snapshot, event, seq, ts)
+    for wire in event.get("messages", ()):
         snapshot.outbox[wire["msg_id"]] = wire
     snapshot.msg_counter = msg_counter
     snapshot.watermark = seq

@@ -173,6 +173,11 @@ class ChannelBinding:
     fan_out: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Every message's `team` is this value, and the fold reads only
+        # a str there.
+        if type(self.team_id) is not str:
+            raise BindingError(f"team_id must be a string, got "
+                               f"{self.team_id!r}")
         if not self.endpoints:
             raise BindingError(f"team {self.team_id}: no channels enabled")
         if self.review_channel not in self.endpoints:

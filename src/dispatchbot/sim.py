@@ -40,6 +40,11 @@ SIM_EPOCH = datetime(2025, 1, 6, tzinfo=UTC)
 ARRIVAL_WINDOW_START_H = 9
 ARRIVAL_WINDOW_END_H = 18
 
+#: Arrival priorities, weighted 1:2:1, as the cumulative weights that
+#: `choices` would otherwise build from the weights on every draw.
+_PRIORITIES = ("Low", "Medium", "High")
+_PRIORITY_CUM_WEIGHTS = tuple(itertools.accumulate((1, 2, 1)))
+
 # Upper bounds of the numeric `SimConfig` fields whose arithmetic has
 # none of its own. They keep one field from breaking a run; an extreme
 # mix of fields can still push the virtual clock past the year 9999,
@@ -190,8 +195,8 @@ def generate_ticket_stream(config: SimConfig) -> list[dict]:
                 "ts": base + timedelta(seconds=off),
                 "ticket": f"{config.board_id}-{n:05d}",
                 "reporter": f"r{rng.randint(1, 200):03d}",
-                "priority": rng.choices(
-                    ["Low", "Medium", "High"], weights=(1, 2, 1))[0],
+                "priority": rng.choices(_PRIORITIES,
+                                        cum_weights=_PRIORITY_CUM_WEIGHTS)[0],
             })
     return out
 
@@ -217,11 +222,12 @@ def manual_assignment_model(stream: list[dict], config: SimConfig,
     rng = random.Random(f"{config.seed}:manual")
     ranking = engineer_ids(config)
     rng.shuffle(ranking)
-    weights = [(r + 1) ** (-config.manual_skew) for r in range(len(ranking))]
+    cum_weights = list(itertools.accumulate(
+        (r + 1) ** (-config.manual_skew) for r in range(len(ranking))))
     max_delay_s = config.manual_delay_days * 24 * 3600
     plan: dict[str, tuple[str, datetime]] = {}
     for item in stream:
-        engineer = rng.choices(ranking, weights=weights)[0]
+        engineer = rng.choices(ranking, cum_weights=cum_weights)[0]
         delay = timedelta(seconds=int(rng.random() * max_delay_s))
         plan[item["ticket"]] = (engineer, item["ts"] + delay)
     return plan

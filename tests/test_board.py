@@ -1228,18 +1228,19 @@ class TestCycleAppend:
 
     def test_a_rejected_delivery_fold_logs_only_the_folds_before_it(
             self, monkeypatch):
-        # The flush's second delivery record is rejected by the fold: the
-        # first is folded and logged, the second is neither.
-        fold, folds = board.fold_event, []
+        # The flush's second delivery record is rejected where the flush
+        # applies it: the first is applied and logged, the second is
+        # neither.
+        apply, folds = board.apply_event, []
 
-        def second_delivery_rejected(snapshot, event):
+        def second_delivery_rejected(snapshot, event, ts, msg_counter):
             if event["kind"] == "MessageDelivered":
                 folds.append(event["msg_id"])
                 if len(folds) == 2:
                     raise ValueError("rejected")
-            fold(snapshot, event)
+            apply(snapshot, event, ts, msg_counter)
 
-        monkeypatch.setattr(board, "fold_event", second_delivery_rejected)
+        monkeypatch.setattr(board, "apply_event", second_delivery_rejected)
         sink, config = MemorySink(), team_config()
         runtime = BoardRuntime(
             config, log=CountingLog(),

@@ -155,6 +155,14 @@ class TestRouting:
         with pytest.raises(BindingError):
             ChannelBinding("team1", {}, Channel.CHAT_A)
 
+    @pytest.mark.parametrize("team_id", [
+        None, 7, b"team1", ["team1"], type("Team", (str,), {})("team1")])
+    def test_binding_refuses_a_team_id_that_is_not_a_str(self, team_id):
+        # Every message's `team` is the binding's, and the fold refuses a
+        # wire whose team is not a str: a str subclass included.
+        with pytest.raises(BindingError, match="team_id must be a string"):
+            ChannelBinding(team_id, {Channel.CHAT_A: "out"}, Channel.CHAT_A)
+
 
 #: Any JSON value: every string (non-ASCII, control characters and lone
 #: surrogates included), ints far past 64 bits, every float (NaN and
