@@ -112,6 +112,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 pass
     except OSError as exc:  # a full disk, a lost mount: the board stops
         return _fail(EXIT_RUNTIME, f"cannot write event log {log.path}: {exc}")
+    # Overflow: the log's message ids are used up; a command raises before
+    # it logs anything.
+    except (OverflowError, ValueError) as exc:
+        return _fail(EXIT_RUNTIME, f"cannot run cycle: {exc}")
     return EXIT_OK
 
 

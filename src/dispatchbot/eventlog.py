@@ -427,9 +427,10 @@ def replay(events: Iterable[dict],
 class EventLog:
     """In-memory event list with optional ndjson persistence, written by
     one `AppendWriter` call per `append`, before it returns. Each record's
-    line is `notify.record_line`'s: the announced messages are encoded
-    once, there, and `lines` keeps each message's line until the board's
-    flush takes it for the message's sink."""
+    line is `notify.record_line`'s: a record that fits its kind's layout
+    has its announced messages encoded once, there, and `lines` keeps
+    each message's line until the board's flush takes it for the
+    message's sink."""
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None

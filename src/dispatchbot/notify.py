@@ -16,13 +16,18 @@ announces it carries it, the fold keeps that same dict in the snapshot's
 outbox until its delivery settles, and every sink's `deliver` takes it
 and sends it as it is. No sink mutates it.
 
-This module is the one place that serializes a message, and it does so
-once. `record_line` encodes a record whose `messages` list carries wires
-by encoding each wire alone and splicing those lines into the record's
-line, which it also puts in the dict it is given under the wire's msg
-id. A file-backed log keeps those lines (`EventLog.lines`) until the
-flush hands each to its sink with the wire, so a message's channel line
-and its webhook body are the text its event's log line holds.
+This module is the one place that serializes a record or a message.
+`compact_json` is the canonical encoder. `record_line`, which writes
+each line of a file-backed log, takes its text from a fixed layout per
+record kind (`_LAYOUTS`) and per wire (`wire_line`): an f-string of the
+shape's keys in sorted order, the same text `compact_json` gives. A
+value a layout does not fit exactly, in keys or in types, is encoded by
+`compact_json`. A record that fits has each of its wires encoded once,
+and that line goes into the dict `record_line` is given, under the
+wire's msg id. A file-backed log keeps those lines (`EventLog.lines`)
+until the flush hands each to its sink with the wire, so a message's
+channel line and its webhook body are the text its event's log line
+holds. A sink handed no line encodes the wire with `wire_line`.
 """
 
 from __future__ import annotations
@@ -63,36 +68,218 @@ def compact_json(value) -> str:
     return "".join(_encode(value, 0))
 
 
-#: What a record's `messages` value is encoded as before the wires' lines
-#: take its place. In compact, key-sorted JSON every quote inside a
-#: string is escaped, so this text only ever ends a key: the record's
-#: own, a nested object's `messages` whose value starts with 0, or a key
-#: that ends in an escaped `"messages`. Occurring once, it is the record's.
-_PLACEHOLDER = '"messages":0'
+#: The escaper the C encoder calls for each string: every str a layout
+#: writes goes through it, so its text is the encoder's whatever the
+#: string holds.
+_quote = json.encoder.encode_basestring_ascii
+
+
+# ---------------------------------------------------------------------------
+# Line layouts: `compact_json` of each record shape the runtime writes
+# ---------------------------------------------------------------------------
+#
+# Each layout writes its shape's keys in sorted order, a str through
+# `_quote`, an int (`type(v) is int`, so no bool) as `int` formats it,
+# and a bool or None as its literal. It returns None unless the value has
+# exactly its keys, each of exactly its type; then `compact_json` encodes
+# the value instead. Tests hold each layout to `compact_json`.
+
+def wire_line(wire) -> str | None:
+    """`compact_json(wire)` for a dict of exactly the seven `WIRE_FIELDS`,
+    each a str; None for any other value."""
+    if type(wire) is not dict or len(wire) != 7:
+        return None
+    try:
+        channel, kind, msg_id, team, text, ticket, ts = (
+            wire["channel"], wire["kind"], wire["msg_id"], wire["team"],
+            wire["text"], wire["ticket"], wire["ts"])
+    except KeyError:
+        return None
+    if not (type(channel) is type(kind) is type(msg_id) is type(team)
+            is type(text) is type(ticket) is type(ts) is str):
+        return None
+    return (f'{{"channel":{_quote(channel)},"kind":{_quote(kind)},'
+            f'"msg_id":{_quote(msg_id)},"team":{_quote(team)},'
+            f'"text":{_quote(text)},"ticket":{_quote(ticket)},'
+            f'"ts":{_quote(ts)}}}')
+
+
+def _created(r: dict, lines: dict[str, str]) -> str | None:
+    try:
+        board, priority, reporter, seq, ticket, ts = (
+            r["board"], r["priority"], r["reporter"], r["seq"], r["ticket"],
+            r["ts"])
+    except KeyError:
+        return None
+    if not (type(board) is type(priority) is type(reporter) is type(ticket)
+            is type(ts) is str and type(seq) is int):
+        return None
+    keys, labels, deadline = 7, "", ""
+    if "labels" in r:
+        value = r["labels"]
+        if type(value) is not list or not all(
+                type(label) is str for label in value):
+            return None
+        keys, labels = keys + 1, f',"labels":[{",".join(map(_quote, value))}]'
+    if "sla_deadline" in r:
+        value = r["sla_deadline"]
+        if type(value) is not str:
+            return None
+        keys, deadline = keys + 1, f',"sla_deadline":{_quote(value)}'
+    if len(r) != keys:
+        return None
+    return (f'{{"board":{_quote(board)},"kind":"Created"{labels},'
+            f'"priority":{_quote(priority)},"reporter":{_quote(reporter)},'
+            f'"seq":{seq}{deadline},"ticket":{_quote(ticket)},'
+            f'"ts":{_quote(ts)}}}')
+
+
+def _transitioned(r: dict, lines: dict[str, str]) -> str | None:
+    try:
+        actor, board, from_, messages, seq, ticket, to, ts = (
+            r["actor"], r["board"], r["from"], r["messages"], r["seq"],
+            r["ticket"], r["to"], r["ts"])
+    except KeyError:
+        return None
+    if not (type(actor) is type(board) is type(from_) is type(ticket)
+            is type(to) is type(ts) is str and type(seq) is int
+            and type(messages) is list and len(messages) == 1
+            and (wire := wire_line(messages[0])) is not None):
+        return None
+    keys, mode = 9, ""
+    if "reopen_mode" in r:
+        value = r["reopen_mode"]
+        if type(value) is not str:
+            return None
+        keys, mode = keys + 1, f',"reopen_mode":{_quote(value)}'
+    if len(r) != keys:
+        return None
+    line = (f'{{"actor":{_quote(actor)},"board":{_quote(board)},'
+            f'"from":{_quote(from_)},"kind":"Transitioned",'
+            f'"messages":[{wire}]{mode},"seq":{seq},'
+            f'"ticket":{_quote(ticket)},"to":{_quote(to)},'
+            f'"ts":{_quote(ts)}}}')
+    lines[messages[0]["msg_id"]] = wire
+    return line
+
+
+def _assigned(r: dict, lines: dict[str, str]) -> str | None:
+    if len(r) != 9:
+        return None
+    try:
+        board, cursor, engineer, messages, policy, seq, ticket, ts = (
+            r["board"], r["cursor_after"], r["engineer"], r["messages"],
+            r["policy"], r["seq"], r["ticket"], r["ts"])
+    except KeyError:
+        return None
+    if not (type(board) is type(engineer) is type(policy) is type(ticket)
+            is type(ts) is str and type(seq) is int
+            and (cursor is None or type(cursor) is int)
+            and type(messages) is list and len(messages) == 1
+            and (wire := wire_line(messages[0])) is not None):
+        return None
+    line = (f'{{"board":{_quote(board)},'
+            f'"cursor_after":{"null" if cursor is None else cursor},'
+            f'"engineer":{_quote(engineer)},"kind":"Assigned",'
+            f'"messages":[{wire}],"policy":{_quote(policy)},"seq":{seq},'
+            f'"ticket":{_quote(ticket)},"ts":{_quote(ts)}}}')
+    lines[messages[0]["msg_id"]] = wire
+    return line
+
+
+def _reassigned(r: dict, lines: dict[str, str]) -> str | None:
+    if len(r) != 8:
+        return None
+    try:
+        board, engineer, from_engineer, messages, seq, ticket, ts = (
+            r["board"], r["engineer"], r["from_engineer"], r["messages"],
+            r["seq"], r["ticket"], r["ts"])
+    except KeyError:
+        return None
+    if not (type(board) is type(engineer) is type(from_engineer)
+            is type(ticket) is type(ts) is str and type(seq) is int
+            and type(messages) is list and len(messages) == 1
+            and (wire := wire_line(messages[0])) is not None):
+        return None
+    line = (f'{{"board":{_quote(board)},"engineer":{_quote(engineer)},'
+            f'"from_engineer":{_quote(from_engineer)},"kind":"Reassigned",'
+            f'"messages":[{wire}],"seq":{seq},'
+            f'"ticket":{_quote(ticket)},"ts":{_quote(ts)}}}')
+    lines[messages[0]["msg_id"]] = wire
+    return line
+
+
+def _reminder_sent(r: dict, lines: dict[str, str]) -> str | None:
+    if len(r) != 9:
+        return None
+    try:
+        board, index, messages, recipients, reminder_kind, seq, ticket, ts = (
+            r["board"], r["index"], r["messages"], r["recipients"],
+            r["reminder_kind"], r["seq"], r["ticket"], r["ts"])
+    except KeyError:
+        return None
+    if not (type(board) is type(reminder_kind) is type(ticket) is type(ts)
+            is str and type(index) is type(seq) is int
+            and type(recipients) is list
+            and all(type(name) is str for name in recipients)
+            and type(messages) is list and messages):
+        return None
+    wires = []
+    for message in messages:
+        if (wire := wire_line(message)) is None:
+            return None
+        wires.append(wire)
+    line = (f'{{"board":{_quote(board)},"index":{index},'
+            f'"kind":"ReminderSent","messages":[{",".join(wires)}],'
+            f'"recipients":[{",".join(map(_quote, recipients))}],'
+            f'"reminder_kind":{_quote(reminder_kind)},"seq":{seq},'
+            f'"ticket":{_quote(ticket)},"ts":{_quote(ts)}}}')
+    for message, wire in zip(messages, wires):
+        lines[message["msg_id"]] = wire
+    return line
+
+
+def _message_delivered(r: dict, lines: dict[str, str]) -> str | None:
+    if len(r) != 8:
+        return None
+    try:
+        board, msg_id, retries, seq, state, terminal, ts = (
+            r["board"], r["msg_id"], r["retries"], r["seq"], r["state"],
+            r["terminal"], r["ts"])
+    except KeyError:
+        return None
+    if not (type(board) is type(msg_id) is type(state) is type(ts) is str
+            and type(retries) is type(seq) is int and type(terminal) is bool):
+        return None
+    return (f'{{"board":{_quote(board)},"kind":"MessageDelivered",'
+            f'"msg_id":{_quote(msg_id)},"retries":{retries},"seq":{seq},'
+            f'"state":{_quote(state)},'
+            f'"terminal":{"true" if terminal else "false"},'
+            f'"ts":{_quote(ts)}}}')
+
+
+#: The layout of each record kind, by the kind's value.
+_LAYOUTS = {
+    "Created": _created,
+    "Transitioned": _transitioned,
+    "Assigned": _assigned,
+    "Reassigned": _reassigned,
+    "ReminderSent": _reminder_sent,
+    "MessageDelivered": _message_delivered,
+}
 
 
 def record_line(record, lines: dict[str, str]) -> str:
-    """`compact_json(record)`, with each wire of a non-empty `messages`
-    list encoded once, alone; each wire's line goes into `lines` under
-    its msg id (a value that is not a dict with a str `msg_id` is not a
-    message's wire and leaves none).
-
-    The record is encoded with 0 in its wires' place, and the wires'
-    lines are spliced in where that `"messages":0` stands: the same text,
-    since a value encodes the same wherever it stands. Unless the
-    placeholder occurs exactly once, the record is encoded whole and
-    `lines` is left as it was."""
-    wires = record.get("messages") if type(record) is dict else None
-    if type(wires) is not list or not wires:
-        return compact_json(record)
-    encoded = [compact_json(wire) for wire in wires]
-    parts = compact_json({**record, "messages": 0}).split(_PLACEHOLDER)
-    if len(parts) != 2:
-        return compact_json(record)
-    for wire, line in zip(wires, encoded):
-        if type(wire) is dict and type(msg_id := wire.get("msg_id")) is str:
-            lines[msg_id] = line
-    return f'{parts[0]}"messages":[{",".join(encoded)}]{parts[1]}'
+    """`compact_json(record)`, written from its kind's layout when the
+    record has that layout's keys and types; then each wire of its
+    `messages` is encoded once, by `wire_line`, and its line goes into
+    `lines` under its msg id. Any other value is encoded by `compact_json`
+    and leaves `lines` as it was, so a sink encodes its wires."""
+    if type(record) is dict and type(kind := record.get("kind")) is str:
+        layout = _LAYOUTS.get(kind)
+        if layout is not None and (line := layout(record, lines)) is not None:
+            return line
+    return compact_json(record)
 
 
 class AppendWriter:
@@ -277,8 +464,9 @@ class PayloadRejected(Exception):
 class Sink(Protocol):
     """A sink delivers each wire it is handed with `line`, the text its
     event's log line holds for it, which a sink that sends text sends; it
-    is None (after a restart or a failed attempt, or on a log kept in
-    memory) when the sink must encode the wire. A sink may also have a
+    is None (after a restart or a failed attempt, on a log kept in memory,
+    or when its record did not fit a layout) when the sink must encode the
+    wire, with `wire_line`. A sink may also have a
     `close()`, which the board calls once per outbox flush, after every
     hand-over and before any delivery is settled; `close` returns the msg
     ids it could not write (`None` means none). Each of those whose
@@ -307,10 +495,12 @@ class FileSink:
         self._paths: dict[str, str] = {}
 
     def deliver(self, wire: dict, line: str | None) -> None:
+        if line is None:
+            line = wire_line(wire) or compact_json(wire)
         queue = self._queued.get(wire["channel"])
         if queue is None:
             queue = self._queued[wire["channel"]] = ([], [])
-        queue[0].append(compact_json(wire) if line is None else line)
+        queue[0].append(line)
         queue[1].append(wire["msg_id"])
 
     def close(self) -> list[str]:
@@ -351,7 +541,9 @@ class WebhookSink:
         import urllib.error
         import urllib.request
 
-        body = (compact_json(wire) if line is None else line).encode("utf-8")
+        if line is None:
+            line = wire_line(wire) or compact_json(wire)
+        body = line.encode("utf-8")
         try:
             request = urllib.request.Request(
                 self.url, data=body, method="POST",

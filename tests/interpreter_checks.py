@@ -10,7 +10,9 @@ check, with the value it got and the value it expected, and exits 1 if
 any of them differ. The expected values are the ones the suite pins:
 `test_stock_experiment_output_is_pinned` in `test_cli.py`, and
 `test_reminder_log_is_pinned`, `test_manual_reminder_log_is_pinned` and
-`test_reminder_channel_files_are_pinned` in `test_sim.py`.
+`test_reminder_channel_files_are_pinned` in `test_sim.py`. The record
+lines check holds `notify.record_line`'s layouts to `compact_json` on
+this interpreter, as `TestRecordLine` in `test_notify.py` does.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import dispatchbot
 from dispatchbot.board import BoardRuntime
 from dispatchbot.cli import main
 from dispatchbot.eventlog import encode_event
-from dispatchbot.sim import run_simulation
+from dispatchbot.notify import Channel, compact_json, record_line
+from dispatchbot.sim import default_experiment_configs, run_simulation
 from dispatchbot.timeutil import iso, parse_ts
 
 from desks import MANUAL_DESK, REMINDER_DESK
@@ -102,6 +105,53 @@ def reminder_channels() -> str:
         return listing(Path(out))
 
 
+def near_misses(record: dict) -> list[dict]:
+    """Copies of a runtime record that no layout fits: a key missing or
+    one too many, a field of another type, a wire with a key missing or
+    one too many, or a `messages` list of no wire, of a non-wire, or of
+    two wires where the runtime writes one."""
+    misses = [{k: v for k, v in record.items() if k != "ts"},
+              dict(record, zz=1)]
+    misses += [dict(record, **{key: value}) for key, value in (
+        ("seq", True), ("seq", 1.5), ("ts", None), ("board", 10**30),
+        ("board", Channel.CHAT_A), ("kind", ["Created"]))]
+    if "messages" in record:
+        wire = record["messages"][0]
+        misses += [dict(record, messages=messages) for messages in (
+            [], [wire, 5], [dict(wire, zz="x")],
+            [{k: v for k, v in wire.items() if k != "text"}])]
+        if record["kind"] != "ReminderSent":
+            misses.append(dict(record, messages=[wire, wire]))
+    return misses
+
+
+def record_lines() -> str:
+    """The records of the reminder, Manual and `simulate --seed 1` logs,
+    their optional fields, and near misses of their shapes, whose
+    `record_line` is not their `compact_json`, or whose kept lines are not
+    their wires' (a near miss keeps none), as (kind, seq) pairs."""
+    pre, post = default_experiment_configs(1)
+    fits = [event for desk in (REMINDER_DESK, MANUAL_DESK, pre, post)
+            for event in run_simulation(desk).events]
+    first = {}
+    for event in fits:
+        first.setdefault(event["kind"], event)
+    fits += [dict(first["Created"], labels=["db", "\u00e9\"\\"],
+                  sla_deadline="2025-01-08T09:00:00Z"),
+             dict(first["Transitioned"], reopen_mode="Reopen")]
+    misses = [miss for event in first.values() for miss in near_misses(event)]
+    bad = []
+    for record, fit in [(r, True) for r in fits] + [(r, False)
+                                                   for r in misses]:
+        lines = {}
+        kept = {wire["msg_id"]: compact_json(wire)
+                for wire in record.get("messages", ()) if fit}
+        if record_line(record, lines) != compact_json(record) \
+                or lines != kept:
+            bad.append((str(record.get("kind")), record.get("seq")))
+    return str(bad)
+
+
 def codec() -> str:
     """Canonical instants across the years 1 to 9999 that `parse_ts`
     does not read back as `fromisoformat` does, in value, type and the
@@ -139,6 +189,7 @@ CHECKS = [
     ("manual log", manual_log, MANUAL_LOG),
     ("manual log, rebuilt", manual_log_rebuilt, MANUAL_LOG),
     ("reminder channels", reminder_channels, REMINDER_CHANNELS),
+    ("record lines", record_lines, "[]"),
     ("codec round-trip", codec, "[]"),
     ("cold import", cold_import, "[]"),
 ]

@@ -267,6 +267,34 @@ class TestRun:
             f"cannot rebuild board state: {error}\n"
         assert log.read_bytes() == before
 
+    def test_log_whose_message_ids_are_used_up_is_left_as_it_is(
+            self, team_files, capsys):
+        config, board, out = team_files
+        out.mkdir()
+        log = out / "T1.events.ndjson"
+        wire = {"msg_id": "m999999999999999999", "team": "team1",
+                "channel": "ChatA", "kind": "Assignment", "ticket": "T1-1",
+                "text": "ASSIGNED T1-1 -> e1 [RoundRobin]",
+                "ts": "2025-01-06T09:30:00Z"}
+        records = [json.loads(line) for line in board.read_text().split()]
+        records.insert(1, {"seq": 2, "ts": "2025-01-06T09:30:00Z",
+                           "board": "T1", "kind": "Assigned",
+                           "ticket": "T1-1", "engineer": "e1",
+                           "policy": "RoundRobin", "cursor_after": 1,
+                           "messages": [wire]})
+        for seq, record in enumerate(records, 1):
+            record["seq"] = seq
+        log.write_text("".join(encode_event(r) + "\n" for r in records))
+        before = log.read_bytes()
+        # The cycle would assign T1-2 and T1-3, with ids past the last.
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--now", "2025-01-06T10:00:00Z"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "cannot run cycle: message ids past m999999999999999999 "
+            "cannot be logged\n")
+        assert log.read_bytes() == before
+        assert not (out / "channels").exists()
+
     def test_torn_final_line_is_runtime_error(self, team_files, capsys):
         config, board, out = team_files
         args = ["run", "--config", str(config), "--board", str(board),

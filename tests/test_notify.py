@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from dispatchbot import notify
 from dispatchbot.assignment import AssignmentDecision
 from dispatchbot.board import BoardRuntime
-from dispatchbot.eventlog import EventLog, read_event_log, replay
+from dispatchbot.eventlog import (
+    EVENT_KINDS,
+    EventLog,
+    read_event_log,
+    replay,
+)
 from dispatchbot.notify import (
     AppendWriter,
     BindingError,
@@ -202,7 +207,7 @@ class TestCompactJson:
         assert compact_json(value) == dumps(value)
 
 
-#: Texts that could pass for the placeholder, or break a naive splice.
+#: Texts that could break a layout that wrote a string as it stands.
 _TRICKY = st.sampled_from([
     '"messages":0', '"messages":0,', '{"messages":0}', '\\"messages\\":0',
     '"', '\\', '\\"', "\0", "messages", "\u00e9\u2713\U0001f600", ""])
@@ -230,8 +235,8 @@ _values = _tree(_leaves | st.builds(set) | st.builds(object))
 
 @st.composite
 def _records(draw) -> dict:
-    """A record shaped like the runtime's, or any JSON object, with a
-    `messages` value of wires, of other values, empty, not a list, or
+    """Any JSON object, or one with the fields every record shares, with
+    a `messages` value of wires, of other values, empty, not a list, or
     none; some carry an object of their own with `"messages": 0` under a
     key that sorts before `messages`."""
     record = draw(st.fixed_dictionaries(
@@ -248,13 +253,121 @@ def _records(draw) -> dict:
     return record
 
 
-class TestRecordLine:
-    """`record_line` is `compact_json`, and puts each wire's line in the
-    dict it is given, under the wire's msg id."""
+#: Each record shape `BoardRuntime` writes, by kind: the type of each
+#: field it always has, and of each it may have. Written out here, apart
+#: from `notify`, as the rule a layout is checked against.
+_SHAPES = {
+    "Created": ({"board": "str", "priority": "str", "reporter": "str",
+                 "seq": "int", "ticket": "str", "ts": "str"},
+                {"labels": "names", "sla_deadline": "str"}),
+    "Transitioned": ({"actor": "str", "board": "str", "from": "str",
+                      "messages": "wire", "seq": "int", "ticket": "str",
+                      "to": "str", "ts": "str"},
+                     {"reopen_mode": "str"}),
+    "Assigned": ({"board": "str", "cursor_after": "cursor",
+                  "engineer": "str", "messages": "wire", "policy": "str",
+                  "seq": "int", "ticket": "str", "ts": "str"}, {}),
+    "Reassigned": ({"board": "str", "engineer": "str",
+                    "from_engineer": "str", "messages": "wire",
+                    "seq": "int", "ticket": "str", "ts": "str"}, {}),
+    "ReminderSent": ({"board": "str", "index": "int", "messages": "wires",
+                      "recipients": "names", "reminder_kind": "str",
+                      "seq": "int", "ticket": "str", "ts": "str"}, {}),
+    "MessageDelivered": ({"board": "str", "msg_id": "str",
+                          "retries": "int", "seq": "int", "state": "str",
+                          "terminal": "bool", "ts": "str"}, {}),
+}
 
-    @settings(max_examples=300, deadline=None)
-    @given(_records())
-    def test_a_record_line_is_its_compact_json(self, record):
+
+def _is_wire(value) -> bool:
+    return (type(value) is dict and value.keys() == notify.WIRE_FIELDS
+            and all(type(text) is str for text in value.values()))
+
+
+#: Whether a value is of a field type of `_SHAPES`.
+_OF_TYPE = {
+    "str": lambda v: type(v) is str,
+    "int": lambda v: type(v) is int,
+    "bool": lambda v: type(v) is bool,
+    "cursor": lambda v: v is None or type(v) is int,
+    "names": lambda v: type(v) is list and all(type(n) is str for n in v),
+    "wire": lambda v: type(v) is list and len(v) == 1 and _is_wire(v[0]),
+    "wires": lambda v: type(v) is list and v != [] and all(map(_is_wire, v)),
+}
+
+#: A value of each field type of `_SHAPES`.
+_OF_TYPE_VALUES = {
+    "str": _text,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "cursor": st.none() | st.integers(),
+    "names": st.lists(_text, max_size=3),
+    "wire": st.lists(_wires, min_size=1, max_size=1),
+    "wires": st.lists(_wires, min_size=1, max_size=3),
+}
+
+
+def _fits(record) -> bool:
+    """Whether `record` is exactly one of the runtime's record shapes."""
+    kind = record.get("kind") if type(record) is dict else None
+    if type(kind) is not str or kind not in _SHAPES:
+        return False
+    required, optional = _SHAPES[kind]
+    types, keys = {**required, **optional}, record.keys() - {"kind"}
+    return (required.keys() <= keys <= types.keys()
+            and all(_OF_TYPE[types[key]](record[key]) for key in keys))
+
+
+#: What takes a field's place in a near miss: types the runtime never
+#: writes there (`Channel.CHAT_A` is a str subclass), or any value.
+_STRANGERS = (st.sampled_from([True, 1.5, None, 10**30, Channel.CHAT_A])
+              | _values)
+
+
+@st.composite
+def _shaped(draw) -> dict:
+    """A record of one of the runtime's shapes, optional fields and all,
+    with the tricky texts in its strings and its keys in any order; or a
+    near miss of one: a key missing or one too many, a field of another
+    type, a wire with a key missing or one too many, or a `messages`
+    list of no wire, two wires or an item that is no wire."""
+    kind = draw(st.sampled_from(sorted(_SHAPES)))
+    required, optional = _SHAPES[kind]
+    types = dict(required, **{key: optional[key] for key in optional
+                              if draw(st.booleans())})
+    record = {key: draw(_OF_TYPE_VALUES[types[key]]) for key in types}
+    record["kind"] = kind
+    miss = draw(st.sampled_from(["none", "drop", "add", "retype", "wire",
+                                 "messages"]))
+    if miss == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif miss == "add":
+        key = draw(st.sampled_from(
+            ["a", "zz", "labels", "reopen_mode", "messages", "cursor_after"])
+            | _text)
+        record.setdefault(key, draw(_json_values))
+    elif miss == "retype":
+        record[draw(st.sampled_from(sorted(record)))] = draw(_STRANGERS)
+    elif "messages" in record and miss == "wire":
+        wire = draw(st.sampled_from(record["messages"]))
+        if draw(st.booleans()):
+            del wire[draw(st.sampled_from(sorted(wire)))]
+        else:
+            wire[draw(st.sampled_from(["a", "zz", "labels"]))] = "x"
+    elif "messages" in record and miss == "messages":
+        record["messages"] = draw(
+            st.just([]) | st.lists(_wires, min_size=2, max_size=2)
+            | st.lists(_wires | _STRANGERS, min_size=1, max_size=2))
+    return dict(draw(st.permutations(list(record.items()))))
+
+
+class TestRecordLine:
+    """`record_line` is `compact_json`; when the record is one of the
+    runtime's shapes, it puts each wire's line in the dict it is given,
+    under the wire's msg id, and leaves it as it was otherwise."""
+
+    @staticmethod
+    def check(record):
         lines = {}
         try:
             want = compact_json(record)
@@ -264,28 +377,77 @@ class TestRecordLine:
             assert lines == {}
             return
         assert record_line(record, lines) == want
-        wires = record.get("messages")
         kept = {}
-        # The wires' lines are kept when they are spliced into the line.
-        if type(wires) is list and wires and compact_json(
-                {**record, "messages": 0}).count('"messages":0') == 1:
-            kept = {wire["msg_id"]: compact_json(wire) for wire in wires
-                    if type(wire) is dict
-                    and type(wire.get("msg_id")) is str}
+        if _fits(record):
+            kept = {wire["msg_id"]: compact_json(wire)
+                    for wire in record.get("messages", ())}
         assert lines == kept
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records())
+    def test_a_record_line_is_its_compact_json(self, record):
+        self.check(record)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_shaped())
+    def test_a_runtime_shape_or_a_near_miss_is_its_compact_json(self,
+                                                               record):
+        self.check(record)
+
+    @pytest.mark.parametrize("kind", sorted(_SHAPES))
+    def test_each_field_of_another_type_is_a_near_miss(self, kind):
+        """Every field of each shape, its wires' fields among them, in
+        turn missing or replaced by a value of each type."""
+        wire = message()
+        others = [True, False, 1.5, None, 10**30, 7, "x", Channel.CHAT_A,
+                  [], ["x"], {}, set(), [wire], [wire, wire], [wire, 5]]
+        example = {"str": 'x"\u00e9', "int": 7, "bool": True, "cursor": 3,
+                   "names": ["e1", "\0"], "wire": [wire],
+                   "wires": [wire, dict(wire, msg_id="m000002")]}
+        required, optional = _SHAPES[kind]
+        for types in (required, {**required, **optional}):
+            record = {key: example[types[key]] for key in types}
+            record["kind"] = kind
+            assert _fits(record)
+            variants = [record, dict(record, zz=1)]
+            for key in record:
+                variants.append({k: v for k, v in record.items() if k != key})
+                variants += [dict(record, **{key: value}) for value in others]
+            for i, item in enumerate(record.get("messages", ())):
+                for key in sorted(item):
+                    wires = [dict(item, **{key: value}) for value in others]
+                    wires += [{k: v for k, v in item.items() if k != key},
+                              dict(item, zz="x")]
+                    variants += [dict(record, messages=[
+                        *record["messages"][:i], bad,
+                        *record["messages"][i + 1:]]) for bad in wires]
+            for variant in variants:
+                self.check(variant)
+
+    def test_every_kind_has_a_layout(self):
+        assert notify._LAYOUTS.keys() == _SHAPES.keys() == set(EVENT_KINDS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_wires | _json_values)
+    def test_a_wire_line_is_its_compact_json_or_none(self, wire):
+        line = notify.wire_line(wire)
+        assert line == (compact_json(wire) if _is_wire(wire) else None)
 
     def test_each_wires_text_is_kept_under_its_msg_id(self):
         first, second = message(), dict(message(), msg_id="m000002",
                                          channel="Email")
         lines = {"m000000": "kept"}
-        record = {"seq": 1, "kind": "ReminderSent",
-                  "messages": [first, second]}
+        record = {"seq": 1, "ts": "2025-01-06T09:00:00Z", "board": "T1",
+                  "kind": "ReminderSent", "ticket": "T1-42",
+                  "reminder_kind": "StuckState", "index": 1,
+                  "recipients": ["e3"], "messages": [first, second]}
         assert record_line(record, lines) == compact_json(record)
         assert lines == {"m000000": "kept",
                          "m000001": compact_json(first),
                          "m000002": compact_json(second)}
         for quiet in ({"seq": 2, "kind": "Created"},
-                      {"seq": 3, "messages": []}):
+                      {"seq": 3, "messages": []},
+                      dict(record, index=True), dict(record, extra=1)):
             assert record_line(quiet, lines) == compact_json(quiet)
         assert len(lines) == 3
 
@@ -831,14 +993,19 @@ class TestEncodedOnce:
     def test_each_wire_is_encoded_once_as_a_value_of_its_own(
             self, tmp_path, monkeypatch):
         clear_codec()
-        encoded = []
-        inner = notify._encode
+        encoded, whole = [], []
+        wire_line, encode = notify.wire_line, notify._encode
 
-        def spy(value, level):
-            encoded.append(value)
-            return inner(value, level)
+        def wire_spy(wire):
+            encoded.append(wire)
+            return wire_line(wire)
 
-        monkeypatch.setattr(notify, "_encode", spy)
+        def encode_spy(value, level):
+            whole.append(value)
+            return encode(value, level)
+
+        monkeypatch.setattr(notify, "wire_line", wire_spy)
+        monkeypatch.setattr(notify, "_encode", encode_spy)
         path = tmp_path / "T1.events.ndjson"
         runtime = file_runtime(tmp_path, log=EventLog(path))
         with runtime.log:
@@ -855,8 +1022,9 @@ class TestEncodedOnce:
                                                     "Assignment"]
         for wire in wires:
             assert sum(value is wire for value in encoded) == 1
-        assert not any(type(value) is dict and value.get("messages")
-                       for value in encoded)
+        # Every record fits its kind's layout: none, and so none with its
+        # wires inside, goes through the canonical encoder.
+        assert whole == []
         assert (tmp_path / "ChatA.ndjson").read_text() == "".join(
             compact_json(wire) + "\n" for wire in wires)
         assert path.read_text() == "".join(
@@ -870,13 +1038,14 @@ class TestEncodedOnce:
             runtime.apply_external_transition(
                 "T1-2", WorkflowState.DONE, at(0, seconds=20), "r1")
         clear_codec()
-        del encoded[:]
+        del encoded[:], whole[:]
         runtime = file_runtime(tmp_path, log=EventLog(path))
         with runtime.log:
             [pending] = runtime.snapshot.outbox.values()
             report = runtime.run_cycle(at(0, seconds=30))
         assert report.messages_delivered == 1
         assert [value for value in encoded if value is pending] == [pending]
+        assert whole == []
         line = compact_json(pending)
         assert (tmp_path / "ChatA.ndjson").read_text().splitlines()[-1] == \
             line
